@@ -22,99 +22,93 @@ import argparse
 import json
 import sys
 
-from .core import (
-    ParseError,
-    SpaceValidationError,
-    canonical_space_json,
-    decimal_str,
-    space_document_from_obj,
-)
-from .extension import ElementDomainError, EmptyFiberError, extend_generic
+from .core import ParseError, SpaceValidationError, canonical_space_obj, decimal_str, space_document_from_obj
+from .extension import ElementDomainError, EmptyFiberError, FiberCapExceeded, extend_generic
 from .hyperspace import HyperspaceFunctor
-from .hyperspace import FiberCapExceeded as HyperspaceCapExceeded
 from .power import PNorm, PowerFunctor, root_decimal_str
 from .selftest import FAULTS, run_selftest
-from .transport import (
-    FiberCapExceeded as TransportCapExceeded,
-    MiddleMarginalError,
-    TransportFunctor,
-    UnbalancedMassError,
-)
-from .words import CapTooSmallError, PointedSpace, WordsFunctor
+from .transport import MiddleMarginalError, TransportFunctor, UnbalancedMassError
+from .words import VARIANTS, CapTooSmallError, PointedSpace, WordsFunctor, default_cap
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
 EXIT_MISMATCH = 3
 
+FUNCTORS = ("hyperspace", "power", "transport", "words")
+METHODS = ("specialized", "generic", "both")
+
 _INPUT_ERRORS = (ParseError, SpaceValidationError, ElementDomainError)
-_COMPUTE_ERRORS = (
-    CapTooSmallError,
-    HyperspaceCapExceeded,
-    TransportCapExceeded,
-    UnbalancedMassError,
-    MiddleMarginalError,
-    EmptyFiberError,
-)
+_COMPUTE_ERRORS = (CapTooSmallError, FiberCapExceeded, UnbalancedMassError, MiddleMarginalError, EmptyFiberError)
+
+_REQUIRED = object()
+# Request fields per command as (key, default, allowed): a tuple of choices,
+# the one type a JSON value must have, or None for any JSON value.  The dist
+# fields are the `dist` flags.
+_FIELDS = {
+    "validate": (("space", _REQUIRED, str),),
+    "dist": (
+        ("functor", _REQUIRED, FUNCTORS),
+        ("space", _REQUIRED, str),
+        ("a", _REQUIRED, None),
+        ("b", _REQUIRED, None),
+        ("norm", "max", str),
+        ("variant", "graev", VARIANTS),
+        ("abelian", False, bool),
+        ("cap", None, int),
+        ("method", "specialized", METHODS),
+        ("inject_fault", None, FAULTS),
+    ),
+}
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+def _field(request: dict, key: str, default, allowed):
+    value = request.get(key, default)
+    if value is _REQUIRED:
+        raise ParseError(f"each request needs a {key!r} field")
+    if value is default or allowed is None:
+        return value
+    if isinstance(allowed, tuple) and value not in allowed:
+        raise ParseError(f"field {key!r} must be one of {', '.join(allowed)}, got {value!r}")
+    if isinstance(allowed, type) and type(value) is not allowed:
+        raise ParseError(f"field {key!r} must be of type {allowed.__name__}, got {value!r}")
+    return value
 
 
 def _load_space_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            obj = json.load(fh)
     except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read space file: {exc}")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"space file is not valid JSON: {exc}")
-    # SpaceValidationError and ParseError propagate to the main handler,
-    # which prints the violated axiom and its witness.
+        raise ParseError(f"cannot read space file: {exc}")
+    except ValueError as exc:
+        raise ParseError(f"space file is not valid JSON: {exc}")
     return space_document_from_obj(obj)
 
 
-def _build_functor(args, element_json):
-    kind = args.functor
+def _build_functor(request: dict, element_json):
+    kind = request["functor"]
     if kind == "hyperspace":
         return HyperspaceFunctor()
     if kind == "power":
-        norm = PNorm.parse(args.norm)
+        norm = PNorm.parse(request["norm"])
         if not isinstance(element_json, list):
             raise ParseError("a tuple element is a JSON array of labels")
         return PowerFunctor(len(element_json), norm)
     if kind == "transport":
         return TransportFunctor()
-    if kind == "words":
-        return WordsFunctor(args.variant, commutative=args.abelian, cap=args.cap)
-    raise ParseError(f"unknown functor {kind!r}")
+    return WordsFunctor(request["variant"], commutative=request["abelian"], cap=request["cap"])
 
 
-def _parse_element_arg(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"element is not valid JSON: {exc}")
-
-
-def _single_response(functor, ctx, table, a, b, method: str, args) -> dict:
+def _single_response(functor, ctx, table, a, b, method: str, request: dict) -> dict:
     if method == "specialized":
         result = functor.distance(ctx, table, a, b)
     else:
         result = extend_generic(functor, ctx, table, a, b, early_exit=False)
-    if args.functor == "transport" and args.inject_fault == "transport-solver" and method == "specialized":
+    if request["functor"] == "transport" and request["inject_fault"] == "transport-solver" and method == "specialized":
         result = type(result)(result.value + 1, result.witness, result.fiber_size_enumerated)
     value = result.value
-    response = {
-        "functor": functor.name,
-        "method": method,
-        "value": str(value),
-    }
+    response = {"functor": functor.name, "method": method, "value": str(value)}
     norm = getattr(functor, "norm", None)
     if norm is not None and not norm.is_max:
         response["p"] = norm.p
@@ -124,57 +118,94 @@ def _single_response(functor, ctx, table, a, b, method: str, args) -> dict:
     response["witness"] = functor.format_coupling(result.witness, ctx)
     if method == "generic":
         flags = {"fiber_size": result.fiber_size_enumerated}
-    elif args.functor == "words":
+    elif request["functor"] == "words":
         flags = {"search_states": result.fiber_size_enumerated}
     else:
         flags = {}
-    if args.functor == "words":
-        used_cap = args.cap if args.cap is not None else len(a) + len(b) + 2
-        flags["cap"] = used_cap
+    if request["functor"] == "words":
+        flags["cap"] = default_cap(a, b) if request["cap"] is None else request["cap"]
         flags["cap_limited"] = value != 0
     response["flags"] = flags
     return response
 
 
-def cmd_dist(args) -> int:
-    space, basepoint = _load_space_document(args.space)
-    element_json = _parse_element_arg(args.a)
-    element_json_b = _parse_element_arg(args.b)
-    functor = _build_functor(args, element_json)
-    if args.functor == "words":
+def _dist(request: dict, load_space) -> tuple[dict, int]:
+    space, basepoint = load_space(request["space"])
+    functor = _build_functor(request, request["a"])
+    if request["functor"] == "words":
         if basepoint is None:
             raise ParseError('word distances need a "basepoint" entry in the space file')
         ctx = PointedSpace(space, space.index(basepoint))
     else:
         ctx = space
     table = space.pair_table()
-    a = functor.parse_element(element_json, ctx)
-    b = functor.parse_element(element_json_b, ctx)
-    if args.method in ("specialized", "generic"):
-        response = _single_response(functor, ctx, table, a, b, args.method, args)
-        print(json.dumps(response))
-        return EXIT_OK
-    specialized = _single_response(functor, ctx, table, a, b, "specialized", args)
-    generic = _single_response(functor, ctx, table, a, b, "generic", args)
+    a = functor.parse_element(request["a"], ctx)
+    b = functor.parse_element(request["b"], ctx)
+    method = request["method"]
+    if method != "both":
+        return _single_response(functor, ctx, table, a, b, method, request), EXIT_OK
+    specialized = _single_response(functor, ctx, table, a, b, "specialized", request)
+    generic = _single_response(functor, ctx, table, a, b, "generic", request)
     match = specialized["value"] == generic["value"]
-    print(
-        json.dumps(
-            {
-                "functor": functor.name,
-                "method": "both",
-                "match": match,
-                "specialized": specialized,
-                "generic": generic,
-            }
-        )
-    )
-    return EXIT_OK if match else EXIT_MISMATCH
+    response = {
+        "functor": functor.name,
+        "method": "both",
+        "match": match,
+        "specialized": specialized,
+        "generic": generic,
+    }
+    return response, EXIT_OK if match else EXIT_MISMATCH
+
+
+def _error_response(exc: Exception) -> tuple[dict, int]:
+    response = {"error": str(exc)}
+    if isinstance(exc, SpaceValidationError):
+        response["axiom"] = exc.axiom
+        response["witness"] = list(exc.witness)
+    return response, EXIT_COMPUTE if isinstance(exc, _COMPUTE_ERRORS) else EXIT_INPUT
+
+
+def handle_request(request: dict, load_space) -> tuple[dict, int]:
+    """Run one request and return its response and exit code.
+
+    A request holds the batch-entry fields: ``command`` ("dist" or
+    "validate"), ``space`` and, for dist, the ``dist`` flags as JSON keys.
+    ``load_space`` maps a space path to its (space, basepoint) document.
+    Every input and computation error becomes an ``{"error": ...}``
+    response here.
+    """
+    try:
+        if not isinstance(request, dict):
+            raise ParseError("each request must be a JSON object")
+        command = _field(request, "command", _REQUIRED, tuple(_FIELDS))
+        fields = {key: _field(request, key, default, allowed) for key, default, allowed in _FIELDS[command]}
+        if command == "dist":
+            return _dist(fields, load_space)
+        return canonical_space_obj(*load_space(fields["space"])), EXIT_OK
+    except _INPUT_ERRORS + _COMPUTE_ERRORS as exc:
+        return _error_response(exc)
+
+
+def _print_response(request: dict, indent=None) -> int:
+    response, code = handle_request(request, _load_space_document)
+    print(json.dumps(response, indent=indent if code == EXIT_OK else None))
+    return code
+
+
+def cmd_dist(args) -> int:
+    request = {key: getattr(args, key) for key, _default, _allowed in _FIELDS["dist"]}
+    request["command"] = "dist"
+    for key in ("a", "b"):
+        try:
+            request[key] = json.loads(getattr(args, key))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"element is not valid JSON: {exc}")
+    return _print_response(request)
 
 
 def cmd_validate(args) -> int:
-    space, basepoint = _load_space_document(args.space)
-    sys.stdout.write(canonical_space_json(space, basepoint))
-    return EXIT_OK
+    # With indent 2 the response prints as canonical_space_json.
+    return _print_response({"command": "validate", "space": args.space}, indent=2)
 
 
 def cmd_selftest(args) -> int:
@@ -187,53 +218,27 @@ def cmd_batch(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             requests = json.load(fh)
     except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read batch file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"batch file is not valid JSON: {exc}")
+        raise ParseError(f"cannot read batch file: {exc}")
+    except ValueError as exc:
+        raise ParseError(f"batch file is not valid JSON: {exc}")
     if not isinstance(requests, list):
-        raise CliError(EXIT_INPUT, "batch file must hold a JSON array of requests")
+        raise ParseError("batch file must hold a JSON array of requests")
+    spaces = {}  # path -> loaded document; a failed load is retried per entry
+
+    def load_space(path: str):
+        if path not in spaces:
+            spaces[path] = _load_space_document(path)
+        return spaces[path]
+
     responses = []
-    worst = EXIT_OK
+    first_failure = EXIT_OK
     for request in requests:
-        line, code = _run_batch_entry(request, args)
-        responses.append(line)
-        worst = worst or code
+        response, code = handle_request(request, load_space)
+        response["exit_code"] = code
+        responses.append(response)
+        first_failure = first_failure or code
     print(json.dumps(responses, indent=2))
-    return worst
-
-
-def _run_batch_entry(request, args):
-    import io
-    from contextlib import redirect_stdout
-
-    if not isinstance(request, dict) or "command" not in request:
-        return {"error": "each request needs a 'command' field"}, EXIT_INPUT
-    command = request["command"]
-    argv = []
-    if command == "validate":
-        argv = ["validate", "--space", request.get("space", "")]
-    elif command == "dist":
-        argv = ["dist", request.get("functor", ""), "--space", request.get("space", "")]
-        argv += ["--a", json.dumps(request.get("a"))]
-        argv += ["--b", json.dumps(request.get("b"))]
-        for key in ("norm", "variant", "cap", "method"):
-            if key in request:
-                argv += [f"--{key}", str(request[key])]
-        if request.get("abelian"):
-            argv.append("--abelian")
-    else:
-        return {"error": f"unknown command {command!r}"}, EXIT_INPUT
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main(argv)
-    text = buffer.getvalue().strip()
-    try:
-        payload = json.loads(text) if text else {}
-    except json.JSONDecodeError:
-        payload = {"output": text}
-    if isinstance(payload, dict):
-        payload["exit_code"] = code
-    return payload, code
+    return first_failure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,17 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.set_defaults(handler=cmd_validate)
 
     p_dist = sub.add_parser("dist", help="distance between two elements")
-    p_dist.add_argument("functor", choices=["hyperspace", "power", "transport", "words"])
+    p_dist.add_argument("functor", choices=FUNCTORS)
     p_dist.add_argument("--space", required=True, help="path to a space JSON file")
     p_dist.add_argument("--a", required=True, help="first element, as JSON")
     p_dist.add_argument("--b", required=True, help="second element, as JSON")
     p_dist.add_argument("--norm", default="max", help="power norm: 'max' or 'p:<k>'")
-    p_dist.add_argument("--variant", default="graev", choices=["graev", "swierczkowski"])
+    p_dist.add_argument("--variant", default="graev", choices=VARIANTS)
     p_dist.add_argument("--abelian", action="store_true", help="free-abelian words")
     p_dist.add_argument("--cap", type=int, default=None, help="representation search cap (words)")
-    p_dist.add_argument(
-        "--method", default="specialized", choices=["specialized", "generic", "both"]
-    )
+    p_dist.add_argument("--method", default="specialized", choices=METHODS)
     p_dist.add_argument(
         "--inject-fault",
         default=None,
@@ -284,23 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return exc.code
-    except _INPUT_ERRORS as exc:
-        payload = {"error": str(exc)}
-        if isinstance(exc, SpaceValidationError):
-            payload["axiom"] = exc.axiom
-            payload["witness"] = list(exc.witness)
-        print(json.dumps(payload))
-        return EXIT_INPUT
-    except _COMPUTE_ERRORS as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_COMPUTE
+    except ParseError as exc:  # a malformed --a/--b or batch file
+        response, code = _error_response(exc)
+        print(json.dumps(response))
+        return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 Scalar = Fraction
 
@@ -43,6 +43,8 @@ class SpaceValidationError(ValueError):
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "5", "-3" or "5/2"; decimal points are deliberately rejected."""
+    if not isinstance(text, str):
+        raise ParseError(f"not a rational scalar string: {text!r}")
     s = text.strip()
     if not _SCALAR_RE.match(s):
         raise ParseError(f"not a rational scalar: {text!r}")
@@ -196,13 +198,9 @@ def space_from_obj(obj: dict) -> FiniteMetricSpace:
     for row in raw:
         if not isinstance(row, list):
             raise ParseError("field 'matrix' must be a list of rows")
-        matrix.append([parse_scalar(v) if isinstance(v, str) else _reject(v) for v in row])
+        matrix.append([parse_scalar(v) for v in row])
     mode = obj.get("mode", "metric")
     return validate_space(points, matrix, mode)
-
-
-def _reject(value) -> Fraction:
-    raise ParseError(f"matrix entries must be rational strings, got {value!r}")
 
 
 def space_from_json(text: str) -> FiniteMetricSpace:
@@ -224,12 +222,16 @@ def space_document_from_obj(obj: dict) -> tuple[FiniteMetricSpace, str | None]:
     return space, basepoint
 
 
-def canonical_space_json(space: FiniteMetricSpace, basepoint: str | None = None) -> str:
-    """Canonical serialization; loading and re-emitting it is byte-identical."""
+def canonical_space_obj(space: FiniteMetricSpace, basepoint: str | None = None) -> dict:
     obj = space.to_obj()
     if basepoint is not None:
         obj["basepoint"] = basepoint
-    return json.dumps(obj, indent=2) + "\n"
+    return obj
+
+
+def canonical_space_json(space: FiniteMetricSpace, basepoint: str | None = None) -> str:
+    """Canonical serialization; loading and re-emitting it is byte-identical."""
+    return json.dumps(canonical_space_obj(space, basepoint), indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -356,9 +358,3 @@ class PairTable:
 
     def scale(self, k: Fraction) -> "PairTable":
         return PairTable(tuple(tuple(v * k for v in row) for row in self.values))
-
-
-def all_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for i in range(n):
-        for j in range(n):
-            yield (i, j)

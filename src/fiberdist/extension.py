@@ -39,6 +39,10 @@ class ElementDomainError(ValueError):
     """An element does not live over the space it was used with."""
 
 
+class FiberCapExceeded(RuntimeError):
+    """A fiber is too large for exhaustive coupling enumeration."""
+
+
 class Functor:
     """One concrete way of forming composite elements over a metric space.
 

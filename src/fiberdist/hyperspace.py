@@ -14,13 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import PairTable, ParseError
-from .extension import ElementDomainError, Functor
+from .extension import ElementDomainError, FiberCapExceeded, Functor
 
 DEFAULT_MAX_CELLS = 16
-
-
-class FiberCapExceeded(RuntimeError):
-    """|A| * |B| is too large for exhaustive coupling enumeration."""
 
 
 @dataclass(frozen=True)

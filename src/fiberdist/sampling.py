@@ -17,7 +17,8 @@ _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def labels(n: int) -> list[str]:
-    return [_LABELS[i] for i in range(n)]
+    """Point names: single letters up to 26 points, then ``p26``, ``p27``, ..."""
+    return [_LABELS[i] if i < len(_LABELS) else f"p{i}" for i in range(n)]
 
 
 def random_metric_space(rng: random.Random, n: int, den_max: int = 4, method: str = "band") -> FiniteMetricSpace:

@@ -5,9 +5,10 @@ bipartite network with exact rational arithmetic: no scaling, no epsilons,
 no degeneracy pivot rules.  Each augmentation saturates a supply or demand
 arc (middle arcs have effectively infinite capacity), so the number of
 rounds is at most the total support size.  Shortest paths are found by
-Bellman-Ford over a fixed arc order, which keeps witnesses deterministic,
-and Johnson-style potentials accumulated along the way provide an exact
-dual certificate of optimality.
+Bellman-Ford over a fixed arc order, which keeps witnesses deterministic.
+The solver keeps no potentials: ``dual_certificate`` runs its own
+Bellman-Ford on the final plan to produce exact dual potentials that
+certify optimality.
 
 The independent oracle enumerates every vertex of the transportation
 polytope by solving each spanning tree of the support grid, which is
@@ -22,17 +23,13 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import PairTable, ParseError, format_scalar, parse_scalar
-from .extension import ElementDomainError, Functor
+from .extension import ElementDomainError, FiberCapExceeded, Functor
 
 DEFAULT_MAX_VERTEX_CELLS = 20
 
 
 class UnbalancedMassError(ValueError):
     """Weights do not sum to exactly 1; never silently normalized."""
-
-
-class FiberCapExceeded(RuntimeError):
-    """Support grid too large for exhaustive vertex enumeration."""
 
 
 class MiddleMarginalError(ValueError):
@@ -254,7 +251,8 @@ def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> Kantoro
 
     flow = _cancel_support_cycles(flow, table)
     plan = transport_plan(flow)
-    assert integrate(table, plan) == value, "plan must re-integrate to the optimal value"
+    if integrate(table, plan) != value:
+        raise RuntimeError("plan does not re-integrate to the optimal value")
     dual_row, dual_col = dual_certificate(table, mu, nu, plan)
     return KantorovichResult(value, plan, dual_row, dual_col)
 

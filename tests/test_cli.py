@@ -218,16 +218,14 @@ class TestWitnessRoundTrip:
         space, basepoint = space_document_from_obj(space_obj)
         ctx = PointedSpace(space, space.index(basepoint)) if functor == "words" else space
 
-        class Args:
-            pass
-
-        args = Args()
-        args.functor = functor
-        args.norm = extra[1] if extra else "max"
-        args.variant = "graev"
-        args.abelian = False
-        args.cap = None
-        instance = _build_functor(args, json.loads(a))
+        request = {
+            "functor": functor,
+            "norm": extra[1] if extra else "max",
+            "variant": "graev",
+            "abelian": False,
+            "cap": None,
+        }
+        instance = _build_functor(request, json.loads(a))
         witness = instance.parse_coupling(payload["witness"], ctx)
         assert instance.lift(space.pair_table(), witness) == Fraction(payload["value"])
 
@@ -251,6 +249,54 @@ class TestBatch:
         assert payload[1]["exit_code"] == 0
         assert payload[2]["exit_code"] == 2
 
+    def test_malformed_entries_do_not_abort_the_batch(self, tmp_path):
+        space_path = write_space(tmp_path, TWO_POINT)
+        good = {"command": "dist", "functor": "transport", "space": space_path, "a": {"x": "1"}, "b": {"y": "1"}}
+        bad_fields = [
+            {"method": "bogus"},
+            {"cap": "abc"},
+            {"functor": "nope"},
+            {"abelian": "yes"},
+        ]
+        requests = [good] + [{**good, **fields} for fields in bad_fields] + [good]
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps(requests))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert len(payload) == 6
+        for response in (payload[0], payload[5]):
+            assert response["value"] == "5"
+            assert response["exit_code"] == 0
+        for response, fields in zip(payload[1:5], bad_fields):
+            assert set(response) == {"error", "exit_code"}
+            assert response["exit_code"] == 1
+            assert next(iter(fields)) in response["error"]
+
+    def test_space_file_loaded_once_per_batch(self, tmp_path, monkeypatch, capsys):
+        from fiberdist import cli
+
+        space_path = write_space(tmp_path, WORDS_SPACE)
+        requests = [
+            {"command": "dist", "functor": "hyperspace", "space": space_path, "a": ["x"], "b": ["y"]},
+            {"command": "validate", "space": space_path},
+            {"command": "dist", "functor": "words", "space": space_path, "a": ["x"], "b": ["y"]},
+        ]
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps(requests))
+        loads = []
+        real = cli.space_document_from_obj
+
+        def counting(obj):
+            loads.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(cli, "space_document_from_obj", counting)
+        assert cli.main(["batch", str(batch_path)]) == 0
+        assert [r["exit_code"] for r in json.loads(capsys.readouterr().out)] == [0, 0, 0]
+        assert len(loads) == 1
+
 
 class TestSelftest:
     def test_clean_build_exits_0(self):
@@ -264,6 +310,13 @@ class TestSelftest:
         first = run_cli("selftest")
         second = run_cli("selftest")
         assert first == second
+
+    def test_checks_hold_without_asserts(self):
+        optimized = [sys.executable, "-O", "-m", "fiberdist.cli", "selftest"]
+        clean = subprocess.run(optimized, capture_output=True, text=True)
+        assert clean.returncode == 0
+        faulty = subprocess.run(optimized + ["--inject-fault", "transport-solver"], capture_output=True, text=True)
+        assert faulty.returncode != 0
 
     def test_fault_injection_fails_solver_suite(self):
         code, out, _ = run_cli("selftest", "--inject-fault", "transport-solver")

@@ -32,7 +32,7 @@ class TestScalar:
         assert parse_scalar("5/2") == F(5, 2)
         assert parse_scalar(" 10/4 ") == F(5, 2)
 
-    @pytest.mark.parametrize("bad", ["2.5", "", "x", "1/0", "1//2", "1e3"])
+    @pytest.mark.parametrize("bad", ["2.5", "", "x", "1/0", "1//2", "1e3", 1, None])
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_scalar(bad)

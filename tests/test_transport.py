@@ -91,6 +91,17 @@ class TestKantorovich:
             assert r.plan.row_marginal() == mu
             assert r.plan.col_marginal() == nu
 
+    def test_plan_value_mismatch_raises(self, monkeypatch):
+        from fiberdist import transport
+
+        def shifted(flow, table):
+            return {(i, 1 - j): w for (i, j), w in flow.items()}
+
+        monkeypatch.setattr(transport, "_cancel_support_cycles", shifted)
+        mu = distribution({0: F(1, 3), 1: F(2, 3)})
+        with pytest.raises(RuntimeError, match="re-integrate"):
+            kantorovich(two_point().pair_table(), mu, mu)
+
     def test_dual_certificate(self):
         # Feasible potentials with exact complementary slackness certify
         # optimality independently of the solver's own bookkeeping.
