@@ -75,15 +75,27 @@ def _field(request: dict, key: str, default, allowed):
     return value
 
 
-def _load_space_document(path: str):
+def _parse_json(read, what: str):
+    """Parse the text ``read()`` returns.  A decode error, bad JSON or nesting
+    past the recursion limit is a ParseError naming ``what``."""
+    try:
+        return json.loads(read())
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply to parse")
+    except ValueError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}")
+
+
+def _read_json_file(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return _parse_json(fh.read, what)
     except OSError as exc:
-        raise ParseError(f"cannot read space file: {exc}")
-    except ValueError as exc:
-        raise ParseError(f"space file is not valid JSON: {exc}")
-    return space_document_from_obj(obj)
+        raise ParseError(f"cannot read {what}: {exc}")
+
+
+def _load_space_document(path: str):
+    return space_document_from_obj(_read_json_file(path, "space file"))
 
 
 def _build_functor(request: dict, element_json):
@@ -196,10 +208,7 @@ def cmd_dist(args) -> int:
     request = {key: getattr(args, key) for key, _default, _allowed in _FIELDS["dist"]}
     request["command"] = "dist"
     for key in ("a", "b"):
-        try:
-            request[key] = json.loads(getattr(args, key))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"element is not valid JSON: {exc}")
+        request[key] = _parse_json(lambda: getattr(args, key), "element")
     return _print_response(request)
 
 
@@ -214,13 +223,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            requests = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read batch file: {exc}")
-    except ValueError as exc:
-        raise ParseError(f"batch file is not valid JSON: {exc}")
+    requests = _read_json_file(args.file, "batch file")
     if not isinstance(requests, list):
         raise ParseError("batch file must hold a JSON array of requests")
     spaces = {}  # path -> loaded document; a failed load is retried per entry

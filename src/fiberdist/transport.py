@@ -2,10 +2,15 @@
 
 The Kantorovich distance is solved by successive shortest paths on a small
 bipartite network with exact rational arithmetic: no scaling, no epsilons,
-no degeneracy pivot rules.  Each augmentation saturates a supply or demand
-arc (middle arcs have effectively infinite capacity), so the number of
-rounds is at most the total support size.  Shortest paths are found by
-Bellman-Ford over a fixed arc order, which keeps witnesses deterministic.
+no degeneracy pivot rules.  Each augmentation pushes the bottleneck
+residual of a shortest path, and that bottleneck may be the reverse of a
+middle arc (flow sent earlier and now withdrawn), so the number of rounds
+is not bounded by the support size m + n, and some instances take more.
+The loop ends because every residual stays a multiple of 1/D, where D is
+the common denominator of the masses: each round pushes at least 1/D of
+the unit total, so there are at most D rounds.  Shortest paths are found
+by Bellman-Ford over a fixed arc order, which keeps witnesses
+deterministic.
 The solver keeps no potentials: ``dual_certificate`` runs its own
 Bellman-Ford on the final plan to produce exact dual potentials that
 certify optimality.

@@ -24,7 +24,9 @@ representation prefixes in cost order with provably lossless pruning
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -372,9 +374,12 @@ def _minimize_over_representations(
     This explores the same space as the exhaustive stream, just with
     provably lossless pruning; the agreement is tested against the naive
     enumerator.
-    """
-    import heapq
 
+    Each side's prefix gets a transition table the first time a state holding
+    it is expanded: per letter code ``2*x + (s == -1)``, the successor prefix
+    and the letters it still needs to reach its target.  Tables live for one
+    search.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
@@ -390,7 +395,7 @@ def _minimize_over_representations(
     denom = 1
     for row in dist:
         for v in row:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+            denom = denom * v.denominator // math.gcd(denom, v.denominator)
     idist = [[int(v * denom) for v in row] for row in dist]
 
     swier = variant == SWIERCZKOWSKI
@@ -408,9 +413,20 @@ def _minimize_over_representations(
         push, need = _free_push, _free_need
         ltarget, rtarget = a.letters, b.letters
 
-    rows_sorted = sorted(
-        (idist[x][y], 0 if s == 1 else 1, x, y, s) for x in range(n) for y in range(n) for s in (1, -1)
-    )
+    letters = [(x, s) for x in range(n) for s in (1, -1)]  # in letter-code order
+
+    def transitions(key: tuple, target: tuple) -> list[tuple[tuple, int]]:
+        return [(nxt, need(nxt, target)) for nxt in (push(key, x, s, e) for x, s in letters)]
+
+    ltables: dict[tuple, list[tuple[tuple, int]]] = {}
+    rtables: dict[tuple, list[tuple[tuple, int]]] = {}
+    # Rows in cost order, each with its letter codes and paid-set bit.
+    rows_sorted = [
+        (idist[x][y], 2 * x + (s == -1), 2 * y + (s == -1), (x, y, s), positive_bit.get((x, y), 0))
+        for _base, _sord, x, y, s in sorted(
+            (idist[x][y], 0 if s == 1 else 1, x, y, s) for x in range(n) for y in range(n) for s in (1, -1)
+        )
+    ]
 
     start = ((), (), 0)  # lkey, rkey, mask
     heap = [(0, 0, 0, start)]  # cost, seq, depth, state
@@ -446,30 +462,32 @@ def _minimize_over_representations(
         if depth == cap:
             continue
         remaining = cap - depth - 1
-        for base, _sord, x, y, s in rows_sorted:
-            lnext = push(lkey, x, s, e)
-            if need(lnext, ltarget) > remaining:
+        ltable = ltables.get(lkey)
+        if ltable is None:
+            ltable = ltables[lkey] = transitions(lkey, ltarget)
+        rtable = rtables.get(rkey)
+        if rtable is None:
+            rtable = rtables[rkey] = transitions(rkey, rtarget)
+        # Successor prefixes that can still reach their target, else None.
+        lnexts = [nxt if k <= remaining else None for nxt, k in ltable]
+        rnexts = [nxt if k <= remaining else None for nxt, k in rtable]
+        for base, lcode, rcode, row, bit in rows_sorted:
+            lnext = lnexts[lcode]
+            if lnext is None:
                 continue
-            rnext = push(rkey, y, s, e)
-            if need(rnext, rtarget) > remaining:
+            rnext = rnexts[rcode]
+            if rnext is None:
                 continue
             if swier:
-                bit = positive_bit.get((x, y), 0)
                 step = 0 if mask & bit else base
                 nmask = mask | bit
             else:
                 step, nmask = base, 0
             seq += 1
-            parents[seq] = (me, (x, y, s))
+            parents[seq] = (me, row)
             heapq.heappush(heap, (cost + step, seq, depth + 1, (lnext, rnext, nmask)))
 
     raise EmptyFiberError(f"no proper representation of ({a!r}, {b!r}) within cap {cap}")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def graev_distance(

@@ -298,6 +298,46 @@ class TestBatch:
         assert len(loads) == 1
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is a clean input error."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_dist_element(self, tmp_path):
+        path = write_space(tmp_path, WORDS_SPACE)
+        deep = "[" * 60_000 + "]" * 60_000  # one argv string holds at most 128 KiB
+        code, out, err = run_cli("dist", "words", "--space", path, "--a", deep, "--b", "[]")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "element is nested too deeply to parse"}
+
+    def test_batch_file(self, tmp_path):
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(self.DEEP)
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "batch file is nested too deeply to parse"}
+
+    def test_space_file_fails_only_its_entries(self, tmp_path):
+        good = write_space(tmp_path, WORDS_SPACE)
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP)
+        requests = [
+            {"command": "dist", "functor": "words", "space": good, "a": ["x"], "b": ["y"]},
+            {"command": "validate", "space": str(deep)},
+            {"command": "dist", "functor": "words", "space": str(deep), "a": ["x"], "b": ["y"]},
+            {"command": "validate", "space": good},
+        ]
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps(requests))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert [r["exit_code"] for r in payload] == [0, 1, 1, 0]
+        assert payload[0]["value"] == "1"
+        for response in payload[1:3]:
+            assert response == {"error": "space file is nested too deeply to parse", "exit_code": 1}
+
+
 class TestSelftest:
     def test_clean_build_exits_0(self):
         code, out, _ = run_cli("selftest")

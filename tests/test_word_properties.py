@@ -1,0 +1,52 @@
+"""Property test: the best-first word search matches the naive oracle."""
+
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from fiberdist.core import validate_space
+from fiberdist.sampling import labels
+from fiberdist.words import (
+    VARIANTS,
+    PointedSpace,
+    abelian_distance,
+    graev_distance,
+    letter_sum_lift,
+    naive_word_distance,
+    reduce_letters,
+)
+
+
+@st.composite
+def pointed_words(draw):
+    """A pointed space on 2-3 points and two reduced words of total length <= 3."""
+    n = draw(st.integers(2, 3))
+    mat = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # Entries in [1, 2] satisfy the triangle inequality on their own.
+            q = draw(st.integers(1, 3))
+            mat[i][j] = mat[j][i] = F(draw(st.integers(q, 2 * q)), q)
+    pointed = PointedSpace(validate_space(labels(n), mat, "metric"), draw(st.integers(0, n - 1)))
+    commutative = draw(st.booleans())
+    letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    a = reduce_letters(draw(st.lists(letter, max_size=2)), commutative, pointed)
+    b = reduce_letters(draw(st.lists(letter, max_size=3 - len(a))), commutative, pointed)
+    return pointed, a, b
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(pointed_words(), st.sampled_from(VARIANTS), st.integers(0, 1))
+def test_search_value_equals_naive_minimum(case, variant, slack):
+    pointed, a, b = case
+    cap = len(a) + len(b) + slack
+    minimize = abelian_distance if a.commutative else graev_distance
+    searched = minimize(a, b, pointed, variant, cap)
+    naive, count = naive_word_distance(a, b, pointed, variant, cap)
+    assert count > 0
+    assert searched.value == naive
+    pairs = [(x, y) for x, y, _s in searched.witness.rows]
+    assert letter_sum_lift(lambda p: pointed.space.dist[p[0]][p[1]], pairs, variant) == naive

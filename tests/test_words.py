@@ -5,7 +5,7 @@ import pytest
 
 from fiberdist.core import validate_space
 from fiberdist.extension import EmptyFiberError
-from fiberdist.sampling import random_metric_space, random_word
+from fiberdist.sampling import labels, random_metric_space, random_word
 from fiberdist.words import (
     CapTooSmallError,
     PointedSpace,
@@ -332,3 +332,162 @@ class TestNaturalityScope:
         rhs = functor.lift(lambda x: phi[x], pushed)
         assert pushed.letters == ()
         assert lhs == F(10) and rhs == 0
+
+
+# Spaces for the golden search table: two on 3 points, one on 6 points;
+# the basepoint is point 0.
+GOLDEN_SPACES = [
+    [
+        ['0', '2', '2'],
+        ['2', '0', '1'],
+        ['2', '1', '0'],
+    ],
+    [
+        ['0', '4', '3'],
+        ['4', '0', '5/2'],
+        ['3', '5/2', '0'],
+    ],
+    [
+        ['0', '2', '3/2', '3/2', '2', '4/3'],
+        ['2', '0', '2', '1', '2', '7/4'],
+        ['3/2', '2', '0', '2', '7/4', '5/3'],
+        ['3/2', '1', '2', '0', '1', '1'],
+        ['2', '2', '7/4', '1', '0', '7/4'],
+        ['4/3', '7/4', '5/3', '1', '7/4', '0'],
+    ],
+]
+# (space, kind, a letters, b letters, value, witness rows, states_settled) at
+# the default cap: every pair of lengths 0-3 on each 3-point space and total
+# length 2 on the 6-point space, under graev, swierczkowski and abelian-graev.
+GOLDEN_SEARCHES = [
+    (0, 'graev', (), (), '0', (), 1),
+    (0, 'swierczkowski', (), (), '0', (), 1),
+    (0, 'abelian', (), (), '0', (), 1),
+    (1, 'graev', (), (), '0', (), 1),
+    (1, 'swierczkowski', (), (), '0', (), 1),
+    (1, 'abelian', (), (), '0', (), 1),
+    (0, 'graev', (), ((2, 1),), '2', ((0, 2, 1),), 12),
+    (0, 'swierczkowski', (), ((2, -1),), '2', ((0, 2, -1),), 17),
+    (0, 'abelian', (), ((1, -1),), '2', ((0, 1, -1),), 15),
+    (1, 'graev', (), ((1, -1),), '4', ((0, 1, -1),), 19),
+    (1, 'swierczkowski', (), ((2, -1),), '3', ((0, 2, -1),), 14),
+    (1, 'abelian', (), ((1, -1),), '4', ((0, 1, -1),), 19),
+    (0, 'graev', (), ((2, 1), (1, 1)), '4', ((0, 2, 1), (0, 1, 1)), 52),
+    (0, 'swierczkowski', (), ((2, -1), (1, 1)), '1', ((2, 2, -1), (2, 1, 1)), 17),
+    (0, 'abelian', (), ((1, 1), (2, 1)), '4', ((0, 1, 1), (0, 2, 1)), 60),
+    (1, 'graev', (), ((2, 1), (1, -1)), '5/2', ((2, 2, 1), (2, 1, -1)), 17),
+    (1, 'swierczkowski', (), ((2, -1), (1, -1)), '11/2', ((2, 2, 1), (0, 2, -1), (0, 2, -1), (2, 1, -1)), 82),
+    (1, 'abelian', (), ((1, 1), (2, 1)), '7', ((0, 2, 1), (0, 1, 1)), 64),
+    (0, 'graev', (), ((2, -1), (1, 1), (2, 1)), '2', ((2, 2, -1), (0, 1, 1), (2, 2, 1)), 53),
+    (0, 'swierczkowski', (), ((1, 1), (2, 1), (1, 1)), '3', ((0, 1, 1), (2, 2, 1), (0, 1, 1), (0, 1, 1), (2, 1, -1)), 138),
+    (0, 'abelian', (), ((1, -1), (1, -1), (2, 1)), '3', ((2, 2, 1), (2, 1, -1), (0, 1, -1)), 71),
+    (1, 'graev', (), ((2, 1), (1, -1), (2, 1)), '11/2', ((2, 2, 1), (2, 1, -1), (0, 2, 1)), 61),
+    (1, 'swierczkowski', (), ((2, -1), (1, -1), (2, -1)), '11/2', ((0, 2, -1), (1, 1, -1), (0, 2, -1), (0, 2, -1), (1, 2, 1)), 119),
+    (1, 'abelian', (), ((2, -1), (2, -1), (2, -1)), '9', ((0, 2, -1), (0, 2, -1), (0, 2, -1)), 79),
+    (0, 'graev', ((2, 1),), (), '2', ((2, 0, 1),), 14),
+    (0, 'swierczkowski', ((2, 1),), (), '2', ((2, 0, 1),), 15),
+    (0, 'abelian', ((2, 1),), (), '2', ((2, 0, 1),), 14),
+    (1, 'graev', ((2, -1),), (), '3', ((2, 0, -1),), 14),
+    (1, 'swierczkowski', ((1, 1),), (), '4', ((1, 0, 1),), 21),
+    (1, 'abelian', ((2, 1),), (), '3', ((2, 0, 1),), 12),
+    (0, 'graev', ((2, 1),), ((1, 1),), '1', ((2, 1, 1),), 7),
+    (0, 'swierczkowski', ((1, 1),), ((1, -1),), '2', ((1, 1, 1), (0, 1, -1), (0, 1, -1)), 42),
+    (0, 'abelian', ((1, -1),), ((1, 1),), '4', ((0, 1, 1), (1, 0, -1)), 39),
+    (1, 'graev', ((1, 1),), ((1, -1),), '8', ((1, 0, 1), (0, 1, -1)), 50),
+    (1, 'swierczkowski', ((1, -1),), ((2, -1),), '5/2', ((1, 2, -1),), 8),
+    (1, 'abelian', ((2, -1),), ((2, 1),), '6', ((0, 2, 1), (2, 0, -1)), 36),
+    (0, 'graev', ((2, -1),), ((2, 1), (2, 1)), '6', ((0, 2, 1), (0, 2, 1), (2, 0, -1)), 131),
+    (0, 'swierczkowski', ((1, 1),), ((2, 1), (2, 1)), '3', ((1, 2, 1), (0, 2, 1)), 117),
+    (0, 'abelian', ((1, -1),), ((1, -1), (2, 1)), '2', ((1, 1, -1), (0, 2, 1)), 48),
+    (1, 'graev', ((1, -1),), ((2, -1), (2, -1)), '11/2', ((1, 2, -1), (0, 2, -1)), 78),
+    (1, 'swierczkowski', ((1, 1),), ((1, 1), (2, -1)), '3', ((1, 1, 1), (0, 2, -1)), 55),
+    (1, 'abelian', ((1, -1),), ((1, -1), (2, 1)), '3', ((1, 1, -1), (0, 2, 1)), 39),
+    (0, 'graev', ((2, -1),), ((2, 1), (1, 1), (2, 1)), '8', ((0, 2, 1), (0, 1, 1), (0, 2, 1), (2, 0, -1)), 202),
+    (0, 'swierczkowski', ((1, -1),), ((2, 1), (2, 1), (1, -1)), '2', ((0, 2, 1), (0, 2, 1), (1, 1, -1)), 110),
+    (0, 'abelian', ((2, 1),), ((1, -1), (2, 1), (2, 1)), '1', ((2, 2, 1), (2, 2, 1), (2, 1, -1)), 32),
+    (1, 'graev', ((2, 1),), ((2, 1), (1, -1), (2, -1)), '7', ((2, 2, 1), (1, 1, -1), (0, 2, -1), (1, 0, 1)), 182),
+    (1, 'swierczkowski', ((2, 1),), ((1, 1), (2, -1), (1, -1)), '3', ((1, 1, 1), (2, 2, -1), (2, 0, 1), (1, 1, -1), (2, 0, 1)), 93),
+    (1, 'abelian', ((1, 1),), ((1, -1), (2, -1), (2, -1)), '14', ((0, 2, -1), (0, 2, -1), (1, 0, 1), (0, 1, -1)), 187),
+    (0, 'graev', ((2, -1), (2, -1)), (), '4', ((2, 0, -1), (2, 0, -1)), 63),
+    (0, 'swierczkowski', ((1, 1), (2, 1)), (), '3', ((1, 1, 1), (2, 0, 1), (2, 0, 1), (2, 1, -1)), 92),
+    (0, 'abelian', ((1, 1), (2, 1)), (), '4', ((1, 0, 1), (2, 0, 1)), 63),
+    (1, 'graev', ((1, -1), (2, -1)), (), '7', ((1, 1, -1), (2, 0, -1), (0, 1, 1)), 58),
+    (1, 'swierczkowski', ((2, 1), (2, 1)), (), '3', ((2, 0, 1), (2, 0, 1)), 45),
+    (1, 'abelian', ((1, -1), (2, -1)), (), '7', ((2, 0, -1), (1, 0, -1)), 68),
+    (0, 'graev', ((2, 1), (1, -1)), ((2, 1),), '2', ((2, 2, 1), (1, 0, -1)), 49),
+    (0, 'swierczkowski', ((1, -1), (2, -1)), ((2, 1),), '3', ((0, 2, 1), (0, 2, 1), (0, 2, 1), (1, 2, -1), (2, 2, -1)), 197),
+    (0, 'abelian', ((1, 1), (1, 1)), ((1, 1),), '2', ((1, 1, 1), (1, 0, 1)), 37),
+    (1, 'graev', ((1, -1), (2, 1)), ((2, -1),), '11/2', ((1, 2, -1), (2, 0, 1)), 77),
+    (1, 'swierczkowski', ((2, -1), (2, -1)), ((2, -1),), '3', ((2, 2, -1), (2, 0, -1)), 61),
+    (1, 'abelian', ((1, 1), (1, 1)), ((1, 1),), '4', ((1, 1, 1), (1, 0, 1)), 50),
+    (0, 'graev', ((2, 1), (2, 1)), ((2, -1), (1, -1)), '8', ((2, 0, 1), (2, 0, 1), (0, 2, -1), (0, 1, -1)), 310),
+    (0, 'swierczkowski', ((2, 1), (1, 1)), ((2, -1), (1, -1)), '4', ((2, 2, 1), (0, 2, -1), (0, 2, -1), (1, 1, 1), (0, 1, -1), (0, 1, -1)), 573),
+    (0, 'abelian', ((1, 1), (1, 1)), ((1, -1), (1, -1)), '8', ((1, 0, 1), (1, 0, 1), (0, 1, -1), (0, 1, -1)), 197),
+    (1, 'graev', ((1, -1), (1, -1)), ((2, -1), (1, 1)), '21/2', ((1, 2, -1), (0, 1, 1), (1, 0, -1)), 349),
+    (1, 'swierczkowski', ((2, 1), (1, 1)), ((1, -1), (2, -1)), '7', ((2, 2, 1), (0, 2, -1), (1, 1, -1), (0, 2, -1), (1, 0, 1), (1, 0, 1)), 556),
+    (1, 'abelian', ((1, -1), (2, -1)), ((1, 1), (2, -1)), '8', ((2, 2, -1), (0, 1, 1), (1, 0, -1)), 203),
+    (0, 'graev', ((1, 1), (1, 1)), ((2, 1), (1, 1), (2, -1)), '3', ((1, 2, 1), (1, 1, 1), (0, 2, -1)), 258),
+    (0, 'swierczkowski', ((1, 1), (2, -1)), ((2, 1), (2, 1), (2, 1)), '3', ((0, 2, 1), (0, 2, 1), (0, 2, 1), (1, 1, 1), (2, 1, -1)), 737),
+    (0, 'abelian', ((2, -1), (2, -1)), ((1, 1), (1, 1), (2, -1)), '6', ((2, 2, -1), (0, 1, 1), (0, 1, 1), (2, 0, -1)), 322),
+    (1, 'graev', ((2, 1), (2, 1)), ((2, 1), (1, 1), (2, 1)), '4', ((2, 2, 1), (0, 1, 1), (2, 2, 1)), 187),
+    (1, 'swierczkowski', ((1, -1), (1, -1)), ((1, 1), (1, 1), (1, 1)), '4', ((1, 1, -1), (1, 1, -1), (0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 1, 1)), 273),
+    (1, 'abelian', ((1, 1), (2, -1)), ((1, -1), (1, -1), (2, 1)), '9', ((1, 2, 1), (2, 1, -1), (0, 1, -1)), 262),
+    (0, 'graev', ((1, 1), (2, 1), (2, 1)), (), '6', ((1, 0, 1), (2, 0, 1), (2, 0, 1)), 93),
+    (0, 'swierczkowski', ((2, -1), (1, 1), (2, -1)), (), '3', ((2, 2, -1), (1, 2, 1), (2, 0, -1)), 114),
+    (0, 'abelian', ((1, 1), (2, 1), (2, 1)), (), '6', ((1, 0, 1), (2, 0, 1), (2, 0, 1)), 102),
+    (1, 'graev', ((1, 1), (2, 1), (1, -1)), (), '3', ((1, 1, 1), (2, 0, 1), (1, 1, -1)), 36),
+    (1, 'swierczkowski', ((2, 1), (1, 1), (1, 1)), (), '13/2', ((2, 2, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 2, -1)), 148),
+    (1, 'abelian', ((1, 1), (1, 1), (2, 1)), (), '11', ((2, 0, 1), (1, 0, 1), (1, 0, 1)), 107),
+    (0, 'graev', ((1, -1), (2, 1), (2, 1)), ((1, -1),), '4', ((1, 1, -1), (2, 0, 1), (2, 0, 1)), 170),
+    (0, 'swierczkowski', ((1, -1), (1, -1), (2, -1)), ((2, -1),), '2', ((1, 0, -1), (1, 0, -1), (2, 2, -1)), 126),
+    (0, 'abelian', ((1, -1), (2, 1), (2, 1)), ((2, 1),), '1', ((2, 2, 1), (2, 2, 1), (1, 2, -1)), 31),
+    (1, 'graev', ((1, 1), (1, 1), (2, 1)), ((2, 1),), '8', ((1, 0, 1), (1, 0, 1), (2, 2, 1)), 180),
+    (1, 'swierczkowski', ((2, -1), (2, -1), (1, 1)), ((2, -1),), '5/2', ((2, 2, -1), (2, 2, -1), (1, 2, 1)), 25),
+    (1, 'abelian', ((1, -1), (2, 1), (2, 1)), ((1, 1),), '5', ((2, 2, 1), (2, 1, 1), (1, 2, -1)), 74),
+    (0, 'graev', ((2, -1), (1, 1), (2, -1)), ((1, 1), (2, -1)), '2', ((2, 0, -1), (1, 1, 1), (2, 2, -1)), 174),
+    (0, 'swierczkowski', ((2, 1), (1, -1), (1, -1)), ((1, -1), (2, 1)), '2', ((1, 1, -1), (1, 0, 1), (2, 2, 1), (1, 0, -1), (1, 0, -1)), 391),
+    (0, 'abelian', ((1, 1), (2, -1), (2, -1)), ((1, -1), (2, 1)), '4', ((1, 2, 1), (2, 1, -1), (2, 0, -1)), 242),
+    (1, 'graev', ((1, 1), (1, 1), (2, -1)), ((2, -1), (1, -1)), '12', ((1, 0, 1), (1, 0, 1), (2, 2, -1), (0, 1, -1)), 458),
+    (1, 'swierczkowski', ((2, 1), (2, 1), (1, -1)), ((1, 1), (1, 1)), '11/2', ((2, 1, 1), (2, 1, 1), (1, 1, -1), (2, 1, 1), (2, 0, -1)), 545),
+    (1, 'abelian', ((1, 1), (2, -1), (2, -1)), ((1, -1), (2, 1)), '8', ((1, 2, 1), (2, 1, -1), (2, 0, -1)), 238),
+    (0, 'graev', ((2, 1), (1, -1), (2, -1)), ((1, 1), (2, -1), (1, 1)), '5', ((2, 2, 1), (1, 0, -1), (2, 2, -1), (1, 1, 1), (1, 2, -1), (0, 1, 1)), 749),
+    (0, 'swierczkowski', ((1, 1), (2, 1), (1, -1)), ((1, 1), (2, -1), (1, -1)), '2', ((1, 1, 1), (2, 2, 1), (0, 2, -1), (0, 2, -1), (1, 1, -1)), 475),
+    (0, 'abelian', ((1, 1), (1, 1), (2, -1)), ((1, 1), (2, 1), (2, 1)), '5', ((1, 1, 1), (1, 2, 1), (0, 2, 1), (2, 0, -1)), 376),
+    (1, 'graev', ((2, 1), (1, -1), (2, -1)), ((2, -1), (1, -1), (2, -1)), '6', ((2, 0, 1), (0, 2, -1), (1, 1, -1), (2, 2, -1)), 332),
+    (1, 'swierczkowski', ((2, -1), (1, 1), (2, 1)), ((2, 1), (1, 1), (2, -1)), '5/2', ((2, 2, -1), (1, 2, 1), (2, 2, 1), (1, 1, 1), (1, 2, -1)), 125),
+    (1, 'abelian', ((1, 1), (1, 1), (1, 1)), ((1, 1), (2, 1), (2, 1)), '5', ((1, 1, 1), (1, 2, 1), (1, 2, 1)), 138),
+    (2, 'graev', (), ((3, 1), (4, 1)), '7/2', ((0, 3, 1), (0, 4, 1)), 468),
+    (2, 'swierczkowski', (), ((3, 1), (1, -1)), '1', ((3, 3, 1), (3, 1, -1)), 41),
+    (2, 'abelian', (), ((1, -1), (4, -1)), '4', ((0, 1, -1), (0, 4, -1)), 647),
+    (2, 'graev', ((3, -1),), ((4, -1),), '1', ((3, 4, -1),), 20),
+    (2, 'swierczkowski', ((4, -1),), ((4, -1),), '0', ((4, 4, -1),), 10),
+    (2, 'abelian', ((4, -1),), ((5, 1),), '10/3', ((0, 5, 1), (4, 0, -1)), 220),
+    (2, 'graev', ((4, -1), (2, 1)), (), '7/4', ((4, 4, -1), (2, 4, 1)), 129),
+    (2, 'swierczkowski', ((5, -1), (5, -1)), (), '4/3', ((5, 0, -1), (5, 0, -1)), 102),
+    (2, 'abelian', ((1, -1), (5, -1)), (), '10/3', ((5, 0, -1), (1, 0, -1)), 497),
+]
+
+
+class TestSearchGolden:
+    """The search breaks cost ties by push order, so a change to the order in
+    which it expands states shows in the witness and the settled-state count
+    even when the value stays; these were recorded from the search as it was
+    before its per-prefix transition tables."""
+
+    @pytest.mark.parametrize("kind", ["graev", "swierczkowski", "abelian"])
+    def test_values_witnesses_and_states(self, kind):
+        spaces = [
+            PointedSpace(validate_space(labels(len(mat)), [[F(v) for v in row] for row in mat], "metric"), 0)
+            for mat in GOLDEN_SPACES
+        ]
+        cases = [case for case in GOLDEN_SEARCHES if case[1] == kind]
+        assert len(cases) == 35
+        for sidx, _kind, la, lb, value, rows, states in cases:
+            pointed = spaces[sidx]
+            commutative = kind == "abelian"
+            a = reduce_letters(la, commutative, pointed)
+            b = reduce_letters(lb, commutative, pointed)
+            assert a.letters == la and b.letters == lb
+            minimize = abelian_distance if commutative else graev_distance
+            result = minimize(a, b, pointed, "swierczkowski" if kind == "swierczkowski" else "graev")
+            assert (str(result.value), result.witness.rows, result.states_settled) == (value, rows, states)
