@@ -19,7 +19,6 @@ from .core import (
     identity_map,
     parse_scalar,
     point_map,
-    product_space,
     space_from_json,
     space_from_obj,
     validate_space,
@@ -64,7 +63,6 @@ from .words import (
     PointedSpace,
     ProperRepresentationPair,
     WordsFunctor,
-    abelian_distance,
     enumerate_proper_representations,
     graev_distance,
     letter_sum_lift,

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -264,38 +261,6 @@ def identity_map(space: FiniteMetricSpace) -> PointMap:
 
 
 @dataclass(frozen=True)
-class ProductSpace:
-    """The labeled point set X x X with projections, diagonal and swap.
-
-    No metric is put on the product; only functions on it are ever lifted.
-    All four structure maps are plain assignment tuples over flat pair
-    indices (row-major), mirroring :class:`PointMap`.
-    """
-
-    space: FiniteMetricSpace
-    pairs: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]
-    pr1: tuple[int, ...]
-    pr2: tuple[int, ...]
-    diagonal: tuple[int, ...]
-    swap: tuple[int, ...]
-
-    def pair_index(self, i: int, j: int) -> int:
-        return i * self.space.n + j
-
-
-def product_space(space: FiniteMetricSpace) -> ProductSpace:
-    n = space.n
-    pairs = tuple((i, j) for i in range(n) for j in range(n))
-    labels = tuple(f"({space.points[i]},{space.points[j]})" for (i, j) in pairs)
-    pr1 = tuple(i for (i, j) in pairs)
-    pr2 = tuple(j for (i, j) in pairs)
-    diagonal = tuple(i * n + i for i in range(n))
-    swap = tuple(j * n + i for (i, j) in pairs)
-    return ProductSpace(space, pairs, labels, pr1, pr2, diagonal, swap)
-
-
-@dataclass(frozen=True)
 class PairTable:
     """A function on X x X with exact rational values, callable on (i, j)."""
 
@@ -311,50 +276,12 @@ class PairTable:
     def __call__(self, pair: tuple[int, int]) -> Fraction:
         return self.values[pair[0]][pair[1]]
 
-    @classmethod
-    def from_space(cls, space: FiniteMetricSpace) -> "PairTable":
-        return cls(space.dist)
-
-    @classmethod
-    def from_function(cls, n: int, fn: Callable[[int, int], Fraction]) -> "PairTable":
-        return cls(tuple(tuple(fn(i, j) for j in range(n)) for i in range(n)))
-
     def transposed(self) -> "PairTable":
         n = self.n
         return PairTable(tuple(tuple(self.values[j][i] for j in range(n)) for i in range(n)))
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for row in self.values for v in row)
-
-    def is_symmetric(self) -> bool:
-        n = self.n
-        return all(self.values[i][j] == self.values[j][i] for i in range(n) for j in range(n))
-
-    def has_zero_diagonal(self) -> bool:
-        return all(self.values[i][i] == 0 for i in range(self.n))
-
-    def satisfies_triangle(self) -> bool:
-        n = self.n
-        return all(
-            self.values[i][k] <= self.values[i][j] + self.values[j][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
-    def is_pseudometric(self) -> bool:
-        return (
-            self.is_nonnegative()
-            and self.has_zero_diagonal()
-            and self.is_symmetric()
-            and self.satisfies_triangle()
-        )
-
-    def add(self, other: "PairTable") -> "PairTable":
-        n = self.n
-        return PairTable(
-            tuple(tuple(self.values[i][j] + other.values[i][j] for j in range(n)) for i in range(n))
-        )
 
     def scale(self, k: Fraction) -> "PairTable":
         return PairTable(tuple(tuple(v * k for v in row) for row in self.values))

@@ -34,6 +34,7 @@ from .sampling import (
     random_pseudometric_table,
     random_subset,
     random_word,
+    random_word_of_length,
 )
 from .transport import TransportFunctor, fiber_vertices, integrate, kantorovich
 from .words import (
@@ -172,9 +173,13 @@ def suite_words_search_vs_naive() -> tuple[bool, str]:
     pointed = PointedSpace(space, 0)
     bad = 0
     runs = 0
-    for _ in range(6):
-        a = random_word(rng, pointed, 1)
-        b = random_word(rng, pointed, 1)
+    pairs = [(random_word(rng, pointed, 1), random_word(rng, pointed, 1)) for _ in range(6)]
+    # Abelian pairs with a nonempty second word, so each has a positive distance.
+    pairs += [
+        (random_word(rng, pointed, 1, commutative=True), random_word_of_length(rng, pointed, 1, commutative=True))
+        for _ in range(3)
+    ]
+    for a, b in pairs:
         cap = len(a) + len(b) + 2
         for variant in ("graev", "swierczkowski"):
             searched = graev_distance(a, b, pointed, variant, cap).value

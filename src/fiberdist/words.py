@@ -14,12 +14,14 @@ explicit cap (default: combined reduced length plus two) and results carry
 a ``cap_limited`` flag; a capped value is an upper bound of the true
 infimum that is certified exhaustive within its cap.
 
-Two search paths exist on purpose.  ``enumerate_proper_representations``
-streams every representation pair within the cap (used as the coupling
-fiber and by exhaustiveness tests); the distance minimizer expands
+``enumerate_proper_representations`` streams every representation pair
+within the cap (the coupling fiber), and ``graev_distance`` expands
 representation prefixes in cost order with provably lossless pruning
-(prefix feasibility and state dominance) and returns the same minimum.
-``naive_word_distance`` is the independent generate-and-filter oracle.
+(prefix feasibility and state dominance) and returns the minimum over that
+stream.  Both walk one prefix model: per side, the reduced prefix (free) or
+net exponents (free-abelian), with a lazily built per-prefix transition
+table.  ``naive_word_distance`` reduces every candidate string from scratch
+and is the independent oracle for both.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import FiniteMetricSpace, ParseError
-from .extension import CheckReport, EmptyFiberError, ExtensionResult, Functor
+from .extension import CheckReport, ElementDomainError, EmptyFiberError, ExtensionResult, Functor
 
 GRAEV = "graev"
 SWIERCZKOWSKI = "swierczkowski"
@@ -82,8 +84,9 @@ def reduce_letters(letters: Sequence[tuple[int, int]], commutative: bool, pointe
     """Canonical reduced form; independent of the order cancellations are
     applied in, which the confluence tests exercise directly."""
     e = pointed.basepoint
+    n = pointed.n
     for x, s in letters:
-        if not 0 <= x < pointed.n:
+        if not 0 <= x < n:
             raise ValueError(f"letter index {x} out of range")
         if s not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {s}")
@@ -172,90 +175,6 @@ def default_cap(a: GroupWord, b: GroupWord) -> int:
     return len(a) + len(b) + 2
 
 
-class _FreeSide:
-    """Incremental reduced prefix of one side of a representation."""
-
-    def __init__(self, target: tuple, basepoint: int):
-        self.stack: list[tuple[int, int]] = []
-        self.target = target
-        self.e = basepoint
-
-    def push(self, x: int, s: int):
-        if x == self.e:
-            return ("noop", None)
-        if self.stack and self.stack[-1] == (x, -s):
-            return ("pop", self.stack.pop())
-        self.stack.append((x, s))
-        return ("push", None)
-
-    def undo(self, token):
-        kind, payload = token
-        if kind == "pop":
-            self.stack.append(payload)
-        elif kind == "push":
-            self.stack.pop()
-
-    def matched(self) -> bool:
-        return len(self.stack) == len(self.target) and tuple(self.stack) == self.target
-
-    def feasible(self, remaining: int) -> bool:
-        # Each appended letter moves the reduced prefix by at most one step
-        # toward the target: pop down to the common prefix, then push the
-        # target's remainder.
-        stack, target = self.stack, self.target
-        c = 0
-        limit = min(len(stack), len(target))
-        while c < limit and stack[c] == target[c]:
-            c += 1
-        return (len(stack) - c) + (len(target) - c) <= remaining
-
-    def key(self) -> tuple:
-        return tuple(self.stack)
-
-
-class _AbelianSide:
-    """Net exponents per point, tracking L1 distance to the target."""
-
-    def __init__(self, target_word: tuple, basepoint: int):
-        self.e = basepoint
-        self.net: dict[int, int] = {}
-        self.target: dict[int, int] = {}
-        for x, s in target_word:
-            self.target[x] = self.target.get(x, 0) + s
-        self.distance = sum(abs(v) for v in self.target.values())
-
-    def push(self, x: int, s: int):
-        if x == self.e:
-            return ("noop", None)
-        before = abs(self.net.get(x, 0) - self.target.get(x, 0))
-        self.net[x] = self.net.get(x, 0) + s
-        self.distance += abs(self.net[x] - self.target.get(x, 0)) - before
-        return ("step", (x, s))
-
-    def undo(self, token):
-        kind, payload = token
-        if kind == "step":
-            x, s = payload
-            before = abs(self.net[x] - self.target.get(x, 0))
-            self.net[x] -= s
-            self.distance += abs(self.net[x] - self.target.get(x, 0)) - before
-
-    def matched(self) -> bool:
-        return self.distance == 0
-
-    def feasible(self, remaining: int) -> bool:
-        return self.distance <= remaining
-
-    def key(self) -> tuple:
-        return tuple(sorted((x, v) for x, v in self.net.items() if v != 0))
-
-
-def _make_side(target: GroupWord, basepoint: int):
-    if target.commutative:
-        return _AbelianSide(target.letters, basepoint)
-    return _FreeSide(target.letters, basepoint)
-
-
 def _check_pair(a: GroupWord, b: GroupWord, cap: int | None) -> int:
     if a.commutative != b.commutative:
         raise ValueError("words must both be free or both be free-abelian")
@@ -267,54 +186,6 @@ def _check_pair(a: GroupWord, b: GroupWord, cap: int | None) -> int:
     return cap
 
 
-def enumerate_proper_representations(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None = None
-) -> Iterator[ProperRepresentationPair]:
-    """Every representation pair of length <= cap, in depth-first order.
-
-    Pruning is feasibility-only (a side that can no longer reach its target
-    within the remaining rows is cut), so the stream is exhaustive within
-    the cap.
-    """
-    cap = _check_pair(a, b, cap)
-    n = pointed.n
-    left = _make_side(a, pointed.basepoint)
-    right = _make_side(b, pointed.basepoint)
-    rows: list[tuple[int, int, int]] = []
-
-    def walk(depth: int) -> Iterator[ProperRepresentationPair]:
-        if left.matched() and right.matched():
-            yield ProperRepresentationPair(tuple(rows))
-        if depth == cap:
-            return
-        remaining = cap - depth - 1
-        for s in (1, -1):
-            for x in range(n):
-                ltoken = left.push(x, s)
-                if not left.feasible(remaining):
-                    left.undo(ltoken)
-                    continue
-                for y in range(n):
-                    rtoken = right.push(y, s)
-                    if right.feasible(remaining):
-                        rows.append((x, y, s))
-                        yield from walk(depth + 1)
-                        rows.pop()
-                    right.undo(rtoken)
-                left.undo(ltoken)
-
-    return walk(0)
-
-
-@dataclass(frozen=True)
-class WordDistanceResult:
-    value: Fraction
-    witness: ProperRepresentationPair
-    cap: int
-    cap_limited: bool
-    states_settled: int
-
-
 def _free_push(stack: tuple, x: int, s: int, e: int) -> tuple:
     if x == e:
         return stack
@@ -324,6 +195,9 @@ def _free_push(stack: tuple, x: int, s: int, e: int) -> tuple:
 
 
 def _free_need(stack: tuple, target: tuple) -> int:
+    # Each appended letter moves the reduced prefix by at most one step
+    # toward the target: pop down to the common prefix, then push the
+    # target's remainder.
     c = 0
     limit = min(len(stack), len(target))
     while c < limit and stack[c] == target[c]:
@@ -347,6 +221,7 @@ def _net_push(net: tuple, x: int, s: int, e: int) -> tuple:
 
 
 def _net_need(net: tuple, target: tuple) -> int:
+    # Each appended letter changes one net exponent by one.
     cur = dict(net)
     total = 0
     for x, v in target:
@@ -355,36 +230,114 @@ def _net_need(net: tuple, target: tuple) -> int:
     return total
 
 
-def _minimize_over_representations(
+class _PrefixTables(dict):
+    """Transition tables of one side's prefixes, built on first lookup.
+
+    A prefix is the side's reduced letters so far (free words) or its sorted
+    nonzero net exponents (free-abelian words); the empty prefix is ``()``.
+    ``tables[prefix][2*x + (s == -1)]`` is ``(next_prefix, need)``: the
+    prefix after appending letter ``(x, s)`` and the fewest further letters
+    that take it to ``target``.  Tables live for one stream or one search.
+    """
+
+    __slots__ = ("target", "_push", "_need", "_letters", "_e")
+
+    def __init__(self, target: tuple, push, need, letters: list[tuple[int, int]], e: int):
+        self.target = target
+        self._push = push
+        self._need = need
+        self._letters = letters
+        self._e = e
+
+    def __missing__(self, prefix: tuple) -> list[tuple[tuple, int]]:
+        push, need, target, e = self._push, self._need, self.target, self._e
+        table = []
+        for x, s in self._letters:
+            nxt = push(prefix, x, s, e)
+            table.append((nxt, need(nxt, target)))
+        self[prefix] = table
+        return table
+
+
+def _prefix_tables(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[_PrefixTables, _PrefixTables]:
+    """Left and right prefix tables for representations of ``(a, b)``."""
+    if a.commutative:
+        push, need, target = _net_push, _net_need, _net_of
+    else:
+        push, need, target = _free_push, _free_need, tuple
+    letters = [(x, s) for x in range(pointed.n) for s in (1, -1)]  # in letter-code order
+    e = pointed.basepoint
+    return (
+        _PrefixTables(target(a.letters), push, need, letters, e),
+        _PrefixTables(target(b.letters), push, need, letters, e),
+    )
+
+
+def enumerate_proper_representations(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None = None
+) -> Iterator[ProperRepresentationPair]:
+    """Every representation pair of length <= cap, in depth-first order.
+
+    Pruning is feasibility-only (a side that can no longer reach its target
+    within the remaining rows is cut), so the stream is exhaustive within
+    the cap.
+    """
+    cap = _check_pair(a, b, cap)
+    n = pointed.n
+    left, right = _prefix_tables(a, b, pointed)
+    ltarget, rtarget = left.target, right.target
+    rows: list[tuple[int, int, int]] = []
+
+    def walk(lkey: tuple, rkey: tuple, depth: int) -> Iterator[ProperRepresentationPair]:
+        if lkey == ltarget and rkey == rtarget:
+            yield ProperRepresentationPair(tuple(rows))
+        if depth == cap:
+            return
+        remaining = cap - depth - 1
+        ltable, rtable = left[lkey], right[rkey]
+        for s in (1, -1):
+            neg = s == -1
+            for x in range(n):
+                lnext, lneed = ltable[2 * x + neg]
+                if lneed > remaining:
+                    continue
+                for y in range(n):
+                    rnext, rneed = rtable[2 * y + neg]
+                    if rneed <= remaining:
+                        rows.append((x, y, s))
+                        yield from walk(lnext, rnext, depth + 1)
+                        rows.pop()
+
+    return walk((), (), 0)
+
+
+def graev_distance(
     a: GroupWord,
     b: GroupWord,
     pointed: PointedSpace,
-    variant: str,
-    cap: int | None,
+    variant: str = GRAEV,
+    cap: int | None = None,
+    *,
     cost_table=None,
-) -> WordDistanceResult:
-    """Least-cost search over representation prefixes.
+) -> ExtensionResult:
+    """Least-cost search over representation prefixes, free or free-abelian.
 
-    States are pairs of reduced prefixes (plus, for the distinct-pair
-    variant, the set of positive-cost pairs already paid for); appending a
-    row is a transition.  States are expanded in cost order, so the first
-    matched state popped is the minimum over all representations within the
-    cap; a state is skipped when an already-expanded state with the same
-    prefixes dominates it (no deeper, no costlier, and no larger paid set).
-    This explores the same space as the exhaustive stream, just with
-    provably lossless pruning; the agreement is tested against the naive
-    enumerator.
+    States are pairs of side prefixes (plus, for the distinct-pair variant,
+    the set of positive-cost pairs already paid for); appending a row is a
+    transition.  States are expanded in cost order, so the first matched
+    state popped is the minimum over all representations within the cap; a
+    state is skipped when an already-expanded state with the same prefixes
+    dominates it (no deeper, no costlier, and no larger paid set).  This
+    explores the same space as the exhaustive stream, just with provably
+    lossless pruning; the agreement is tested against the naive enumerator.
 
-    Each side's prefix gets a transition table the first time a state holding
-    it is expanded: per letter code ``2*x + (s == -1)``, the successor prefix
-    and the letters it still needs to reach its target.  Tables live for one
-    search.
+    ``cost_table`` (a nonnegative function on pairs) replaces the base
+    distance.  The result's ``fiber_size_enumerated`` counts settled states.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
     n = pointed.n
-    e = pointed.basepoint
     if cost_table is None:
         dist = pointed.space.dist
     else:
@@ -406,20 +359,8 @@ def _minimize_over_representations(
                 if idist[x][y] > 0:
                     positive_bit[(x, y)] = 1 << len(positive_bit)
 
-    if a.commutative:
-        push, need = _net_push, _net_need
-        ltarget, rtarget = _net_of(a.letters), _net_of(b.letters)
-    else:
-        push, need = _free_push, _free_need
-        ltarget, rtarget = a.letters, b.letters
-
-    letters = [(x, s) for x in range(n) for s in (1, -1)]  # in letter-code order
-
-    def transitions(key: tuple, target: tuple) -> list[tuple[tuple, int]]:
-        return [(nxt, need(nxt, target)) for nxt in (push(key, x, s, e) for x, s in letters)]
-
-    ltables: dict[tuple, list[tuple[tuple, int]]] = {}
-    rtables: dict[tuple, list[tuple[tuple, int]]] = {}
+    left, right = _prefix_tables(a, b, pointed)
+    ltarget, rtarget = left.target, right.target
     # Rows in cost order, each with its letter codes and paid-set bit.
     rows_sorted = [
         (idist[x][y], 2 * x + (s == -1), 2 * y + (s == -1), (x, y, s), positive_bit.get((x, y), 0))
@@ -452,25 +393,15 @@ def _minimize_over_representations(
                     rows.append(row)
                 node = parent
             rows.reverse()
-            return WordDistanceResult(
-                value=Fraction(cost, denom),
-                witness=ProperRepresentationPair(tuple(rows)),
-                cap=cap,
-                cap_limited=(cost != 0),
-                states_settled=states,
+            return ExtensionResult(
+                Fraction(cost, denom), ProperRepresentationPair(tuple(rows)), states, cost != 0
             )
         if depth == cap:
             continue
         remaining = cap - depth - 1
-        ltable = ltables.get(lkey)
-        if ltable is None:
-            ltable = ltables[lkey] = transitions(lkey, ltarget)
-        rtable = rtables.get(rkey)
-        if rtable is None:
-            rtable = rtables[rkey] = transitions(rkey, rtarget)
         # Successor prefixes that can still reach their target, else None.
-        lnexts = [nxt if k <= remaining else None for nxt, k in ltable]
-        rnexts = [nxt if k <= remaining else None for nxt, k in rtable]
+        lnexts = [nxt if k <= remaining else None for nxt, k in left[lkey]]
+        rnexts = [nxt if k <= remaining else None for nxt, k in right[rkey]]
         for base, lcode, rcode, row, bit in rows_sorted:
             lnext = lnexts[lcode]
             if lnext is None:
@@ -488,24 +419,6 @@ def _minimize_over_representations(
             heapq.heappush(heap, (cost + step, seq, depth + 1, (lnext, rnext, nmask)))
 
     raise EmptyFiberError(f"no proper representation of ({a!r}, {b!r}) within cap {cap}")
-
-
-def graev_distance(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, variant: str = GRAEV, cap: int | None = None
-) -> WordDistanceResult:
-    if a.commutative or b.commutative:
-        raise ValueError("graev_distance expects free (noncommutative) words")
-    return _minimize_over_representations(a, b, pointed, variant, cap)
-
-
-def abelian_distance(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, variant: str = GRAEV, cap: int | None = None
-) -> WordDistanceResult:
-    """Free-abelian analog: identical machinery, sides compared after
-    commutative reduction."""
-    if not (a.commutative and b.commutative):
-        raise ValueError("abelian_distance expects commutative words")
-    return _minimize_over_representations(a, b, pointed, variant, cap)
 
 
 def naive_word_distance(
@@ -552,7 +465,6 @@ def check_word_pseudometric_axioms(
     shrink) before being reported.
     """
     commutative = triples[0][0].commutative if triples else False
-    minimize = abelian_distance if commutative else graev_distance
     report = CheckReport(f"pseudometric-axioms[words-{variant}{'-abelian' if commutative else ''}]")
     words = []
     for triple in triples:
@@ -561,13 +473,13 @@ def check_word_pseudometric_axioms(
                 words.append(w)
     for w in words:
         report.checked += 1
-        value = minimize(w, w, pointed, variant).value
+        value = graev_distance(w, w, pointed, variant).value
         if value != 0:
             report.fail(f"d(w,w) = {value} != 0 for {w!r}")
     for a, b, _c in triples:
         cap = len(a) + len(b) + 2
         report.checked += 1
-        if minimize(a, b, pointed, variant, cap).value != minimize(b, a, pointed, variant, cap).value:
+        if graev_distance(a, b, pointed, variant, cap).value != graev_distance(b, a, pointed, variant, cap).value:
             report.fail(f"asymmetric values for ({a!r}, {b!r})")
     for a, b, c in triples:
         cap = len(a) + len(b) + len(c) + 2
@@ -575,9 +487,9 @@ def check_word_pseudometric_axioms(
         ok = False
         for attempt in range(retries + 1):
             shared = cap + 2 * attempt
-            dab = minimize(a, b, pointed, variant, shared).value
-            dbc = minimize(b, c, pointed, variant, shared).value
-            dac = minimize(a, c, pointed, variant, shared).value
+            dab = graev_distance(a, b, pointed, variant, shared).value
+            dbc = graev_distance(b, c, pointed, variant, shared).value
+            dac = graev_distance(a, c, pointed, variant, shared).value
             if dac <= dab + dbc:
                 ok = True
                 break
@@ -610,8 +522,6 @@ class WordsFunctor(Functor):
         return ctx.space
 
     def validate_element(self, elem, ctx) -> None:
-        from .extension import ElementDomainError
-
         if not isinstance(elem, GroupWord) or elem.commutative != self.commutative:
             raise ElementDomainError(f"expected a {'commutative' if self.commutative else 'free'} word, got {elem!r}")
         if reduce_letters(elem.letters, self.commutative, ctx) != elem:
@@ -679,8 +589,7 @@ class WordsFunctor(Functor):
     def distance(self, ctx, table, a, b, cap: int | None = None):
         if cap is None:
             cap = self.cap
-        result = _minimize_over_representations(a, b, ctx, self.variant, cap, cost_table=table)
-        return ExtensionResult(result.value, result.witness, result.states_settled, result.cap_limited)
+        return graev_distance(a, b, ctx, self.variant, cap, cost_table=table)
 
     def parse_element(self, obj, ctx) -> GroupWord:
         return parse_word(obj, ctx, self.commutative)

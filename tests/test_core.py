@@ -14,7 +14,6 @@ from fiberdist.core import (
     identity_map,
     parse_scalar,
     point_map,
-    product_space,
     space_document_from_obj,
     space_from_json,
     validate_space,
@@ -143,32 +142,6 @@ class TestSpaceFile:
             space_document_from_obj(obj)
 
 
-class TestProductSpace:
-    def test_size_and_diagonal(self):
-        sp = two_point()
-        prod = product_space(sp)
-        assert len(prod.pairs) == 4
-        diag_pairs = {prod.pairs[k] for k in prod.diagonal}
-        assert diag_pairs == {(0, 0), (1, 1)}
-
-    def test_swap_is_involution(self):
-        sp = validate_space(
-            ["a", "b", "c"],
-            [[F(0), F(1), F(1)], [F(1), F(0), F(1)], [F(1), F(1), F(0)]],
-            "metric",
-        )
-        prod = product_space(sp)
-        for k in range(len(prod.pairs)):
-            assert prod.swap[prod.swap[k]] == k
-
-    def test_projection_after_diagonal_is_identity(self):
-        sp = two_point()
-        prod = product_space(sp)
-        for i in range(sp.n):
-            assert prod.pr1[prod.diagonal[i]] == i
-            assert prod.pr2[prod.diagonal[i]] == i
-
-
 class TestPointMap:
     def test_validation(self):
         sp = two_point()
@@ -187,15 +160,7 @@ class TestPointMap:
 
 
 class TestPairTable:
-    def test_pseudometric_predicates(self):
-        sp = two_point()
-        t = sp.pair_table()
-        assert t.is_pseudometric()
-        bumped = PairTable([[F(0), F(1)], [F(2), F(0)]])
-        assert not bumped.is_symmetric()
-
     def test_transpose_and_add(self):
         t = PairTable([[F(0), F(1)], [F(2), F(0)]])
         assert t.transposed()((0, 1)) == F(2)
-        assert t.add(t)((0, 1)) == F(2)
         assert t.scale(F(3))((1, 0)) == F(6)

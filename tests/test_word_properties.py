@@ -1,4 +1,5 @@
-"""Property test: the best-first word search matches the naive oracle."""
+"""Property tests: the word stream and the best-first search, which share one
+prefix model, both match the naive oracle."""
 
 from fractions import Fraction as F
 
@@ -12,7 +13,8 @@ from fiberdist.sampling import labels
 from fiberdist.words import (
     VARIANTS,
     PointedSpace,
-    abelian_distance,
+    WordsFunctor,
+    enumerate_proper_representations,
     graev_distance,
     letter_sum_lift,
     naive_word_distance,
@@ -43,10 +45,23 @@ def pointed_words(draw):
 def test_search_value_equals_naive_minimum(case, variant, slack):
     pointed, a, b = case
     cap = len(a) + len(b) + slack
-    minimize = abelian_distance if a.commutative else graev_distance
-    searched = minimize(a, b, pointed, variant, cap)
+    searched = graev_distance(a, b, pointed, variant, cap)
     naive, count = naive_word_distance(a, b, pointed, variant, cap)
     assert count > 0
     assert searched.value == naive
     pairs = [(x, y) for x, y, _s in searched.witness.rows]
     assert letter_sum_lift(lambda p: pointed.space.dist[p[0]][p[1]], pairs, variant) == naive
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(pointed_words(), st.integers(0, 1))
+def test_stream_is_the_naive_fiber(case, slack):
+    pointed, a, b = case
+    cap = len(a) + len(b) + slack
+    stream = list(enumerate_proper_representations(a, b, pointed, cap))
+    assert len(stream) == len(set(stream))
+    functor = WordsFunctor(commutative=a.commutative)
+    for rep in stream:
+        assert functor.marginals(rep, pointed) == (a, b)
+    _, count = naive_word_distance(a, b, pointed, "graev", cap)
+    assert len(stream) == count

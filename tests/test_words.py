@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,6 @@ from fiberdist.words import (
     PointedSpace,
     ProperRepresentationPair,
     WordsFunctor,
-    abelian_distance,
     check_word_pseudometric_axioms,
     concat,
     enumerate_proper_representations,
@@ -236,8 +236,6 @@ class TestDistances:
         b = word(ctx, [(1, 1)], commutative=True)
         with pytest.raises(ValueError):
             graev_distance(a, b, ctx)
-        with pytest.raises(ValueError):
-            abelian_distance(a, b, ctx)
 
 
 class TestAbelian:
@@ -245,17 +243,17 @@ class TestAbelian:
         a = word(ctx, [(1, 1), (2, 1)], commutative=True)
         b = word(ctx, [(2, 1), (1, 1)], commutative=True)
         assert a == b
-        assert abelian_distance(a, b, ctx).value == 0
+        assert graev_distance(a, b, ctx).value == 0
 
     def test_single_letters(self, ctx):
         a = word(ctx, [(1, 1)], commutative=True)
         b = word(ctx, [(2, 1)], commutative=True)
-        assert abelian_distance(a, b, ctx).value == F(1)
+        assert graev_distance(a, b, ctx).value == F(1)
 
     def test_squared_letters(self, ctx):
         a = word(ctx, [(1, 1), (1, 1)], commutative=True)
         b = word(ctx, [(2, 1), (2, 1)], commutative=True)
-        assert abelian_distance(a, b, ctx, "graev", 6).value == F(2)
+        assert graev_distance(a, b, ctx, "graev", 6).value == F(2)
 
     def test_agrees_with_naive_oracle(self, ctx):
         rng = random.Random(37)
@@ -264,7 +262,7 @@ class TestAbelian:
             b = random_word(rng, ctx, 1, commutative=True)
             cap = len(a) + len(b) + 1
             for variant in ("graev", "swierczkowski"):
-                searched = abelian_distance(a, b, ctx, variant, cap).value
+                searched = graev_distance(a, b, ctx, variant, cap).value
                 naive, _ = naive_word_distance(a, b, ctx, variant, cap)
                 assert searched == naive
 
@@ -279,7 +277,7 @@ class TestAbelian:
             cb = word(ctx, letters_b, commutative=True)
             cap = max(len(fa) + len(fb), len(ca) + len(cb)) + 2
             free = graev_distance(fa, fb, ctx, "graev", cap).value
-            abelian = abelian_distance(ca, cb, ctx, "graev", cap).value
+            abelian = graev_distance(ca, cb, ctx, "graev", cap).value
             assert abelian <= free
 
 
@@ -356,7 +354,7 @@ GOLDEN_SPACES = [
         ['4/3', '7/4', '5/3', '1', '7/4', '0'],
     ],
 ]
-# (space, kind, a letters, b letters, value, witness rows, states_settled) at
+# (space, kind, a letters, b letters, value, witness rows, settled states) at
 # the default cap: every pair of lengths 0-3 on each 3-point space and total
 # length 2 on the 6-point space, under graev, swierczkowski and abelian-graev.
 GOLDEN_SEARCHES = [
@@ -488,6 +486,86 @@ class TestSearchGolden:
             a = reduce_letters(la, commutative, pointed)
             b = reduce_letters(lb, commutative, pointed)
             assert a.letters == la and b.letters == lb
-            minimize = abelian_distance if commutative else graev_distance
-            result = minimize(a, b, pointed, "swierczkowski" if kind == "swierczkowski" else "graev")
-            assert (str(result.value), result.witness.rows, result.states_settled) == (value, rows, states)
+            result = graev_distance(a, b, pointed, "swierczkowski" if kind == "swierczkowski" else "graev")
+            assert (str(result.value), result.witness.rows, result.fiber_size_enumerated) == (value, rows, states)
+
+
+# Stream-order golden data on one 3-point space (basepoint 0), recorded from
+# the stream as it was before it shared the search's prefix tables:
+# (commutative, a letters, b letters, cap, every yielded rows tuple in order).
+GOLDEN_STREAM_SPACE = [
+    ['0', '3/2', '2'],
+    ['3/2', '0', '1'],
+    ['2', '1', '0'],
+]
+GOLDEN_STREAMS = [
+    (False, ((2, -1),), ((2, -1),), 2, [
+        ((0, 0, 1), (2, 2, -1)), ((0, 0, -1), (2, 2, -1)), ((0, 2, -1), (2, 0, -1)),
+        ((2, 0, -1), (0, 2, -1)), ((2, 2, -1),), ((2, 2, -1), (0, 0, 1)), ((2, 2, -1), (0, 0, -1)),
+    ]),
+    (False, (), (), 1, [(), ((0, 0, 1),), ((0, 0, -1),)]),
+    (False, (), ((2, 1),), 2, [
+        ((0, 0, 1), (0, 2, 1)), ((0, 2, 1),), ((0, 2, 1), (0, 0, 1)), ((0, 2, 1), (0, 0, -1)),
+        ((1, 2, 1), (1, 0, -1)), ((2, 2, 1), (2, 0, -1)), ((0, 0, -1), (0, 2, 1)),
+        ((1, 0, -1), (1, 2, 1)), ((2, 0, -1), (2, 2, 1)),
+    ]),
+    (False, ((1, 1),), ((2, 1),), 2, [
+        ((0, 0, 1), (1, 2, 1)), ((0, 2, 1), (1, 0, 1)), ((1, 0, 1), (0, 2, 1)), ((1, 2, 1),),
+        ((1, 2, 1), (0, 0, 1)), ((1, 2, 1), (0, 0, -1)), ((0, 0, -1), (1, 2, 1)),
+    ]),
+    (True, ((1, -1),), ((1, 1),), 2, [((0, 1, 1), (1, 0, -1)), ((1, 0, -1), (0, 1, 1))]),
+    (True, (), ((1, -1),), 2, [
+        ((0, 0, 1), (0, 1, -1)), ((1, 0, 1), (1, 1, -1)), ((2, 0, 1), (2, 1, -1)),
+        ((0, 0, -1), (0, 1, -1)), ((0, 1, -1),), ((0, 1, -1), (0, 0, 1)), ((0, 1, -1), (0, 0, -1)),
+        ((1, 1, -1), (1, 0, 1)), ((2, 1, -1), (2, 0, 1)),
+    ]),
+    (True, (), ((2, -1),), 2, [
+        ((0, 0, 1), (0, 2, -1)), ((1, 0, 1), (1, 2, -1)), ((2, 0, 1), (2, 2, -1)),
+        ((0, 0, -1), (0, 2, -1)), ((0, 2, -1),), ((0, 2, -1), (0, 0, 1)), ((0, 2, -1), (0, 0, -1)),
+        ((1, 2, -1), (1, 0, 1)), ((2, 2, -1), (2, 0, 1)),
+    ]),
+    (True, (), ((1, 1),), 2, [
+        ((0, 0, 1), (0, 1, 1)), ((0, 1, 1),), ((0, 1, 1), (0, 0, 1)), ((0, 1, 1), (0, 0, -1)),
+        ((1, 1, 1), (1, 0, -1)), ((2, 1, 1), (2, 0, -1)), ((0, 0, -1), (0, 1, 1)),
+        ((1, 0, -1), (1, 1, 1)), ((2, 0, -1), (2, 1, 1)),
+    ]),
+]
+# Longer streams at the default cap, pinned by length and by the first 16 hex
+# digits of sha256(repr(list of rows tuples in order)).
+GOLDEN_STREAM_DIGESTS = [
+    (False, (), ((2, 1), (1, -1)), 4, 419, "d58057570622834f"),
+    (False, ((1, -1),), (), 3, 92, "371c6d262c3508b1"),
+    (False, ((2, 1), (1, 1)), (), 4, 261, "a6dc231494cd09d2"),
+    (False, (), (), 2, 23, "b24149e0c89f50e2"),
+    (True, ((1, -1), (2, 1)), ((1, -1),), 5, 8598, "3a146ec199ea4e37"),
+    (True, ((1, 1),), (), 3, 102, "871c96c955936664"),
+    (True, (), ((1, -1),), 3, 102, "f87457dc85ef3a07"),
+    (True, ((2, 1), (2, 1)), (), 4, 311, "5a00131c580ef321"),
+]
+
+
+class TestStreamGolden:
+    """The order ``enumerate_proper_representations`` yields in is the order
+    ``extend_generic`` meets couplings, so it fixes the generic path's first
+    witness and fiber size; these pin it for free and abelian words."""
+
+    def pointed(self):
+        mat = [[F(v) for v in row] for row in GOLDEN_STREAM_SPACE]
+        return PointedSpace(validate_space(labels(3), mat, "metric"), 0)
+
+    def stream(self, pointed, commutative, la, lb, cap):
+        a = reduce_letters(la, commutative, pointed)
+        b = reduce_letters(lb, commutative, pointed)
+        assert a.letters == la and b.letters == lb
+        return [rep.rows for rep in enumerate_proper_representations(a, b, pointed, cap)]
+
+    def test_rows_in_order(self):
+        pointed = self.pointed()
+        for commutative, la, lb, cap, rows in GOLDEN_STREAMS:
+            assert self.stream(pointed, commutative, la, lb, cap) == rows
+
+    def test_longer_streams_by_digest(self):
+        pointed = self.pointed()
+        for commutative, la, lb, cap, count, digest in GOLDEN_STREAM_DIGESTS:
+            rows = self.stream(pointed, commutative, la, lb, cap)
+            assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == (count, digest)
