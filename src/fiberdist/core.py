@@ -9,6 +9,8 @@ only in the CLI's courtesy decimal renderings.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,6 +113,17 @@ class FiniteMetricSpace:
         }
 
 
+def scale_to_integers(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(den, rows)``: the common denominator of the entries and ``den * matrix``.
+
+    Comparisons and sums of the integer rows are exactly those of the
+    rational entries scaled by ``den > 0``, so exact checks and searches can
+    run on ints.
+    """
+    den = math.lcm(*{v.denominator for row in matrix for v in row})
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+
+
 def validate_space(
     points: Sequence[str],
     matrix: Sequence[Sequence[Fraction]],
@@ -118,9 +131,12 @@ def validate_space(
 ) -> FiniteMetricSpace:
     """Check the axioms for `mode` and return the space, else raise.
 
-    Axioms are checked in a fixed order (shape, duplicate labels, negative
-    entry, nonzero diagonal, asymmetry, separation for metric mode, triangle
-    inequality) so the reported violation is deterministic.
+    Axioms are checked in a fixed order (shape, duplicate labels, rational
+    entries, negative entry, nonzero diagonal, asymmetry, separation for
+    metric mode, triangle inequality) so the reported violation is
+    deterministic.  After the entry types, every check runs exactly on the
+    matrix scaled to integers by its common denominator; the returned space
+    keeps the caller's entries.
     """
     if mode not in MODES:
         raise SpaceValidationError("mode", (mode,), f"unknown mode {mode!r}")
@@ -140,41 +156,52 @@ def validate_space(
                 "duplicate_labels", (seen[label], i), f"duplicate label {label!r}"
             )
         seen[label] = i
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] < 0:
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise SpaceValidationError(
-                    "negative_entry", (i, j), f"d({points[i]},{points[j]}) < 0"
+                    "rational_entry", (i, j), f"d({points[i]},{points[j]}) is not an int or Fraction: {v!r}"
                 )
+    _den, m = scale_to_integers(matrix)
+    for i, row in enumerate(m):
+        if min(row) < 0:
+            j = next(j for j, v in enumerate(row) if v < 0)
+            raise SpaceValidationError(
+                "negative_entry", (i, j), f"d({points[i]},{points[j]}) < 0"
+            )
     for i in range(n):
-        if matrix[i][i] != 0:
+        if m[i][i] != 0:
             raise SpaceValidationError(
                 "nonzero_diagonal", (i,), f"d({points[i]},{points[i]}) != 0"
             )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
-                raise SpaceValidationError(
-                    "asymmetric", (i, j), f"d({points[i]},{points[j]}) != d({points[j]},{points[i]})"
-                )
+    # Row i against column i: an earlier row already compared every j < i.
+    for i, (row, col) in enumerate(zip(m, zip(*m))):
+        if row != list(col):
+            j = next(j for j in range(i + 1, n) if row[j] != col[j])
+            raise SpaceValidationError(
+                "asymmetric", (i, j), f"d({points[i]},{points[j]}) != d({points[j]},{points[i]})"
+            )
     if mode == "metric":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if matrix[i][j] == 0:
-                    raise SpaceValidationError(
-                        "zero_distance_distinct",
-                        (i, j),
-                        f"distinct points {points[i]!r}, {points[j]!r} at distance 0 (use pseudometric mode)",
-                    )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if matrix[i][k] > matrix[i][j] + matrix[j][k]:
-                    raise SpaceValidationError(
-                        "triangle_violation",
-                        (i, j, k),
-                        f"d({points[i]},{points[k]}) > d({points[i]},{points[j]}) + d({points[j]},{points[k]})",
-                    )
+        for i, row in enumerate(m):
+            if 0 in row[i + 1 :]:
+                j = row.index(0, i + 1)
+                raise SpaceValidationError(
+                    "zero_distance_distinct",
+                    (i, j),
+                    f"distinct points {points[i]!r}, {points[j]!r} at distance 0 (use pseudometric mode)",
+                )
+    # d(i,k) > d(i,j) + d(j,k) for some k  iff  max_k (d(i,k) - d(j,k)) > d(i,j);
+    # k is walked only for the first violating pair, to name the witness.
+    for i, row_i in enumerate(m):
+        for j, row_j in enumerate(m):
+            dij = row_i[j]
+            if max(map(operator.sub, row_i, row_j)) > dij:
+                k = next(k for k in range(n) if row_i[k] > dij + row_j[k])
+                raise SpaceValidationError(
+                    "triangle_violation",
+                    (i, j, k),
+                    f"d({points[i]},{points[k]}) > d({points[i]},{points[j]}) + d({points[j]},{points[k]})",
+                )
     rows = tuple(tuple(row) for row in matrix)
     return FiniteMetricSpace(tuple(points), rows, mode)
 

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import FiniteMetricSpace, ParseError
+from .core import FiniteMetricSpace, ParseError, scale_to_integers
 from .extension import CheckReport, ElementDomainError, EmptyFiberError, ExtensionResult, Functor
 
 GRAEV = "graev"
@@ -344,12 +343,8 @@ def graev_distance(
         dist = tuple(tuple(cost_table((x, y)) for y in range(n)) for x in range(n))
         if any(v < 0 for row in dist for v in row):
             raise ValueError("representation search requires a nonnegative cost table")
-    # Integer costs keep the heap fast; scale by the common denominator.
-    denom = 1
-    for row in dist:
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    idist = [[int(v * denom) for v in row] for row in dist]
+    # Integer costs keep the heap fast.
+    denom, idist = scale_to_integers(dist)
 
     swier = variant == SWIERCZKOWSKI
     positive_bit: dict[tuple[int, int], int] = {}

@@ -59,6 +59,18 @@ class TestValidate:
         assert payload["axiom"] == "triangle_violation"
         assert payload["witness"] == [0, 1, 2]
 
+    def test_triangle_violation_caught_without_asserts(self, tmp_path):
+        path = write_space(tmp_path, BAD_TRIANGLE)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fiberdist.cli", "validate", "--space", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert payload["axiom"] == "triangle_violation"
+        assert payload["witness"] == [0, 1, 2]
+
     def test_missing_file_exits_1(self):
         code, out, _ = run_cli("validate", "--space", "/nonexistent.json")
         assert code == 1

@@ -88,12 +88,26 @@ class TestValidateSpace:
             (["x", "y"], [[F(0), F(-1)], [F(-1), F(0)]], "negative_entry"),
             (["x", "y"], [[F(1), F(2)], [F(2), F(0)]], "nonzero_diagonal"),
             (["x", "y"], [[F(0), F(1)], [F(2), F(0)]], "asymmetric"),
+            (["x", "y"], [[0, 0.5], [0.5, 0]], "rational_entry"),
+            (["x", "y"], [[F(0), "1"], ["1", F(0)]], "rational_entry"),
+            (["x", "y"], [[F(0), True], [True, F(0)]], "rational_entry"),
+            (["x", "y"], [[F(0), F(-1)], [F(-1), 1.0]], "rational_entry"),
         ],
     )
     def test_axiom_order(self, points, matrix, axiom):
         with pytest.raises(SpaceValidationError) as err:
             validate_space(points, matrix, "metric")
         assert err.value.axiom == axiom
+
+    def test_rational_entry_witness(self):
+        with pytest.raises(SpaceValidationError) as err:
+            validate_space(["x", "y"], [[F(0), F(-1)], [F(-1), 1.0]], "metric")
+        assert err.value.witness == (1, 1)
+
+    def test_int_entries_kept(self):
+        sp = validate_space(["x", "y"], [[0, 3], [3, 0]], "metric")
+        assert sp.dist == ((0, 3), (3, 0))
+        assert all(type(v) is int for row in sp.dist for v in row)
 
     def test_idempotent(self):
         sp = two_point()
