@@ -69,6 +69,7 @@ from .words import (
     naive_word_distance,
     pointed_space,
     reduce_letters,
+    search_word_distance,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 success, 1 parse/validation error, 2 computation error
 (enumeration cap exceeded, unbalanced masses, no representation within
-cap), 3 specialized/generic mismatch under ``--method both``.
+cap, a word witness failing its check), 3 specialized/generic mismatch
+under ``--method both``.
 
 Values are emitted as exact rational strings first and decimals second.
 For a finite-exponent norm the exact field holds the p-th power of the
@@ -23,12 +24,11 @@ import json
 import sys
 
 from .core import ParseError, SpaceValidationError, canonical_space_obj, decimal_str, space_document_from_obj
-from .extension import ElementDomainError, EmptyFiberError, FiberCapExceeded, extend_generic
+from .extension import FAULTS, ElementDomainError, EmptyFiberError, FiberCapExceeded, extend_generic
 from .hyperspace import HyperspaceFunctor
 from .power import PNorm, PowerFunctor, root_decimal_str
-from .selftest import FAULTS, run_selftest
 from .transport import MiddleMarginalError, TransportFunctor, UnbalancedMassError
-from .words import VARIANTS, CapTooSmallError, PointedSpace, WordsFunctor, default_cap
+from .words import VARIANTS, CapTooSmallError, PointedSpace, WitnessError, WordsFunctor, default_cap
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -39,7 +39,14 @@ FUNCTORS = ("hyperspace", "power", "transport", "words")
 METHODS = ("specialized", "generic", "both")
 
 _INPUT_ERRORS = (ParseError, SpaceValidationError, ElementDomainError)
-_COMPUTE_ERRORS = (CapTooSmallError, FiberCapExceeded, UnbalancedMassError, MiddleMarginalError, EmptyFiberError)
+_COMPUTE_ERRORS = (
+    CapTooSmallError,
+    FiberCapExceeded,
+    UnbalancedMassError,
+    MiddleMarginalError,
+    EmptyFiberError,
+    WitnessError,
+)
 
 _REQUIRED = object()
 # Request fields per command as (key, default, allowed): a tuple of choices,
@@ -113,13 +120,17 @@ def _build_functor(request: dict, element_json):
 
 
 def _single_response(functor, ctx, table, a, b, method: str, request: dict) -> dict:
+    words = request["functor"] == "words"
     if method == "specialized":
         result = functor.distance(ctx, table, a, b)
     else:
         result = extend_generic(functor, ctx, table, a, b, early_exit=False)
-    if request["functor"] == "transport" and request["inject_fault"] == "transport-solver" and method == "specialized":
-        result = type(result)(result.value + 1, result.witness, result.fiber_size_enumerated)
+    # A specialized word answer that settled no search state is exact.
+    exact = words and method == "specialized" and result.fiber_size_enumerated == 0
     value = result.value
+    faulted = {"transport-solver": request["functor"] == "transport" and method == "specialized", "words-dp": exact}
+    if faulted.get(request["inject_fault"]):
+        value += 1
     response = {"functor": functor.name, "method": method, "value": str(value)}
     norm = getattr(functor, "norm", None)
     if norm is not None and not norm.is_max:
@@ -130,13 +141,14 @@ def _single_response(functor, ctx, table, a, b, method: str, request: dict) -> d
     response["witness"] = functor.format_coupling(result.witness, ctx)
     if method == "generic":
         flags = {"fiber_size": result.fiber_size_enumerated}
-    elif request["functor"] == "words":
+    elif words:
         flags = {"search_states": result.fiber_size_enumerated}
     else:
         flags = {}
-    if request["functor"] == "words":
+    if words:
         flags["cap"] = default_cap(a, b) if request["cap"] is None else request["cap"]
-        flags["cap_limited"] = value != 0
+        flags["cap_limited"] = result.cap_limited
+        flags["certified"] = "exact" if exact else "exhaustive_within_cap"
     response["flags"] = flags
     return response
 
@@ -218,6 +230,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # only selftest pays for the suites' import
+
     ok = run_selftest(inject_fault=args.inject_fault)
     return EXIT_OK if ok else EXIT_INPUT
 

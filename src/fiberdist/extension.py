@@ -25,6 +25,10 @@ from .core import PairTable
 
 PointFn = Callable[[Any], Fraction]
 
+# Testing hooks for `dist` and `selftest`: each corrupts one specialized
+# solver's value so the check comparing it with its oracle can be seen to fail.
+FAULTS = ("transport-solver", "words-dp")
+
 
 class EmptyFiberError(RuntimeError):
     """No coupling was enumerated for a pair of elements.
@@ -53,6 +57,9 @@ class Functor:
     """
 
     name = "abstract"
+    # True when ``fiber`` yields only the couplings within a cap, so that a
+    # nonzero minimum over it may shrink under a larger cap.
+    capped_fiber = False
 
     def space_of(self, ctx):
         return ctx
@@ -153,7 +160,7 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
                 break
     if best is None:
         raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
-    return ExtensionResult(best, witness, count)
+    return ExtensionResult(best, witness, count, functor.capped_fiber and best != 0)
 
 
 @dataclass

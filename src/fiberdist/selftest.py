@@ -7,8 +7,10 @@ naturality.  Deterministic by construction (fixed seeds, canonical
 enumeration orders), so two runs print identical output.
 
 ``inject_fault="transport-solver"`` deliberately corrupts the optimal
-transport value, which the solver-vs-oracle suite must catch; it exists so
-the failure path of the cross-checking machinery is itself testable.
+transport value, which the solver-vs-oracle suite must catch, and
+``inject_fault="words-dp"`` the exact Graev value, which the
+words-search-vs-naive suite must catch; they exist so the failure path of
+the cross-checking machinery is itself testable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 import traceback
 
 from .extension import (
+    FAULTS,
     EmptyFiberError,
     check_extension_property,
     check_lipschitz,
@@ -41,14 +44,14 @@ from .sampling import (
 )
 from .transport import TransportFunctor, fiber_vertices, integrate, kantorovich
 from .words import (
+    VARIANTS,
     PointedSpace,
     WordsFunctor,
     check_word_pseudometric_axioms,
     graev_distance,
     naive_word_distance,
+    search_word_distance,
 )
-
-FAULTS = ("transport-solver",)
 
 
 def _functor_families():
@@ -170,11 +173,20 @@ def suite_transport_solver_vs_oracle(inject_fault: str | None = None) -> tuple[b
     return bad == 0, f"{runs} instances, {bad} solver/oracle mismatches"
 
 
-def suite_words_search_vs_naive() -> tuple[bool, str]:
+def _value_or_none(distance, a, b, pointed, variant, cap):
+    try:
+        return distance(a, b, pointed, variant, cap).value
+    except EmptyFiberError:
+        return None  # what the oracle returns for an empty fiber
+
+
+def suite_words_search_vs_naive(inject_fault: str | None = None) -> tuple[bool, str]:
+    """The search (both variants) and the exact Graev path each against the
+    naive oracle, at default caps and at tight ones."""
     rng = random.Random(106)
     space = random_metric_space(rng, 3)
     pointed = PointedSpace(space, 0)
-    bad = 0
+    bad = dp_bad = 0
     runs = 0
     pairs = [(random_word(rng, pointed, 1), random_word(rng, pointed, 1)) for _ in range(6)]
     # Abelian pairs with a nonempty second word, so each has a positive distance.
@@ -190,16 +202,19 @@ def suite_words_search_vs_naive() -> tuple[bool, str]:
             a, b = (random_word_of_length(rng, pointed, 1, commutative=commutative) for _ in range(2))
             cases.append((a, b, 2))
     for a, b, cap in cases:
-        for variant in ("graev", "swierczkowski"):
-            try:
-                searched = graev_distance(a, b, pointed, variant, cap).value
-            except EmptyFiberError:
-                searched = None  # what the oracle returns for an empty fiber
+        for variant in VARIANTS:
             naive, _count = naive_word_distance(a, b, pointed, variant, cap)
             runs += 1
-            if searched != naive:
+            if _value_or_none(search_word_distance, a, b, pointed, variant, cap) != naive:
                 bad += 1
-    return bad == 0, f"{runs} word pairs, {bad} search/naive mismatches"
+            if variant == "graev":
+                exact = _value_or_none(graev_distance, a, b, pointed, variant, cap)
+                if inject_fault == "words-dp" and exact is not None:
+                    exact += 1
+                if exact != naive:
+                    dp_bad += 1
+    ok = bad == 0 and dp_bad == 0
+    return ok, f"{runs} word pairs, {dp_bad} DP/naive and {bad} search/naive mismatches"
 
 
 def suite_lift_perturbation_bound() -> tuple[bool, str]:
@@ -292,7 +307,7 @@ def run_selftest(inject_fault: str | None = None, out=None) -> bool:
     all_ok = True
     for name, suite in SUITES:
         try:
-            if name == "transport-solver-vs-oracle":
+            if name in ("transport-solver-vs-oracle", "words-search-vs-naive"):
                 ok, detail = suite(inject_fault)
             else:
                 ok, detail = suite()

@@ -8,20 +8,29 @@ point (free-abelian case).
 The distance between two reduced words is the minimum, over pairs of
 equal-length equal-signature letter strings reducing to them, of the sum of
 letterwise base distances: over every position for the "graev" variant,
-over distinct letter pairs only for the "swierczkowski" variant.  Nothing
-bounds the optimal string length a priori, so the search runs under an
-explicit cap (default: combined reduced length plus two) and results carry
-a ``cap_limited`` flag; a capped value is an upper bound of the true
-infimum that is certified exhaustive within its cap.
+over distinct letter pairs only for the "swierczkowski" variant.  Every
+distance is taken within a cap on the string length (default: combined
+reduced length plus two).
+
+``graev_distance`` answers the Graev variant exactly and cap-free: an
+interval program over non-crossing matchings for free words, and a padded
+``kantorovich`` transport (the Arens-Eells norm) for free-abelian words.
+Either builds a witness of at most |a|+|b| rows and checks it by re-lifting
+and reducing; the answer stands whenever that witness fits the cap.  The
+Swierczkowski variant has no such bound on the optimal string length, so
+it (and any Graev call the exact path cannot answer) goes to
+``search_word_distance``, whose results carry a ``cap_limited`` flag: a
+capped value is an upper bound of the true infimum that is certified
+exhaustive within its cap.
 
 ``enumerate_proper_representations`` streams every representation pair
-within the cap (the coupling fiber), and ``graev_distance`` expands
+within the cap (the coupling fiber), and ``search_word_distance`` expands
 representation prefixes in cost order with provably lossless pruning
 (prefix feasibility and state dominance) and returns the minimum over that
 stream.  Both walk one prefix model: per side, the reduced prefix (free) or
 net exponents (free-abelian), with a lazily built per-prefix transition
 table.  ``naive_word_distance`` reduces every candidate string from scratch
-and is the independent oracle for both.
+and is the independent oracle for all three.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import FiniteMetricSpace, ParseError, scale_to_integers
+from . import transport  # by module, so a tracer that patches kantorovich sees these calls
+from .core import FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, scale_to_integers, validate_space
 from .extension import CheckReport, ElementDomainError, EmptyFiberError, ExtensionResult, Functor
 
 GRAEV = "graev"
@@ -42,6 +52,11 @@ VARIANTS = (GRAEV, SWIERCZKOWSKI)
 
 class CapTooSmallError(ValueError):
     """No representation can exist below the reduced word length."""
+
+
+class WitnessError(RuntimeError):
+    """A constructed representation does not re-lift to its value or does
+    not reduce to the two words: an invariant of the exact path broke."""
 
 
 @dataclass(frozen=True)
@@ -319,6 +334,225 @@ def graev_distance(
     *,
     cost_table=None,
 ) -> ExtensionResult:
+    """Distance between two words, free or free-abelian, within the cap.
+
+    For the Graev variant under a pseudometric cost, the value has a closed
+    form that needs no search: the non-crossing matching program for free
+    words (:func:`_free_graev`) and the Arens-Eells transport for
+    free-abelian words (:func:`_abelian_graev`).  Their witness has at most
+    ``|a| + |b|`` rows, is checked by re-lifting and reducing, and answers
+    whenever it fits the cap: the minimum within a cap is at least the
+    infimum, which the witness attains.  Such answers are exact, so
+    ``cap_limited`` is false and ``fiber_size_enumerated`` is 0.  Every
+    other call (the Swierczkowski variant, a cost that is no pseudometric,
+    a cap below the witness) is answered by :func:`search_word_distance`.
+
+    ``cost_table`` (a nonnegative function on pairs) replaces the base
+    distance.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    cap = _check_pair(a, b, cap)
+    if variant == GRAEV:
+        dist, denom, idist = _integer_costs(pointed, cost_table)
+        if dist == pointed.space.dist or _is_pseudometric(pointed.space.points, dist):
+            if a.commutative:
+                value, rows = _abelian_graev(a, b, pointed, dist)
+            else:
+                cost, rows = _free_graev(a, b, pointed, idist)
+                value = Fraction(cost, denom)
+            _check_witness(a, b, pointed, rows, value, denom, idist)
+            if len(rows) <= cap:
+                return ExtensionResult(value, ProperRepresentationPair(tuple(rows)), 0, False)
+    return search_word_distance(a, b, pointed, variant, cap, cost_table=cost_table)
+
+
+def _integer_costs(pointed: PointedSpace, cost_table) -> tuple[tuple, int, list[list[int]]]:
+    """``(dist, den, idist)``: the cost matrix and its integer scaling."""
+    n = pointed.n
+    if cost_table is None:
+        dist = pointed.space.dist
+    else:
+        dist = tuple(tuple(cost_table((x, y)) for y in range(n)) for x in range(n))
+        if any(v < 0 for row in dist for v in row):
+            raise ValueError("word distances require a nonnegative cost table")
+    return (dist, *scale_to_integers(dist))
+
+
+def _is_pseudometric(points: tuple[str, ...], dist: tuple) -> bool:
+    try:
+        validate_space(points, dist, "pseudometric")
+    except SpaceValidationError:
+        return False
+    return True
+
+
+def _free_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: list[list[int]]) -> tuple[int, list]:
+    """Least integer cost of a representation of free words, and its rows.
+
+    With the common prefix p stripped (a = p a', b = p b'), the Graev norm
+    of w = a'^-1 b' is a minimum over non-crossing matchings of w's
+    positions: an unmatched letter costs d(w_i, e), a matched pair of
+    opposite signs d(w_i, w_k) (Ding & Gao, "Graev metric groups and
+    Polishable subgroups of Banach spaces", Fund. Math. 196 (2007)).
+    ``best[i][j]`` is that minimum over the span [i, j) and ``mate[i][j]``
+    the partner w[i] takes in it (-1 for none).
+    """
+    e = pointed.basepoint
+    common = 0
+    while common < min(len(a), len(b)) and a.letters[common] == b.letters[common]:
+        common += 1
+    ra, rb = a.letters[common:], b.letters[common:]
+    w = [(x, -s) for x, s in reversed(ra)] + list(rb)
+    m = len(w)
+    best = [[0] * (m + 1) for _ in range(m + 1)]
+    mate = [[-1] * (m + 1) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        x, s = w[i]
+        cost_i = idist[x]
+        rest, mate_i = best[i + 1], mate[i]
+        for j in range(i + 1, m + 1):
+            low, pick = cost_i[e] + rest[j], -1
+            for k in range(i + 1, j):
+                y, t = w[k]
+                if t != s:
+                    c = cost_i[y] + rest[k] + best[k + 1][j]
+                    if c < low:
+                        low, pick = c, k
+            best[i][j] = low
+            mate_i[j] = pick
+    partner = [None] * m
+    spans = [(0, m)]
+    while spans:
+        i, j = spans.pop()
+        if i == j:
+            continue
+        k = mate[i][j]
+        if k < 0:
+            spans.append((i + 1, j))
+        else:
+            partner[i], partner[k] = k, i
+            spans += [(i + 1, k), (k + 1, j)]
+
+    # Positions p of a' sit at L-1-p in w, positions q of b' at L+q.  A pair
+    # inside one side cancels on the other side (its first letter is copied
+    # there, its partner pays the pair's cost); a crossing pair is one row.
+    # Crossing pairs keep their order on both sides, so the rows merge the
+    # two sides at each of them.
+    size = len(ra)
+    rows = [(x, x, s) for x, s in a.letters[:common]]
+
+    def side_rows(letters, lo: int, hi: int, right: bool) -> None:
+        for p in range(lo, hi):
+            x, s = letters[p]
+            other = partner[size + p if right else size - 1 - p]
+            if other is None:
+                y = e
+            else:
+                q = other - size if right else size - 1 - other
+                y = x if q > p else letters[q][0]
+            rows.append((y, x, s) if right else (x, y, s))
+
+    pa = pb = 0
+    crossings = [
+        (size - 1 - i, partner[i] - size) for i in reversed(range(size)) if partner[i] is not None and partner[i] >= size
+    ]
+    for p, q in crossings + [(len(ra), len(rb))]:
+        side_rows(ra, pa, p, False)
+        side_rows(rb, pb, q, True)
+        if p < len(ra):
+            rows.append((ra[p][0], rb[q][0], ra[p][1]))
+        pa, pb = p + 1, q + 1
+    return best[0][m], rows
+
+
+def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, dist: tuple) -> tuple[Fraction, list]:
+    """Least cost of a representation of free-abelian words, and its rows.
+
+    Shared exponents pair at no cost.  What is left, c = net(b) - net(a),
+    has the Arens-Eells norm: the least cost of moving c+ onto c-, with the
+    basepoint able to give or take any amount (Weaver, *Lipschitz
+    Algebras*).  With K = |c+| + |c-|, padding each side with basepoint mass
+    up to K makes that a balanced transport problem, solved by
+    ``kantorovich`` on masses divided by K.  Each unit of the integral plan
+    K*pi spends one residual letter at each end that is not the basepoint.
+    """
+    e = pointed.basepoint
+    net_a, net_b = dict(_net_of(a.letters)), dict(_net_of(b.letters))
+    rows: list[tuple[int, int, int]] = []
+    # Per point, the residual letters (is_right, x, sign) that make up c+ or c-.
+    plus: dict[int, list] = {}
+    minus: dict[int, list] = {}
+    for x in sorted(net_a.keys() | net_b.keys()):
+        u, v = net_a.get(x, 0), net_b.get(x, 0)
+        if u * v > 0:
+            shared = min(abs(u), abs(v))
+            s = 1 if u > 0 else -1
+            rows += [(x, x, s)] * shared
+            u, v = u - s * shared, v - s * shared
+        # c_x = v - u: right +x and left -x raise it, right -x and left +x lower it.
+        for is_right, sign, count in ((True, 1, v), (False, -1, -u)):
+            if count > 0:
+                plus.setdefault(x, []).extend([(is_right, x, sign)] * count)
+            elif count < 0:
+                minus.setdefault(x, []).extend([(is_right, x, -sign)] * -count)
+    total = sum(map(len, plus.values())) + sum(map(len, minus.values()))
+    if total == 0:
+        return Fraction(0), rows
+    supply = {x: Fraction(len(units), total) for x, units in plus.items()}
+    demand = {x: Fraction(len(units), total) for x, units in minus.items()}
+    supply[e] = 1 - sum(supply.values())
+    demand[e] = 1 - sum(demand.values())
+    solved = transport.kantorovich(PairTable(dist), transport.distribution(supply), transport.distribution(demand))
+    for (x, y), mass in solved.plan.items():
+        if x == y == e:
+            continue
+        units = mass * total
+        if units.denominator != 1:
+            raise WitnessError(f"transport plan moves {units} units from {x} to {y}, not a whole number")
+        for _ in range(units.numerator):
+            ends = [plus[x].pop() for _ in range(x != e)] + [minus[y].pop() for _ in range(y != e)]
+            rows += _unit_rows(ends, e)
+    return solved.value * total, rows
+
+
+def _unit_rows(ends: list, e: int) -> list[tuple[int, int, int]]:
+    """Rows spending one or two residual letters ``(is_right, x, sign)``.
+
+    A lone letter pairs with the basepoint.  Two letters on opposite sides
+    share their sign and make one row; two on one side have opposite signs,
+    and the other side gets the first letter and its inverse.
+    """
+    if len(ends) == 1:
+        (is_right, x, s), = ends
+        return [(e, x, s) if is_right else (x, e, s)]
+    (r1, x1, s1), (r2, x2, s2) = ends
+    if r1 != r2:
+        left, right = (x2, x1) if r1 else (x1, x2)
+        return [(left, right, s1)]
+    return [(x1, x1, s1), (x1, x2, s2) if r1 else (x2, x1, s2)]
+
+
+def _check_witness(a, b, pointed, rows, value: Fraction, denom: int, idist) -> None:
+    """Raise unless the rows re-lift to ``value`` and reduce to (a, b)."""
+    lifted = Fraction(sum(idist[x][y] for x, y, _s in rows), denom)
+    left = reduce_letters([(x, s) for x, _y, s in rows], a.commutative, pointed)
+    right = reduce_letters([(y, s) for _x, y, s in rows], a.commutative, pointed)
+    if lifted != value or left != a or right != b:
+        raise WitnessError(
+            f"witness {rows!r} lifts to {lifted} against {value} and reduces to ({left!r}, {right!r})"
+        )
+
+
+def search_word_distance(
+    a: GroupWord,
+    b: GroupWord,
+    pointed: PointedSpace,
+    variant: str = GRAEV,
+    cap: int | None = None,
+    *,
+    cost_table=None,
+) -> ExtensionResult:
     """Least-cost search over representation prefixes, free or free-abelian.
 
     States are pairs of side prefixes (plus, for the distinct-pair variant,
@@ -337,14 +571,8 @@ def graev_distance(
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
     n = pointed.n
-    if cost_table is None:
-        dist = pointed.space.dist
-    else:
-        dist = tuple(tuple(cost_table((x, y)) for y in range(n)) for x in range(n))
-        if any(v < 0 for row in dist for v in row):
-            raise ValueError("representation search requires a nonnegative cost table")
     # Integer costs keep the heap fast.
-    denom, idist = scale_to_integers(dist)
+    _dist, denom, idist = _integer_costs(pointed, cost_table)
 
     swier = variant == SWIERCZKOWSKI
     positive_bit: dict[tuple[int, int], int] = {}
@@ -504,6 +732,8 @@ class WordsFunctor(Functor):
     distinct ones, for the distinct-letter variant), changing the lifted
     value, so harnesses sample injective maps for these instances.
     """
+
+    capped_fiber = True
 
     def __init__(self, variant: str = GRAEV, commutative: bool = False, cap: int | None = None):
         if variant not in VARIANTS:

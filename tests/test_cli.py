@@ -148,6 +148,22 @@ class TestDist:
         assert payload["value"] == "1"
         assert payload["flags"]["cap"] == 6
         assert payload["flags"]["cap_limited"] is True
+        assert payload["flags"]["certified"] == "exhaustive_within_cap"
+        assert payload["flags"]["search_states"] > 0
+
+    @pytest.mark.parametrize("abelian", [[], ["--abelian"]])
+    def test_graev_words_are_exact(self, tmp_path, abelian):
+        path = write_space(tmp_path, WORDS_SPACE)
+        args = ["dist", "words", "--space", path, "--a", '["x"]', "--b", '["y^-1"]'] + abelian
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == "20"
+        assert payload["flags"] == {"search_states": 0, "cap": 4, "cap_limited": False, "certified": "exact"}
+        code, out, _ = run_cli(*args, "--method", "both", "--inject-fault", "words-dp")
+        assert code == 3
+        payload = json.loads(out)
+        assert (payload["specialized"]["value"], payload["generic"]["value"]) == ("21", "20")
 
     def test_words_without_basepoint_exit_1(self, tmp_path):
         path = write_space(tmp_path, TWO_POINT)
@@ -376,3 +392,20 @@ class TestSelftest:
         assert any(
             line.startswith("FAIL transport-solver-vs-oracle") for line in out.splitlines()
         )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_words_dp_fault_fails_words_suite(self, flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "fiberdist.cli", "selftest", "--inject-fault", "words-dp"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode != 0
+        assert any(line.startswith("FAIL words-") for line in proc.stdout.splitlines())
+
+
+def test_cli_import_leaves_selftest_and_sampling_unloaded():
+    probe = "import sys, fiberdist.cli; print(sorted({'fiberdist.selftest', 'fiberdist.sampling'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"

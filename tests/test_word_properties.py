@@ -1,5 +1,6 @@
 """Property tests: the word stream and the best-first search, which share one
-prefix model, both match the naive oracle."""
+prefix model, both match the naive oracle, and the exact Graev path matches
+the search."""
 
 from fractions import Fraction as F
 
@@ -19,13 +20,15 @@ from fiberdist.words import (
     letter_sum_lift,
     naive_word_distance,
     reduce_letters,
+    search_word_distance,
 )
 
 
 @st.composite
-def pointed_words(draw):
-    """A pointed space on 2-3 points and two reduced words of total length <= 3."""
-    n = draw(st.integers(2, 3))
+def pointed_words(draw, max_points=3):
+    """A pointed space on 2..max_points points and two reduced words of total
+    length <= 3."""
+    n = draw(st.integers(2, max_points))
     mat = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -65,3 +68,18 @@ def test_stream_is_the_naive_fiber(case, slack):
         assert functor.marginals(rep, pointed) == (a, b)
     _, count = naive_word_distance(a, b, pointed, "graev", cap)
     assert len(stream) == count
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(pointed_words(max_points=4))
+def test_exact_graev_equals_the_search(case):
+    pointed, a, b = case
+    exact = graev_distance(a, b, pointed)
+    assert exact.fiber_size_enumerated == 0 and not exact.cap_limited
+    for slack in (2, 4):
+        assert exact.value == search_word_distance(a, b, pointed, "graev", len(a) + len(b) + slack).value
+    rows = exact.witness.rows
+    assert len(rows) <= len(a) + len(b)
+    pairs = [(x, y) for x, y, _s in rows]
+    assert letter_sum_lift(lambda p: pointed.space.dist[p[0]][p[1]], pairs, "graev") == exact.value
+    assert WordsFunctor(commutative=a.commutative).marginals(exact.witness, pointed) == (a, b)

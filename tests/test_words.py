@@ -4,13 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from fiberdist import cli, words
 from fiberdist.core import validate_space
 from fiberdist.extension import EmptyFiberError
-from fiberdist.sampling import labels, random_metric_space, random_word
+from fiberdist.sampling import labels, random_metric_space, random_word, random_word_of_length
 from fiberdist.words import (
     CapTooSmallError,
     PointedSpace,
     ProperRepresentationPair,
+    WitnessError,
     WordsFunctor,
     check_word_pseudometric_axioms,
     concat,
@@ -22,6 +24,7 @@ from fiberdist.words import (
     parse_word,
     pointed_space,
     reduce_letters,
+    search_word_distance,
 )
 
 
@@ -186,7 +189,8 @@ class TestDistances:
         r2 = graev_distance(a, b, ctx, "swierczkowski", 6)
         assert r1.value == F(2)
         assert r2.value == F(1)
-        assert r1.cap_limited and r2.cap_limited
+        assert not r1.cap_limited  # the exact Graev path
+        assert r2.cap_limited
 
     def test_witness_reevaluates_to_value(self, ctx):
         rng = random.Random(44)
@@ -230,6 +234,48 @@ class TestDistances:
         with pytest.raises(EmptyFiberError):
             graev_distance(a, b, ctx, cap=1)
         assert graev_distance(a, b, ctx, cap=2).value == F(20)
+
+    def test_cap_below_the_exact_witness_falls_back_to_the_search(self):
+        # With e between x and y, paying every letter to e is optimal: the
+        # exact witness of xx vs yy has 4 rows, so cap 2 goes to the search.
+        space = validate_space(
+            ["e", "x", "y"], [[F(0), F(1), F(1)], [F(1), F(0), F(2)], [F(1), F(2), F(0)]], "metric"
+        )
+        near = PointedSpace(space, 0)
+        a, b = word(near, [(1, 1), (1, 1)]), word(near, [(2, 1), (2, 1)])
+        exact = graev_distance(a, b, near)
+        assert (exact.value, len(exact.witness.rows), exact.fiber_size_enumerated) == (F(4), 4, 0)
+        capped = graev_distance(a, b, near, cap=2)
+        assert capped == search_word_distance(a, b, near, cap=2)
+        assert capped.fiber_size_enumerated > 0 and capped.cap_limited
+        assert capped.value == F(4)
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_long_words_on_eight_points_need_no_search(self, commutative):
+        # The search settles ~1.7 M states on such a pair; the exact path none.
+        rng = random.Random(8)
+        pointed = PointedSpace(random_metric_space(rng, 8), 0)
+        functor = WordsFunctor(commutative=commutative)
+        for _ in range(5):
+            a, b = (random_word_of_length(rng, pointed, 4, commutative=commutative) for _ in range(2))
+            result = graev_distance(a, b, pointed)
+            assert result.fiber_size_enumerated == 0 and not result.cap_limited
+            assert len(result.witness.rows) <= 8
+            assert functor.marginals(result.witness, pointed) == (a, b)
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_a_broken_witness_is_a_named_error(self, ctx, monkeypatch, commutative):
+        # Drop one row from every unit of the transport plan and from the
+        # matching's witness: the re-lift and reduce check must refuse it.
+        free_graev, unit_rows = words._free_graev, words._unit_rows
+        monkeypatch.setattr(words, "_free_graev", lambda *args: (free_graev(*args)[0], free_graev(*args)[1][1:]))
+        monkeypatch.setattr(words, "_unit_rows", lambda *args: unit_rows(*args)[1:])
+        a, b = word(ctx, [(1, 1)], commutative), word(ctx, [(2, 1)], commutative)
+        with pytest.raises(WitnessError):
+            graev_distance(a, b, ctx)
+        request = {"command": "dist", "functor": "words", "space": "s", "a": ["x"], "b": ["y"], "abelian": commutative}
+        response, code = cli.handle_request(request, lambda _path: (ctx.space, "e"))
+        assert code == 2 and "witness" in response["error"]
 
     def test_mixed_flag_rejected(self, ctx):
         a = word(ctx, [(1, 1)])
@@ -486,7 +532,7 @@ class TestSearchGolden:
             a = reduce_letters(la, commutative, pointed)
             b = reduce_letters(lb, commutative, pointed)
             assert a.letters == la and b.letters == lb
-            result = graev_distance(a, b, pointed, "swierczkowski" if kind == "swierczkowski" else "graev")
+            result = search_word_distance(a, b, pointed, "swierczkowski" if kind == "swierczkowski" else "graev")
             assert (str(result.value), result.witness.rows, result.fiber_size_enumerated) == (value, rows, states)
 
 
