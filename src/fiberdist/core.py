@@ -1,9 +1,12 @@
 """Exact rational scalars and finite (pseudo-)metric spaces.
 
-Every distance, mass and intermediate value in this package is a
+Every distance and mass this package takes or returns is a
 ``fractions.Fraction``, so equalities asserted by the test suites are exact
-bit-for-bit comparisons, never tolerance checks.  Floating point shows up
-only in the CLI's courtesy decimal renderings.
+bit-for-bit comparisons, never tolerance checks.  Space validation and the
+generic oracles compute on the integers :func:`scale_to_integers` gives:
+the entries times their common denominator, which compare and add exactly
+as the rationals do.  Floating point shows up only in the CLI's courtesy
+decimal renderings.
 """
 
 from __future__ import annotations
@@ -218,11 +221,15 @@ def space_from_obj(obj: dict) -> FiniteMetricSpace:
     raw = obj["matrix"]
     if not isinstance(raw, list):
         raise ParseError("field 'matrix' must be a list of rows")
+    parsed: dict[str, Fraction] = {}  # each distinct entry text is parsed once
     matrix = []
     for row in raw:
         if not isinstance(row, list):
             raise ParseError("field 'matrix' must be a list of rows")
-        matrix.append([parse_scalar(v) for v in row])
+        for v in row:
+            if not isinstance(v, str) or v not in parsed:
+                parsed[v] = parse_scalar(v)
+        matrix.append([parsed[v] for v in row])
     mode = obj.get("mode", "metric")
     return validate_space(points, matrix, mode)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import PairTable
+from .core import PairTable, scale_to_integers
 
 PointFn = Callable[[Any], Fraction]
 
@@ -83,7 +83,11 @@ class Functor:
         """The lifted value of ``fn`` on an element or coupling.
 
         The same rule serves both: elements are lifted with functions of one
-        point, couplings with functions of index pairs.
+        point, couplings with functions of index pairs.  For every k > 0,
+        lift(k*fn, c) must be a strictly increasing function of lift(fn, c)
+        that fixes 0 (sums, maxima and integrals scale by k, sums of p-th
+        powers by k**p), because :func:`extend_generic` ranks couplings and
+        tests for zero on the table scaled to integers.
         """
         raise NotImplementedError
 
@@ -141,18 +145,23 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
     """Minimize ``lift(table, .)`` over the coupling fiber of (a, b).
 
     The fiber stream is finite and deterministic, so the minimum and the
-    first witness attaining it are well defined.  When the table is
-    nonnegative the search stops at the first zero-valued coupling, since
-    lifted values of nonnegative tables are nonnegative.
+    first witness attaining it are well defined.  Couplings are ranked on
+    the table scaled to integers by its common denominator, which orders
+    them as the table does (see :meth:`Functor.lift`); the value is the
+    witness lifted on the table itself.  When the table is nonnegative the
+    search stops at the first zero-valued coupling, since lifted values of
+    nonnegative tables are nonnegative.
     """
     functor.validate_element(a, ctx)
     functor.validate_element(b, ctx)
-    stop_at_zero = early_exit and table.is_nonnegative()
+    int_table = PairTable(scale_to_integers(table.values)[1])
+    stop_at_zero = early_exit and int_table.is_nonnegative()
+    lift = functor.lift
     best = None
     witness = None
     count = 0
     for coupling in functor.fiber(a, b, ctx):
-        value = functor.lift(table, coupling)
+        value = lift(int_table, coupling)
         count += 1
         if best is None or value < best:
             best, witness = value, coupling
@@ -160,7 +169,7 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
                 break
     if best is None:
         raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
-    return ExtensionResult(best, witness, count, functor.capped_fiber and best != 0)
+    return ExtensionResult(Fraction(lift(table, witness)), witness, count, functor.capped_fiber and best != 0)
 
 
 @dataclass

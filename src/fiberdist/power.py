@@ -62,9 +62,10 @@ class PNorm:
 def power_lift(fn, coords: Sequence, norm: PNorm) -> Fraction:
     """max of fn over coordinates, or the exact sum of its p-th powers."""
     values = [fn(c) for c in coords]
-    for v in values:
+    for c, v in zip(coords, values):
         if v < 0:
-            raise ValueError(f"power lifts require nonnegative values, got {v}")
+            # Named by coordinate: fn may be a table scaled to integers.
+            raise ValueError(f"power lifts require nonnegative values, negative at {c!r}")
     if norm.is_max:
         return max(values)
     return sum((v**norm.p for v in values), Fraction(0))

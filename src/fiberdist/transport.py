@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .core import PairTable, ParseError, format_scalar, parse_scalar
+from .core import PairTable, ParseError, format_scalar, parse_scalar, scale_to_integers
 from .extension import ElementDomainError, FiberCapExceeded, Functor
 
 DEFAULT_MAX_VERTEX_CELLS = 20
@@ -326,7 +326,8 @@ def fiber_vertices(
     Every spanning tree of the complete bipartite support grid determines a
     unique flow by leaf stripping; the nonnegative ones are exactly the
     basic feasible solutions, i.e. the vertices.  Degenerate vertices arise
-    from several trees and are deduplicated.
+    from several trees and are deduplicated.  Trees are solved on the masses
+    scaled to integers by their common denominator D.
     """
     rows = mu.support
     cols = nu.support
@@ -336,8 +337,7 @@ def fiber_vertices(
     cells = [(a, b) for a in range(m) for b in range(n)]
     need = m + n - 1
     seen = set()
-    mu_w = [w for _, w in mu.items()]
-    nu_w = [w for _, w in nu.items()]
+    den, (mu_w, nu_w) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
     for tree in itertools.combinations(cells, need):
         if not _is_spanning_tree(tree, m, n):
             continue
@@ -350,7 +350,7 @@ def fiber_vertices(
         if flow in seen:
             continue
         seen.add(flow)
-        yield TransportPlan(flow)
+        yield TransportPlan(tuple((cell, Fraction(w, den)) for cell, w in flow))
 
 
 def _is_spanning_tree(tree, m, n) -> bool:

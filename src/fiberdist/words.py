@@ -173,9 +173,9 @@ def letter_sum_lift(fn, keys: Sequence, variant: str) -> Fraction:
     """Sum fn over all positions (graev) or over distinct keys only
     (swierczkowski); keys are points for words, pairs for representations."""
     if variant == GRAEV:
-        return sum((fn(k) for k in keys), Fraction(0))
+        return sum(map(fn, keys))
     if variant == SWIERCZKOWSKI:
-        return sum((fn(k) for k in dict.fromkeys(keys)), Fraction(0))
+        return sum(map(fn, dict.fromkeys(keys)))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -294,35 +294,56 @@ def enumerate_proper_representations(
 
     Pruning is feasibility-only (a side that can no longer reach its target
     within the remaining rows is cut), so the stream is exhaustive within
-    the cap.
+    the cap.  The walk keeps one explicit stack of successor iterators; a
+    state's successors depend only on its two prefixes and its depth, so
+    each such list is built once per stream.
     """
     cap = _check_pair(a, b, cap)
     n = pointed.n
     left, right = _prefix_tables(a, b, pointed)
     ltarget, rtarget = left.target, right.target
-    rows: list[tuple[int, int, int]] = []
+    successors: dict[tuple, list] = {}
 
-    def walk(lkey: tuple, rkey: tuple, depth: int) -> Iterator[ProperRepresentationPair]:
-        if lkey == ltarget and rkey == rtarget:
-            yield ProperRepresentationPair(tuple(rows))
-        if depth == cap:
-            return
-        remaining = cap - depth - 1
-        ltable, rtable = left[lkey], right[rkey]
-        for s in (1, -1):
-            neg = s == -1
-            for x in range(n):
-                lnext, lneed = ltable[2 * x + neg]
-                if lneed > remaining:
-                    continue
-                for y in range(n):
-                    rnext, rneed = rtable[2 * y + neg]
-                    if rneed <= remaining:
-                        rows.append((x, y, s))
-                        yield from walk(lnext, rnext, depth + 1)
-                        rows.pop()
+    def expand(lkey: tuple, rkey: tuple, depth: int) -> list:
+        # The feasible rows (x, y, s) in sign, then x, then y order, each
+        # with the next prefixes and whether they complete a representation.
+        key = (lkey, rkey, depth)
+        out = successors.get(key)
+        if out is None:
+            remaining = cap - depth - 1
+            ltable, rtable = left[lkey], right[rkey]
+            out = []
+            for s in (1, -1):
+                neg = s == -1
+                ys = [(y, rnext) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining]
+                for x, (lnext, lneed) in enumerate(ltable[neg::2]):
+                    if lneed <= remaining:
+                        done = lnext == ltarget
+                        out.extend(((x, y, s), lnext, rnext, done and rnext == rtarget) for y, rnext in ys)
+            successors[key] = out
+        return out
 
-    return walk((), (), 0)
+    def stream() -> Iterator[ProperRepresentationPair]:
+        if ltarget == () and rtarget == ():
+            yield ProperRepresentationPair(())
+        rows: list[tuple[int, int, int]] = []
+        stack = [iter(expand((), (), 0))]  # stack[d] walks the rows at depth d
+        while stack:
+            for row, lnext, rnext, done in stack[-1]:
+                rows.append(row)
+                if done:
+                    yield ProperRepresentationPair(tuple(rows))
+                below = expand(lnext, rnext, len(rows))
+                if below:
+                    stack.append(iter(below))
+                    break
+                rows.pop()
+            else:
+                stack.pop()
+                if rows:
+                    rows.pop()
+
+    return stream()
 
 
 def graev_distance(

@@ -155,6 +155,27 @@ class TestSpaceFile:
         with pytest.raises(ParseError):
             space_document_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([["0", "1/0"], ["1/0", "0"]], "zero denominator: '1/0'"),
+            ([["0", "x"], ["1/0", "x"]], "not a rational scalar: 'x'"),
+            ([["0", "1"], [[1], "0"]], "not a rational scalar string: [1]"),
+            ([["0", 1], ["1", "0"]], "not a rational scalar string: 1"),
+        ],
+    )
+    def test_first_bad_entry_in_row_major_order(self, matrix, message):
+        # Entries repeat, and each distinct text is parsed once per load.
+        obj = {"points": ["x", "y"], "matrix": matrix}
+        with pytest.raises(ParseError) as info:
+            space_document_from_obj(obj)
+        assert str(info.value) == message
+
+    def test_repeated_entries_share_one_value(self):
+        obj = {"points": ["x", "y", "z"], "matrix": [["0", "5/2", " 5/2"], ["5/2", "0", "5/2"], ["5/2", "10/4", "0"]]}
+        space, _ = space_document_from_obj(obj)
+        assert {space.d(i, j) for i in range(3) for j in range(3) if i != j} == {F(5, 2)}
+
 
 class TestPointMap:
     def test_validation(self):

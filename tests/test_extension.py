@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from fiberdist.core import PairTable
+from fiberdist.core import PairTable, scale_to_integers
 from fiberdist.extension import (
     ElementDomainError,
+    ExtensionResult,
     check_extension_property,
     check_lipschitz,
     check_naturality,
@@ -27,7 +28,7 @@ from fiberdist.sampling import (
     random_word,
 )
 from fiberdist.transport import TransportFunctor
-from fiberdist.words import PointedSpace, WordsFunctor
+from fiberdist.words import GroupWord, PointedSpace, WordsFunctor
 
 
 def functor_instances():
@@ -90,6 +91,117 @@ class TestEngine:
         full = extend_generic(functor, sp, t, a, a, early_exit=False)
         assert eager.value == full.value == 0
         assert eager.fiber_size_enumerated <= full.fiber_size_enumerated
+
+
+def reference_extend_generic(functor, ctx, table, a, b, *, early_exit=True):
+    """The fiber minimum taken on the rational table itself."""
+    functor.validate_element(a, ctx)
+    functor.validate_element(b, ctx)
+    stop_at_zero = early_exit and table.is_nonnegative()
+    best = None
+    witness = None
+    count = 0
+    for coupling in functor.fiber(a, b, ctx):
+        value = functor.lift(table, coupling)
+        count += 1
+        if best is None or value < best:
+            best, witness = value, coupling
+            if stop_at_zero and best == 0:
+                break
+    return ExtensionResult(best, witness, count, functor.capped_fiber and best != 0)
+
+
+def sample_tables(rng, space):
+    """The space's own table, a pseudometric with zeros, one with 61-bit
+    denominators, and an asymmetric one with negative entries."""
+    n = space.n
+
+    def table(entry):
+        return PairTable(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+    dens = (1, 2, 3, 2**61 - 1)
+    return [
+        space.pair_table(),
+        random_pseudometric_table(rng, n, den_max=5, zero_prob=0.3),
+        table(lambda i, j: F(rng.randint(0, 2), rng.choice(dens)) if i != j else F(0)),
+        table(lambda i, j: F(rng.randint(-4, 4), rng.choice(dens))),
+    ]
+
+
+class TestIntegerMinimum:
+    """extend_generic ranks couplings on the table scaled to integers and
+    must agree with the rational loop in value, witness, fiber count and cap
+    flag."""
+
+    @staticmethod
+    def assert_same(result, reference):
+        assert type(result.value) is F
+        assert result.value == reference.value
+        assert result.witness == reference.witness
+        assert result.fiber_size_enumerated == reference.fiber_size_enumerated
+        assert result.cap_limited == reference.cap_limited
+
+    @pytest.mark.parametrize("index", range(len(functor_instances())))
+    def test_matches_the_rational_loop(self, index):
+        functor = functor_instances()[index]
+        rng = random.Random(index)
+        for _ in range(4):
+            space = random_metric_space(rng, 3, den_max=7)
+            ctx = make_ctx(functor, space)
+            a = sample_element(rng, functor, ctx)
+            b = sample_element(rng, functor, ctx)
+            for table in sample_tables(rng, space):
+                for early_exit in (True, False):
+                    try:
+                        reference = reference_extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
+                    except ValueError as exc:
+                        # Power lifts reject a negative coordinate distance.
+                        assert isinstance(functor, PowerFunctor) and not table.is_nonnegative()
+                        with pytest.raises(ValueError) as info:
+                            extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
+                        assert str(info.value) == str(exc)
+                        continue
+                    result = extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
+                    self.assert_same(result, reference)
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_empty_word_fiber(self, commutative):
+        rng = random.Random(7)
+        space = random_metric_space(rng, 3, den_max=7)
+        ctx = PointedSpace(space, 0)
+        empty = GroupWord((), commutative)
+        functor = WordsFunctor("swierczkowski", commutative=commutative)
+        for table in sample_tables(rng, space):
+            for early_exit in (True, False):
+                result = extend_generic(functor, ctx, table, empty, empty, early_exit=early_exit)
+                self.assert_same(result, reference_extend_generic(functor, ctx, table, empty, empty, early_exit=early_exit))
+        first = extend_generic(functor, ctx, space.pair_table(), empty, empty)
+        assert first.value == 0 and type(first.value) is F
+        assert first.witness.rows == () and first.fiber_size_enumerated == 1
+
+    @pytest.mark.parametrize("k", [F(2), F(7, 3)])
+    def test_lift_order_survives_positive_scaling(self, k):
+        # extend_generic ranks couplings and tests for zero on the table
+        # scaled to integers, which is sound only if scaling a table by
+        # k > 0 keeps the order of lifts and their zeros.
+        rng = random.Random(61)
+        for functor in functor_instances():
+            space = random_metric_space(rng, 3, den_max=7)
+            ctx = make_ctx(functor, space)
+            tables = sample_tables(rng, space)
+            for table in tables[:3] if isinstance(functor, PowerFunctor) else tables:
+                scaled = table.scale(k)
+                integer = PairTable(scale_to_integers(table.values)[1])
+                for _ in range(3):
+                    a = sample_element(rng, functor, ctx)
+                    b = sample_element(rng, functor, ctx)
+                    couplings = list(itertools.islice(functor.fiber(a, b, ctx), 12))
+                    for c1, c2 in itertools.combinations_with_replacement(couplings, 2):
+                        plain = functor.lift(table, c1) - functor.lift(table, c2)
+                        for other in (scaled, integer):
+                            moved = functor.lift(other, c1) - functor.lift(other, c2)
+                            assert (plain > 0) == (moved > 0) and (plain < 0) == (moved < 0), functor.name
+                            assert (functor.lift(table, c1) == 0) == (functor.lift(other, c1) == 0), functor.name
 
 
 class TestMarginalSoundness:
