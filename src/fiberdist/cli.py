@@ -4,7 +4,7 @@ Commands:
   validate  -- check a space file and print its canonical form
   dist      -- distance between two elements under a chosen instance
   batch     -- run a JSON array of requests, responses in input order
-  selftest  -- run the built-in verification suites
+  selftest  -- run every verification check at the small scale
 
 Exit codes: 0 success, 1 parse/validation error, 2 computation error
 (enumeration cap exceeded, unbalanced masses, no representation within
@@ -24,7 +24,7 @@ import json
 import sys
 
 from .core import ParseError, SpaceValidationError, canonical_space_obj, decimal_str, space_document_from_obj
-from .extension import FAULTS, ElementDomainError, EmptyFiberError, FiberCapExceeded, extend_generic
+from .extension import FAULTS, ElementDomainError, EmptyFiberError, FiberCapExceeded, extend_generic, reported_value
 from .hyperspace import HyperspaceFunctor
 from .power import PNorm, PowerFunctor, root_decimal_str
 from .transport import MiddleMarginalError, TransportFunctor, UnbalancedMassError
@@ -111,8 +111,8 @@ def _build_functor(request: dict, element_json):
         return HyperspaceFunctor()
     if kind == "power":
         norm = PNorm.parse(request["norm"])
-        if not isinstance(element_json, list):
-            raise ParseError("a tuple element is a JSON array of labels")
+        if not isinstance(element_json, list) or not element_json:
+            raise ParseError("a tuple element is a nonempty JSON array of labels")
         return PowerFunctor(len(element_json), norm)
     if kind == "transport":
         return TransportFunctor()
@@ -127,10 +127,7 @@ def _single_response(functor, ctx, table, a, b, method: str, request: dict) -> d
         result = extend_generic(functor, ctx, table, a, b, early_exit=False)
     # A specialized word answer that settled no search state is exact.
     exact = words and method == "specialized" and result.fiber_size_enumerated == 0
-    value = result.value
-    faulted = {"transport-solver": request["functor"] == "transport" and method == "specialized", "words-dp": exact}
-    if faulted.get(request["inject_fault"]):
-        value += 1
+    value = result.value if method == "generic" else reported_value(functor, result, request["inject_fault"])
     response = {"functor": functor.name, "method": method, "value": str(value)}
     norm = getattr(functor, "norm", None)
     if norm is not None and not norm.is_max:
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("file", help="path to the requests file")
     p_batch.set_defaults(handler=cmd_batch)
 
-    p_selftest = sub.add_parser("selftest", help="run the built-in verification suites")
+    p_selftest = sub.add_parser("selftest", help="run every verification check at the small scale")
     p_selftest.add_argument(
         "--inject-fault",
         default=None,

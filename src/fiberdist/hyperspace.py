@@ -149,9 +149,6 @@ class HyperspaceFunctor(Functor):
             raise ParseError("a subset element is a nonempty JSON array of labels")
         return Subset(tuple(ctx.index(label) for label in obj))
 
-    def format_element(self, elem: Subset, ctx) -> list:
-        return [ctx.points[i] for i in elem.members]
-
     def format_coupling(self, coupling: SubsetCoupling, ctx) -> list:
         return [[ctx.points[x], ctx.points[y]] for (x, y) in coupling.pairs]
 

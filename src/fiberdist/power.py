@@ -239,9 +239,6 @@ class PowerFunctor(Functor):
             raise ParseError(f"a tuple element is a JSON array of exactly {self.n} labels")
         return tuple(ctx.index(label) for label in obj)
 
-    def format_element(self, elem, ctx) -> list:
-        return [ctx.points[i] for i in elem]
-
     def format_coupling(self, coupling, ctx) -> list:
         return [[ctx.points[x], ctx.points[y]] for (x, y) in coupling]
 

@@ -1,7 +1,8 @@
 """Seeded random generators for spaces, tables and elements.
 
-Shared by the CLI selftest and the test suites; everything takes an
-explicit ``random.Random`` so runs are reproducible.
+The checks of :mod:`fiberdist.selftest` draw all their inputs from here,
+at both scales; everything takes an explicit ``random.Random`` so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ def random_subset(rng: random.Random, n: int):
 
     size = rng.randint(1, n)
     return Subset(tuple(rng.sample(range(n), size)))
-
-
-def random_tuple(rng: random.Random, n: int, length: int) -> tuple[int, ...]:
-    return tuple(rng.randrange(n) for _ in range(length))
 
 
 def random_word(rng: random.Random, pointed: PointedSpace, max_len: int, commutative: bool = False) -> GroupWord:

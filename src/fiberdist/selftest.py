@@ -1,16 +1,13 @@
-"""Built-in verification suites behind the CLI selftest command.
+"""One table of verification checks, run at two scales.
 
-Each suite is a smaller, seeded version of the corresponding acceptance
-test: the coincidence of specialized paths with the generic fiber minimum,
-the extension property, the pseudometric axioms, the perturbation bound and
-naturality.  Deterministic by construction (fixed seeds, canonical
-enumeration orders), so two runs print identical output.
-
-``inject_fault="transport-solver"`` deliberately corrupts the optimal
-transport value, which the solver-vs-oracle suite must catch, and
-``inject_fault="words-dp"`` the exact Graev value, which the
-words-search-vs-naive suite must catch; they exist so the failure path of
-the cross-checking machinery is itself testable.
+Each row of :data:`CHECKS` holds a check ``run(full, fault) -> CheckReport``
+that draws its inputs from a fixed seed.  ``fiberdist selftest`` runs every
+check at the small scale; ``tests/test_acceptance.py`` runs them at full
+scale as its criteria and asserts the check counts pinned here.  Seeds and
+enumeration orders are fixed, so both scales are deterministic.  Every
+check gets the fault; the coincidence checks read specialized values
+through :func:`~fiberdist.extension.reported_value`, so a fault fails
+exactly the check comparing its solver with an oracle.
 """
 
 from __future__ import annotations
@@ -18,304 +15,341 @@ from __future__ import annotations
 import random
 import sys
 import traceback
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable
 
 from .extension import (
-    FAULTS,
-    EmptyFiberError,
-    check_extension_property,
-    check_lipschitz,
-    check_naturality,
-    check_operator_axioms,
-    check_pseudometric_axioms,
-    extend_generic,
+    FAULTS, CheckReport, EmptyFiberError, check_extension_property, check_lipschitz, check_naturality,
+    check_operator_axioms, check_pseudometric_axioms, extend_generic, reported_value,
 )
-from .hyperspace import HyperspaceFunctor, hausdorff
-from .power import PNorm, PowerFunctor, power_distance
+from .hyperspace import HyperspaceFunctor
+from .power import PNorm, PowerFunctor
 from .sampling import (
-    dominated_pair,
-    random_assignment,
-    random_distribution,
-    random_metric_space,
-    random_phi,
-    random_pseudometric_table,
-    random_subset,
-    random_word,
-    random_word_of_length,
+    dominated_pair, random_assignment, random_distribution, random_metric_space, random_phi,
+    random_pseudometric_table, random_subset, random_word, random_word_of_length,
 )
-from .transport import TransportFunctor, fiber_vertices, integrate, kantorovich
+from .transport import TransportFunctor
 from .words import (
-    VARIANTS,
-    PointedSpace,
-    WordsFunctor,
-    check_word_pseudometric_axioms,
-    graev_distance,
-    naive_word_distance,
-    search_word_distance,
+    GRAEV, VARIANTS, PointedSpace, WordsFunctor, check_word_pseudometric_axioms, graev_distance,
+    naive_word_distance, reduce_letters, search_word_distance,
 )
 
 
-def _functor_families():
+def extension_instances():
+    """Instances whose lift restricts to the identity on embedded points:
+    the finite-p power lift of a constant tuple multiplies the p-th power
+    by the tuple length, so finite p only at length 1."""
+    return (
+        [HyperspaceFunctor(), TransportFunctor()]
+        + [PowerFunctor(n, PNorm.max_norm()) for n in (1, 2, 3)]
+        + [PowerFunctor(1, PNorm(p)) for p in (1, 2, 3)]
+        + [WordsFunctor(v, commutative=c) for v in ("graev", "swierczkowski") for c in (False, True)]
+    )
+
+
+def _word_instances():
+    return [WordsFunctor("graev"), WordsFunctor("swierczkowski"), WordsFunctor("graev", commutative=True)]
+
+
+def _naturality_cases():
+    """(functor, element cap, whether maps must be injective) per instance."""
     return [
-        HyperspaceFunctor(),
-        PowerFunctor(1, PNorm(2)),
-        PowerFunctor(2, PNorm.max_norm()),
-        TransportFunctor(),
-        WordsFunctor("graev"),
-        WordsFunctor("swierczkowski"),
-        WordsFunctor("graev", commutative=True),
-    ]
+        (HyperspaceFunctor(), 3, False),
+        (PowerFunctor(1, PNorm(2)), 0, False),
+        (PowerFunctor(2, PNorm(1)), 0, False),
+        (PowerFunctor(2, PNorm.max_norm()), 0, False),
+        (TransportFunctor(), 4, False),
+    ] + [(functor, 2, True) for functor in _word_instances()]
 
 
-def _ctx_for(functor, space):
-    if isinstance(functor, WordsFunctor):
-        return PointedSpace(space, 0)
-    return space
+def _ctx(functor, space):
+    return PointedSpace(space, 0) if isinstance(functor, WordsFunctor) else space
 
 
-def suite_extension_property() -> tuple[bool, str]:
-    rng = random.Random(101)
-    bad = 0
-    checked = 0
-    for _ in range(6):
-        space = random_metric_space(rng, rng.randint(2, 4))
-        for functor in _functor_families():
-            ctx = _ctx_for(functor, space)
+def _coincidence(report: CheckReport, functor, ctx, table, a, b, fault):
+    """Count one comparison: the reported specialized value must equal the
+    fiber minimum, which the generic witness must lift to.  Returns the
+    reported value, the specialized witness and the generic result."""
+    specialized = functor.distance(ctx, table, a, b)
+    value = reported_value(functor, specialized, fault)
+    generic = extend_generic(functor, ctx, table, a, b)
+    report.checked += 1
+    if value != generic.value or functor.lift(table, generic.witness) != generic.value:
+        report.fail(f"{functor.name} ({a!r}, {b!r}): specialized {value}, generic {generic.value}")
+    return value, specialized.witness, generic
+
+
+def extension_property(full: bool, fault: str | None) -> CheckReport:
+    rng = random.Random(2024_01)
+    report = CheckReport("extension-property")
+    for _ in range(50 if full else 3):
+        n = rng.randint(2, 5)
+        space = random_metric_space(rng, n, den_max=4, method=rng.choice(["band", "closure"]))
+        for functor in extension_instances():
             method = "specialized" if isinstance(functor, WordsFunctor) else "generic"
-            report = check_extension_property(functor, ctx, method=method)
-            checked += report.checked
-            bad += len(report.failures)
-    return bad == 0, f"{checked} embedded pairs, {bad} mismatches"
+            rep = check_extension_property(functor, _ctx(functor, space), method=method)
+            if rep.checked != n * n:
+                report.fail(f"{functor.name}: {rep.checked} of {n * n} embedded pairs checked")
+            report.add(rep)
+    return report
 
 
-def suite_pseudometric_axioms() -> tuple[bool, str]:
-    rng = random.Random(102)
-    failures = 0
-    checked = 0
-    space = random_metric_space(rng, 3)
-    table = space.pair_table()
-    hyper = HyperspaceFunctor()
-    elems = [random_subset(rng, 3) for _ in range(5)]
-    report = check_pseudometric_axioms(hyper, space, table, elems)
-    checked, failures = checked + report.checked, failures + len(report.failures)
-    power = PowerFunctor(2, PNorm(2))
-    tuples = [(rng.randrange(3), rng.randrange(3)) for _ in range(4)]
-    report = check_pseudometric_axioms(power, space, table, [tuple(t) for t in tuples])
-    checked, failures = checked + report.checked, failures + len(report.failures)
-    trans = TransportFunctor()
-    dists = [random_distribution(rng, 3, 3, 4) for _ in range(4)]
-    report = check_pseudometric_axioms(trans, space, table, dists)
-    checked, failures = checked + report.checked, failures + len(report.failures)
-    pointed = PointedSpace(space, 0)
-    triples = [
-        tuple(random_word(rng, pointed, 2) for _ in range(3)) for _ in range(6)
-    ]
-    for variant in ("graev", "swierczkowski"):
-        report = check_word_pseudometric_axioms(pointed, variant, triples)
-        checked, failures = checked + report.checked, failures + len(report.failures)
-    return failures == 0, f"{checked} axiom checks, {failures} violations"
-
-
-def suite_hyperspace_coincidence() -> tuple[bool, str]:
-    rng = random.Random(103)
+def hyperspace_coincidence(full: bool, fault: str | None) -> CheckReport:
+    rng = random.Random(2024_02)
     functor = HyperspaceFunctor()
-    bad = 0
-    pairs = 0
-    for _ in range(4):
-        space = random_metric_space(rng, rng.randint(2, 3))
-        table = space.pair_table()
+    report = CheckReport("hyperspace-coincidence")
+    for _ in range(100 if full else 10):
+        space = random_metric_space(rng, rng.randint(1, 3), den_max=4)
         subsets = list(functor.enumerate_elements(space))
-        for a in subsets:
-            for b in subsets:
-                direct = hausdorff(table, a, b)
-                generic = extend_generic(functor, space, table, a, b).value
-                pairs += 1
-                if direct != generic:
-                    bad += 1
-    return bad == 0, f"{pairs} subset pairs, {bad} mismatches"
+        for a, b in product(subsets, repeat=2):
+            _coincidence(report, functor, space, space.pair_table(), a, b, fault)
+    return report
 
 
-def suite_power_coincidence() -> tuple[bool, str]:
-    rng = random.Random(104)
-    bad = 0
-    pairs = 0
-    space = random_metric_space(rng, 3)
-    table = space.pair_table()
-    for n in (1, 2):
-        for norm in (PNorm.max_norm(), PNorm(1), PNorm(2)):
-            functor = PowerFunctor(n, norm)
-            elems = list(functor.enumerate_elements(space))
-            for s in elems:
-                for t in elems:
-                    closed = power_distance(table, s, t, norm)
-                    generic = extend_generic(functor, space, table, s, t).value
-                    pairs += 1
-                    if closed != generic:
-                        bad += 1
-    return bad == 0, f"{pairs} tuple pairs, {bad} mismatches"
+def power_coincidence(full: bool, fault: str | None) -> CheckReport:
+    """All tuple pairs, each with a fiber of exactly one coupling."""
+    rng = random.Random(2024_03)
+    report = CheckReport("power-coincidence")
+    for n_points in (1, 2, 3):
+        for _ in range(2 if full else 1):
+            space = random_metric_space(rng, n_points, den_max=4)
+            for length in (1, 2, 3) if full else (1, 2):
+                for norm in (PNorm.max_norm(), PNorm(1), PNorm(2), PNorm(3)):
+                    functor = PowerFunctor(length, norm)
+                    tuples = list(functor.enumerate_elements(space))
+                    for s, t in product(tuples, repeat=2):
+                        *_, generic = _coincidence(report, functor, space, space.pair_table(), s, t, fault)
+                        if generic.fiber_size_enumerated != 1:
+                            report.fail(f"{functor.name} ({s}, {t}): fiber of {generic.fiber_size_enumerated}")
+    return report
 
 
-def suite_transport_solver_vs_oracle(inject_fault: str | None = None) -> tuple[bool, str]:
-    rng = random.Random(105)
-    bad = 0
-    runs = 0
-    for _ in range(25):
-        space = random_metric_space(rng, rng.randint(2, 4))
+def transport_solver_vs_oracle(full: bool, fault: str | None) -> CheckReport:
+    """The solver against the polytope-vertex minimum; its plan must also
+    integrate to its value and keep the forest support bound."""
+    rng = random.Random(2024_04)
+    functor = TransportFunctor()
+    report = CheckReport("transport-solver-vs-oracle")
+    for _ in range(200 if full else 25):
+        n = rng.randint(2, 4)
+        space = random_metric_space(rng, n, den_max=4)
         table = space.pair_table()
-        mu = random_distribution(rng, space.n, 3, 5)
-        nu = random_distribution(rng, space.n, 3, 5)
-        solved = kantorovich(table, mu, nu).value
-        if inject_fault == "transport-solver":
-            solved += 1
-        oracle = min(integrate(table, plan) for plan in fiber_vertices(mu, nu))
-        runs += 1
-        if solved != oracle:
-            bad += 1
-    return bad == 0, f"{runs} instances, {bad} solver/oracle mismatches"
+        mu = random_distribution(rng, n, support_max=4, den_max=6)
+        nu = random_distribution(rng, n, support_max=4, den_max=6)
+        value, plan, _ = _coincidence(report, functor, space, table, mu, nu, fault)
+        if functor.lift(table, plan) != value or len(plan.support) > len(mu.support) + len(nu.support) - 1:
+            report.fail(f"plan {plan!r} of ({mu!r}, {nu!r}) does not certify {value}")
+    return report
 
 
-def _value_or_none(distance, a, b, pointed, variant, cap):
-    try:
-        return distance(a, b, pointed, variant, cap).value
-    except EmptyFiberError:
-        return None  # what the oracle returns for an empty fiber
+def words_search_vs_naive(full: bool, fault: str | None) -> CheckReport:
+    """Single letters recover the base distance, Graev dominates
+    Swierczkowski, and the entry point (and, for Graev, the search on its
+    own) equals the naive oracle at default and tight caps."""
+    rng = random.Random(2024_05)
+    report = CheckReport("words-search-vs-naive")
 
+    def value(distance, a, b, ctx, variant, cap=None):
+        try:
+            result = distance(a, b, ctx, variant, cap)
+        except EmptyFiberError:
+            return None  # what the oracle returns for an empty fiber
+        return reported_value(WordsFunctor(variant, a.commutative), result, fault)
 
-def suite_words_search_vs_naive(inject_fault: str | None = None) -> tuple[bool, str]:
-    """The search (both variants) and the exact Graev path each against the
-    naive oracle, at default caps and at tight ones."""
-    rng = random.Random(106)
-    space = random_metric_space(rng, 3)
-    pointed = PointedSpace(space, 0)
-    bad = dp_bad = 0
-    runs = 0
-    pairs = [(random_word(rng, pointed, 1), random_word(rng, pointed, 1)) for _ in range(6)]
+    for n in (2, 3, 4):
+        for _ in range(3 if full else 1):
+            space = random_metric_space(rng, n, den_max=4)
+            ctx = PointedSpace(space, 0)
+            for commutative, variant, x, y in product((False, True), VARIANTS, range(n), range(n)):
+                a, b = (reduce_letters([(i, 1)], commutative, ctx) for i in (x, y))
+                report.checked += 1
+                if value(graev_distance, a, b, ctx, variant) != space.d(x, y):
+                    report.fail(f"{variant} single letters ({x}, {y}) miss d = {space.d(x, y)}")
+
+    # Every word pair of reduced length <= 3 (1 at the small scale).
+    ctx = PointedSpace(random_metric_space(rng, 3, den_max=4), 0)
+    words = list(WordsFunctor(GRAEV).enumerate_elements(ctx, 3 if full else 1))
+    for i, a in enumerate(words):
+        for b in words[i:]:
+            cap = len(a) + len(b) + 2
+            report.checked += 1
+            if value(graev_distance, a, b, ctx, "graev", cap) < value(graev_distance, a, b, ctx, "swierczkowski", cap):
+                report.fail(f"graev below swierczkowski on ({a!r}, {b!r})")
+
+    # The oracle enumerates (2 |X|^2)^cap strings, so pairs keep |A|+|B| <= 3
+    # (cap 5), and <= 2 at the small scale.
+    cases = []
+    for _ in range(25 if full else 3):
+        lengths = rng.choice([(0, 1), (1, 1), (1, 2)] if full else [(0, 1), (1, 1)])
+        a, b = (random_word_of_length(rng, ctx, length) for length in lengths)
+        cases.append((a, b, len(a) + len(b) + 2))
     # Abelian pairs with a nonempty second word, so each has a positive distance.
-    pairs += [
-        (random_word(rng, pointed, 1, commutative=True), random_word_of_length(rng, pointed, 1, commutative=True))
-        for _ in range(3)
-    ]
-    cases = [(a, b, len(a) + len(b) + 2) for a, b in pairs]
+    for _ in range(3):
+        a, b = random_word(rng, ctx, 1, commutative=True), random_word_of_length(rng, ctx, 1, commutative=True)
+        cases.append((a, b, len(a) + len(b) + 2))
     # Length-1 pairs at cap |a| + |b|, where feasibility pruning binds: an
     # over-estimating lower bound cuts off optimal representations here.
     for commutative in (False, True):
         for _ in range(4):
-            a, b = (random_word_of_length(rng, pointed, 1, commutative=commutative) for _ in range(2))
+            a, b = (random_word_of_length(rng, ctx, 1, commutative=commutative) for _ in range(2))
             cases.append((a, b, 2))
     for a, b, cap in cases:
         for variant in VARIANTS:
-            naive, _count = naive_word_distance(a, b, pointed, variant, cap)
-            runs += 1
-            if _value_or_none(search_word_distance, a, b, pointed, variant, cap) != naive:
-                bad += 1
-            if variant == "graev":
-                exact = _value_or_none(graev_distance, a, b, pointed, variant, cap)
-                if inject_fault == "words-dp" and exact is not None:
-                    exact += 1
-                if exact != naive:
-                    dp_bad += 1
-    ok = bad == 0 and dp_bad == 0
-    return ok, f"{runs} word pairs, {dp_bad} DP/naive and {bad} search/naive mismatches"
+            naive, _count = naive_word_distance(a, b, ctx, variant, cap)
+            report.checked += 1
+            # The Swierczkowski entry point is the search itself.
+            for distance in (graev_distance, search_word_distance) if variant == GRAEV else (graev_distance,):
+                got = value(distance, a, b, ctx, variant, cap)
+                if got != naive:
+                    report.fail(f"{distance.__name__}({a!r}, {b!r}, {variant}, cap {cap}) = {got}, naive {naive}")
+    return report
 
 
-def suite_lift_perturbation_bound() -> tuple[bool, str]:
-    rng = random.Random(107)
-    space = random_metric_space(rng, 3)
-    failures = 0
-    checked = 0
-    t1 = random_pseudometric_table(rng, 3)
-    t2 = random_pseudometric_table(rng, 3)
-    hyper = HyperspaceFunctor()
-    pairs = [(random_subset(rng, 3), random_subset(rng, 3)) for _ in range(5)]
-    report = check_lipschitz(hyper, space, t1, t2, pairs)
-    checked, failures = checked + report.checked, failures + len(report.failures)
-    trans = TransportFunctor()
-    dpairs = [
-        (random_distribution(rng, 3, 3, 3), random_distribution(rng, 3, 3, 3)) for _ in range(4)
-    ]
-    report = check_lipschitz(trans, space, t1, t2, dpairs)
-    checked, failures = checked + report.checked, failures + len(report.failures)
-    pointed = PointedSpace(space, 0)
-    wfun = WordsFunctor("graev")
-    wpairs = [(random_word(rng, pointed, 1), random_word(rng, pointed, 1)) for _ in range(3)]
-    report = check_lipschitz(wfun, pointed, t1, t2, wpairs)
-    checked, failures = checked + report.checked, failures + len(report.failures)
-    return failures == 0, f"{checked} comparisons, {failures} bound violations"
+def sampled_word_triples(rng, ctx, count, commutative=False):
+    # Length mix calibrated so the shared-cap searches stay inside the
+    # runtime budget while still covering reduced lengths up to 3.
+    mixes = [(1, 1, 1)] * 35 + [(2, 1, 1)] * 27 + [(2, 2, 1)] * 18 + [(2, 2, 2)] * 10 + [(3, 1, 1)] * 5
+    mixes += [(3, 2, 1)] * 3 + [(3, 2, 2)] * 1 + [(3, 3, 3)] * 1
+    triples = []
+    while len(triples) < count:
+        lengths = mixes[len(triples) % len(mixes)]
+        triples.append(tuple(random_word_of_length(rng, ctx, L, commutative=commutative) for L in lengths))
+    return triples
 
 
-def suite_naturality() -> tuple[bool, str]:
-    rng = random.Random(108)
-    failures = 0
-    checked = 0
-    for _ in range(8):
-        src = random_metric_space(rng, rng.randint(2, 3))
-        dst = random_metric_space(rng, 3)
-        phi = random_phi(rng, dst.n)
-        for functor in _functor_families():
-            injective = isinstance(functor, WordsFunctor)
-            assignment = random_assignment(rng, src.n, dst.n, injective=injective)
+def pseudometric_axioms(full: bool, fault: str | None) -> CheckReport:
+    """Identity, symmetry and triangle per instance; a triangle comparison
+    left undecided counts as a failure."""
+    rng = random.Random(2024_06)
+    report = CheckReport("pseudometric-axioms")
+    spaces = 10 if full else 1
+    for _ in range(spaces):
+        space = random_metric_space(rng, 3, den_max=4)
+        elements = [random_subset(rng, 3) for _ in range(6)]
+        report.add(check_pseudometric_axioms(HyperspaceFunctor(), space, space.pair_table(), elements))
+    for norm in (PNorm.max_norm(), PNorm(1), PNorm(2), PNorm(3)):
+        for length in (2, 3):
+            for _ in range(2 if full else 1):
+                space = random_metric_space(rng, 3, den_max=4)
+                elements = [tuple(rng.randrange(3) for _ in range(length)) for _ in range(6)]
+                report.add(check_pseudometric_axioms(PowerFunctor(length, norm), space, space.pair_table(), elements))
+    for _ in range(spaces):
+        n = rng.randint(2, 4)
+        space = random_metric_space(rng, n, den_max=4)
+        elements = [random_distribution(rng, n, support_max=4, den_max=6) for _ in range(6)]
+        report.add(check_pseudometric_axioms(TransportFunctor(), space, space.pair_table(), elements))
+    ctx = PointedSpace(random_metric_space(rng, 3, den_max=4), 0)
+    count = 200 if full else 6
+    for variant in VARIANTS:
+        report.add(check_word_pseudometric_axioms(ctx, variant, sampled_word_triples(rng, ctx, count)))
+    abelian = sampled_word_triples(rng, ctx, count, commutative=True)
+    report.add(check_word_pseudometric_axioms(ctx, GRAEV, abelian))
+    report.failures += report.notes
+    return report
+
+
+def lipschitz_elements(rng, functor, ctx):
+    if isinstance(functor, HyperspaceFunctor):
+        return [(random_subset(rng, ctx.n), random_subset(rng, ctx.n)) for _ in range(5)]
+    if isinstance(functor, PowerFunctor):
+        draw = lambda: tuple(rng.randrange(ctx.n) for _ in range(functor.n))
+        return [(draw(), draw()) for _ in range(5)]
+    if isinstance(functor, TransportFunctor):
+        draw = lambda: random_distribution(rng, ctx.n, den_max=3)
+        return [(draw(), draw()) for _ in range(4)]
+    draw = lambda max_len: random_word(rng, ctx, max_len, functor.commutative)
+    return [(draw(1), draw(2)) for _ in range(3)]
+
+
+def lift_perturbation_bound(full: bool, fault: str | None) -> CheckReport:
+    rng = random.Random(2024_07)
+    report = CheckReport("lift-perturbation-bound")
+    powers = [PowerFunctor(2, norm) for norm in (PNorm(1), PNorm(2), PNorm.max_norm())]
+    for functor in [HyperspaceFunctor(), *powers, TransportFunctor(), *_word_instances()]:
+        for _ in range(50 if full else 1):
+            ctx = _ctx(functor, random_metric_space(rng, 3, den_max=4))
+            t1 = random_pseudometric_table(rng, 3)
+            t2 = random_pseudometric_table(rng, 3)
+            report.add(check_lipschitz(functor, ctx, t1, t2, lipschitz_elements(rng, functor, ctx)))
+    return report
+
+
+def naturality(full: bool, fault: str | None) -> CheckReport:
+    rng = random.Random(2024_08)
+    report = CheckReport("naturality")
+    for functor, cap, injective in _naturality_cases():
+        for _ in range(50 if full else 2):
+            src_n = rng.randint(1, 3) if not injective else rng.randint(2, 3)
+            dst_n = rng.randint(src_n, 3) if injective else rng.randint(1, 3)
+            src = random_metric_space(rng, src_n, den_max=4)
+            dst = random_metric_space(rng, dst_n, den_max=4)
+            assignment = random_assignment(rng, src_n, dst_n, injective=injective)
+            phi = random_phi(rng, dst_n)
             if injective:
                 # Basepoint must map to basepoint for pointed instances.
-                src_ctx = PointedSpace(src, 0)
-                dst_ctx = PointedSpace(dst, assignment[0])
-                cap = 2
-            else:
-                src_ctx, dst_ctx = src, dst
-                cap = 3
-            report = check_naturality(functor, src_ctx, dst_ctx, assignment, phi, cap=cap)
-            checked += report.checked
-            failures += len(report.failures)
-    return failures == 0, f"{checked} elements, {failures} mismatches"
+                src, dst = PointedSpace(src, 0), PointedSpace(dst, assignment[0])
+            report.add(check_naturality(functor, src, dst, assignment, phi, cap=cap))
+    return report
 
 
-def suite_operator_axioms() -> tuple[bool, str]:
+def operator_axioms(full: bool, fault: str | None) -> CheckReport:
+    """Selftest only: no acceptance criterion, so both scales are the same."""
     rng = random.Random(109)
-    failures = 0
-    checked = 0
+    report = CheckReport("operator-axioms")
     space = random_metric_space(rng, 3)
-    for functor in _functor_families():
-        ctx = _ctx_for(functor, space)
+    for functor, cap, _injective in _naturality_cases():
+        ctx = _ctx(functor, space)
         phi, psi = dominated_pair(rng, space.n)
-        if isinstance(functor, WordsFunctor):
-            elements = list(functor.enumerate_elements(ctx, 2))
-        elif isinstance(functor, TransportFunctor):
-            elements = list(functor.enumerate_elements(ctx, 3))
-        else:
-            elements = list(functor.enumerate_elements(ctx, 0))
-        report = check_operator_axioms(functor, ctx, phi, psi, elements)
-        checked += report.checked
-        failures += len(report.failures)
-    return failures == 0, f"{checked} axiom checks, {failures} violations"
+        report.add(check_operator_axioms(functor, ctx, phi, psi, list(functor.enumerate_elements(ctx, cap))))
+    return report
 
 
-SUITES = [
-    ("extension-property", suite_extension_property),
-    ("pseudometric-axioms", suite_pseudometric_axioms),
-    ("hyperspace-coincidence", suite_hyperspace_coincidence),
-    ("power-coincidence", suite_power_coincidence),
-    ("transport-solver-vs-oracle", suite_transport_solver_vs_oracle),
-    ("words-search-vs-naive", suite_words_search_vs_naive),
-    ("lift-perturbation-bound", suite_lift_perturbation_bound),
-    ("naturality", suite_naturality),
-    ("operator-axioms", suite_operator_axioms),
+@dataclass(frozen=True)
+class Check:
+    """A row of the table: a check, the unit its count is in, and the
+    acceptance criterion it is at full scale (None: selftest only) with
+    its time budget and the number of checks it must make there."""
+
+    name: str
+    unit: str
+    run: Callable[[bool, str | None], CheckReport]
+    criterion: int | None = None
+    budget_s: float = 0.0
+    full_checks: int = 0
+
+    def detail(self, report: CheckReport) -> str:
+        return f"{report.checked} {self.unit}, {len(report.failures)} failures"
+
+
+CHECKS = [
+    Check("extension-property", "embedded pairs", extension_property, 1, 30, 7_908),
+    Check("pseudometric-axioms", "axiom checks", pseudometric_axioms, 6, 180, 9_828),
+    Check("hyperspace-coincidence", "subset pairs", hyperspace_coincidence, 2, 60, 1_740),
+    Check("power-coincidence", "tuple pairs", power_coincidence, 3, 10, 7_248),
+    Check("transport-solver-vs-oracle", "instances", transport_solver_vs_oracle, 4, 60, 200),
+    Check("words-search-vs-naive", "word pairs", words_search_vs_naive, 5, 120, 1_851),
+    Check("lift-perturbation-bound", "comparisons", lift_perturbation_bound, 7, 120, 2_050),
+    Check("naturality", "pushed elements", naturality, 8, 120, 2_890),
+    Check("operator-axioms", "axiom checks", operator_axioms),
 ]
 
 
 def run_selftest(inject_fault: str | None = None, out=None) -> bool:
+    """Run every check at the small scale, one PASS/FAIL line each."""
     out = out or sys.stdout
     if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {', '.join(FAULTS)}")
     all_ok = True
-    for name, suite in SUITES:
+    for check in CHECKS:
         try:
-            if name in ("transport-solver-vs-oracle", "words-search-vs-naive"):
-                ok, detail = suite(inject_fault)
-            else:
-                ok, detail = suite()
+            report = check.run(False, inject_fault)
+            ok, detail = report.ok, check.detail(report)
         except Exception as exc:
-            # A check that raises is a failed suite; the remaining suites still run.
+            # A check that raises is a failed check; the remaining checks still run.
             traceback.print_exc()
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
+        print(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail}", file=out)
     print(f"{'PASS' if all_ok else 'FAIL'} overall", file=out)
     return all_ok

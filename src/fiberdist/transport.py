@@ -57,12 +57,6 @@ class Distribution:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.mass)
 
-    def weight(self, i: int) -> Fraction:
-        for j, w in self.mass:
-            if j == i:
-                return w
-        return Fraction(0)
-
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.mass)
 
@@ -487,10 +481,10 @@ class TransportFunctor(Functor):
     def parse_element(self, obj, ctx) -> Distribution:
         if not isinstance(obj, dict) or not obj:
             raise ParseError("a distribution element is a JSON object of label -> rational mass")
-        return distribution({ctx.index(k): parse_scalar(v) for k, v in obj.items()})
-
-    def format_element(self, elem: Distribution, ctx) -> dict:
-        return {ctx.points[i]: format_scalar(w) for i, w in elem.items()}
+        mass = {ctx.index(k): parse_scalar(v) for k, v in obj.items()}
+        if any(w < 0 for w in mass.values()):
+            raise ParseError("distribution masses must be nonnegative")
+        return distribution(mass)
 
     def format_coupling(self, coupling: TransportPlan, ctx) -> list:
         return [[ctx.points[i], ctx.points[j], format_scalar(w)] for (i, j), w in coupling.items()]

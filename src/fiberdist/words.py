@@ -840,9 +840,6 @@ class WordsFunctor(Functor):
     def parse_element(self, obj, ctx) -> GroupWord:
         return parse_word(obj, ctx, self.commutative)
 
-    def format_element(self, elem: GroupWord, ctx) -> list:
-        return format_word(elem, ctx)
-
     def format_coupling(self, coupling: ProperRepresentationPair, ctx) -> list:
         pts = ctx.space.points
         return [[pts[x1], pts[x2], s] for x1, x2, s in coupling.rows]

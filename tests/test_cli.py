@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from fiberdist.extension import FAULTS
+
 CMD = [sys.executable, "-m", "fiberdist.cli"]
 
 TWO_POINT = {
@@ -25,6 +27,10 @@ BAD_TRIANGLE = {
     "matrix": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
     "mode": "metric",
 }
+
+
+# The one selftest check each fault must fail.
+FAULT_TARGETS = {"transport-solver": "transport-solver-vs-oracle", "words-dp": "words-search-vs-naive"}
 
 
 def run_cli(*args):
@@ -302,6 +308,19 @@ class TestBatch:
             assert response["exit_code"] == 1
             assert next(iter(fields)) in response["error"]
 
+    def test_bad_elements_fail_only_their_entries(self, tmp_path):
+        space_path = write_space(tmp_path, TWO_POINT)
+        good = {"command": "dist", "functor": "transport", "space": space_path, "a": {"x": "1"}, "b": {"y": "1"}}
+        negative_mass = {**good, "b": {"x": "-1", "y": "2"}}
+        empty_tuple = {**good, "functor": "power", "a": [], "b": []}
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps([good, negative_mass, empty_tuple, good]))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert [response["exit_code"] for response in payload] == [0, 1, 1, 0]
+        assert all(set(response) == {"error", "exit_code"} for response in payload[1:3])
+
     def test_space_file_loaded_once_per_batch(self, tmp_path, monkeypatch, capsys):
         from fiberdist import cli
 
@@ -379,29 +398,19 @@ class TestSelftest:
         second = run_cli("selftest")
         assert first == second
 
-    def test_checks_hold_without_asserts(self):
-        optimized = [sys.executable, "-O", "-m", "fiberdist.cli", "selftest"]
-        clean = subprocess.run(optimized, capture_output=True, text=True)
-        assert clean.returncode == 0
-        faulty = subprocess.run(optimized + ["--inject-fault", "transport-solver"], capture_output=True, text=True)
-        assert faulty.returncode != 0
+    def test_clean_build_exits_0_without_asserts(self):
+        proc = subprocess.run([sys.executable, "-O", *CMD[1:], "selftest"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout
 
-    def test_fault_injection_fails_solver_suite(self):
-        code, out, _ = run_cli("selftest", "--inject-fault", "transport-solver")
-        assert code != 0
-        assert any(
-            line.startswith("FAIL transport-solver-vs-oracle") for line in out.splitlines()
-        )
-
-    @pytest.mark.parametrize("flags", [[], ["-O"]])
-    def test_words_dp_fault_fails_words_suite(self, flags):
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_fault_fails_exactly_its_check(self, fault, flags):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "fiberdist.cli", "selftest", "--inject-fault", "words-dp"],
-            capture_output=True,
-            text=True,
+            [sys.executable, *flags, *CMD[1:], "selftest", "--inject-fault", fault], capture_output=True, text=True
         )
-        assert proc.returncode != 0
-        assert any(line.startswith("FAIL words-") for line in proc.stdout.splitlines())
+        assert proc.returncode == 1
+        failed = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+        assert failed == [f"FAIL {FAULT_TARGETS[fault]}", "FAIL overall"]
 
 
 def test_cli_import_leaves_selftest_and_sampling_unloaded():
