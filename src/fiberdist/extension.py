@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .core import PairTable, scale_to_integers
@@ -29,7 +30,7 @@ PointFn = Callable[[Any], Fraction]
 # Testing hooks for `dist` and `selftest`: each corrupts one specialized
 # solver's value (see `reported_value`) so the check comparing it with its
 # oracle can be seen to fail.
-FAULTS = ("transport-solver", "words-dp")
+FAULTS = ("transport-solver", "words-dp", "hausdorff", "power")
 
 
 class EmptyFiberError(RuntimeError):
@@ -85,11 +86,12 @@ class Functor:
         """The lifted value of ``fn`` on an element or coupling.
 
         The same rule serves both: elements are lifted with functions of one
-        point, couplings with functions of index pairs.  For every k > 0,
-        lift(k*fn, c) must be a strictly increasing function of lift(fn, c)
-        that fixes 0 (sums, maxima and integrals scale by k, sums of p-th
-        powers by k**p), because :func:`extend_generic` ranks couplings and
-        tests for zero on the table scaled to integers.
+        point, couplings with functions of index pairs.  The lift must be
+        positively homogeneous: lift(k*fn, c) == k**deg * lift(fn, c) for
+        every k > 0 and a fixed degree deg >= 1 (sums, maxima and integrals
+        have degree 1, sums of p-th powers degree p), because
+        :func:`extend_generic` and :func:`check_lipschitz` rank couplings,
+        compare gaps and test for zero on tables scaled to integers.
         """
         raise NotImplementedError
 
@@ -156,14 +158,15 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
     """
     functor.validate_element(a, ctx)
     functor.validate_element(b, ctx)
-    int_table = PairTable(scale_to_integers(table.values)[1])
-    stop_at_zero = early_exit and int_table.is_nonnegative()
+    (int_table,) = _integer_tables(table)
+    stop_at_zero = early_exit and min(int_table.values()) >= 0
+    rank = int_table.__getitem__
     lift = functor.lift
     best = None
     witness = None
     count = 0
     for coupling in functor.fiber(a, b, ctx):
-        value = lift(int_table, coupling)
+        value = lift(rank, coupling)
         count += 1
         if best is None or value < best:
             best, witness = value, coupling
@@ -174,15 +177,25 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
     return ExtensionResult(Fraction(lift(table, witness)), witness, count, functor.capped_fiber and best != 0)
 
 
+def _integer_tables(*tables: PairTable) -> list[dict[tuple[int, int], int]]:
+    """The tables scaled to integers by one common denominator, as dicts
+    keyed by index pair, so that lifts look entries up in C."""
+    rows = iter(scale_to_integers([row for table in tables for row in table.values])[1])
+    return [{(i, j): v for i, row in zip(range(table.n), rows) for j, v in enumerate(row)} for table in tables]
+
+
 def reported_value(functor: Functor, result: ExtensionResult, fault: str | None = None) -> Fraction:
     """The value a specialized ``result`` of ``functor`` reports.
 
     This is the one place a fault corrupts a value: it adds 1 when ``fault``
     names the solver that produced ``result``.  ``transport-solver`` is the
     transport solver; ``words-dp`` is the exact word path, the only
-    specialized answer that settles no search state or coupling.
+    specialized answer that settles no search state or coupling;
+    ``hausdorff`` is the max-min subset distance and ``power`` the tuple
+    closed form.
     """
-    solver = {"transport-solver": functor.name == "transport", "words-dp": result.fiber_size_enumerated == 0}
+    solver = {"transport-solver": functor.name == "transport", "words-dp": result.fiber_size_enumerated == 0,
+              "hausdorff": functor.name == "hyperspace", "power": functor.name.startswith("power[")}
     return result.value + 1 if solver.get(fault) else result.value
 
 
@@ -293,32 +306,37 @@ def check_lipschitz(
     union of the enumerated fibers.
 
     Both extended values are taken as minima over the same enumerated fiber,
-    computed in one pass per pair.
+    computed in one pass per pair on both tables scaled to integers by one
+    common denominator (see :meth:`Functor.lift`); the couplings attaining
+    the reported gaps are lifted again on the tables themselves.
     """
     report = CheckReport(f"lift-perturbation-bound[{functor.name}]")
-    max_value_gap = Fraction(0)
-    max_lift_gap = Fraction(0)
+    lift = functor.lift
+    rank1, rank2 = (table.__getitem__ for table in _integer_tables(table1, table2))
+
+    def gap(c1, c2) -> Fraction:
+        return Fraction(0) if c1 is None else abs(lift(table1, c1) - lift(table2, c2))
+
+    # (integer gap, coupling lifted on table1, coupling lifted on table2)
+    max_value_gap = max_lift_gap = (0, None, None)
     for a, b in element_pairs:
-        min1 = min2 = None
-        pair_lift_gap = Fraction(0)
-        for coupling in functor.fiber(a, b, ctx):
-            v1 = functor.lift(table1, coupling)
-            v2 = functor.lift(table2, coupling)
-            min1 = v1 if min1 is None else min(min1, v1)
-            min2 = v2 if min2 is None else min(min2, v2)
-            pair_lift_gap = max(pair_lift_gap, abs(v1 - v2))
-        if min1 is None:
+        lifted = [(lift(rank1, c), lift(rank2, c), c) for c in functor.fiber(a, b, ctx)]
+        if not lifted:
             raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
-        gap = abs(min1 - min2)
+        min1, _, best1 = min(lifted, key=itemgetter(0))
+        _, min2, best2 = min(lifted, key=itemgetter(1))
+        v1, v2, widest = max(lifted, key=lambda t: abs(t[0] - t[1]))
+        value_gap, lift_gap = (abs(min1 - min2), best1, best2), (abs(v1 - v2), widest, widest)
         report.checked += 1
-        if gap > pair_lift_gap:
-            report.fail(f"pair ({a!r},{b!r}): |{min1} - {min2}| > fiber sup {pair_lift_gap}")
-        max_value_gap = max(max_value_gap, gap)
-        max_lift_gap = max(max_lift_gap, pair_lift_gap)
+        if value_gap[0] > lift_gap[0]:
+            lifts = f"|{lift(table1, best1)} - {lift(table2, best2)}|"
+            report.fail(f"pair ({a!r},{b!r}): {lifts} > fiber sup {gap(widest, widest)}")
+        max_value_gap = max(max_value_gap, value_gap, key=itemgetter(0))
+        max_lift_gap = max(max_lift_gap, lift_gap, key=itemgetter(0))
     report.checked += 1
-    if max_value_gap > max_lift_gap:
-        report.fail(f"global: value gap {max_value_gap} > lifted-table gap {max_lift_gap}")
-    report.notes.append(f"value gap {max_value_gap} <= lift gap {max_lift_gap}")
+    if max_value_gap[0] > max_lift_gap[0]:
+        report.fail(f"global: value gap {gap(*max_value_gap[1:])} > lifted-table gap {gap(*max_lift_gap[1:])}")
+    report.notes.append(f"value gap {gap(*max_value_gap[1:])} <= lift gap {gap(*max_lift_gap[1:])}")
     return report
 
 

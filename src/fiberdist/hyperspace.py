@@ -44,7 +44,7 @@ class SubsetCoupling:
 
 def sup_lift(fn, members: Iterable) -> Fraction:
     """Finite sup of fn over a nonempty collection of points or pairs."""
-    return max(fn(m) for m in members)
+    return max(map(fn, members))
 
 
 def hausdorff(table: PairTable, a: Subset, b: Subset) -> Fraction:
@@ -74,28 +74,23 @@ def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -
     """Every subset of A x B whose projections are exactly A and B.
 
     Exhaustive, so it contains a minimizer of any lift.  Enumeration order
-    (ascending bitmask over the row-major cell grid) is deterministic.
+    (ascending bitmask over the row-major cell grid) is deterministic.  The
+    rows and columns a mask covers are those of ``mask ^ lowbit`` plus its
+    lowest cell's, one lookup per mask.
     """
     cells = [(x, y) for x in a.members for y in b.members]
     k = len(cells)
     if k > max_cells:
         raise FiberCapExceeded(f"{k} cells exceed the enumeration cap {max_cells}")
     na, nb = len(a.members), len(b.members)
-    row_of = {x: r for r, x in enumerate(a.members)}
-    col_of = {y: c for c, y in enumerate(b.members)}
-    full_rows = (1 << na) - 1
-    full_cols = (1 << nb) - 1
+    # Bit r of a cover is row r, bit na + c is column c.
+    cell_cover = [1 << r | 1 << (na + c) for r in range(na) for c in range(nb)]
+    full = (1 << (na + nb)) - 1
+    cover = [0] * (1 << k)
     for mask in range(1, 1 << k):
-        rows = cols = 0
-        m = mask
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            x, y = cells[idx]
-            rows |= 1 << row_of[x]
-            cols |= 1 << col_of[y]
-            m ^= low
-        if rows == full_rows and cols == full_cols:
+        low = mask & -mask
+        cover[mask] = covered = cover[mask ^ low] | cell_cover[low.bit_length() - 1]
+        if covered == full:
             yield SubsetCoupling(tuple(cells[i] for i in range(k) if mask >> i & 1))
 
 

@@ -61,11 +61,11 @@ class PNorm:
 
 def power_lift(fn, coords: Sequence, norm: PNorm) -> Fraction:
     """max of fn over coordinates, or the exact sum of its p-th powers."""
-    values = [fn(c) for c in coords]
-    for c, v in zip(coords, values):
-        if v < 0:
-            # Named by coordinate: fn may be a table scaled to integers.
-            raise ValueError(f"power lifts require nonnegative values, negative at {c!r}")
+    values = list(map(fn, coords))
+    if min(values, default=0) < 0:
+        # Named by coordinate: fn may be a table scaled to integers.
+        c = next(c for c, v in zip(coords, values) if v < 0)
+        raise ValueError(f"power lifts require nonnegative values, negative at {c!r}")
     if norm.is_max:
         return max(values)
     return sum((v**norm.p for v in values), Fraction(0))

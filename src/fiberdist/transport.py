@@ -15,14 +15,14 @@ The solver keeps no potentials: ``dual_certificate`` runs its own
 Bellman-Ford on the final plan to produce exact dual potentials that
 certify optimality.
 
-The independent oracle enumerates every vertex of the transportation
-polytope by solving each spanning tree of the support grid, which is
-exhaustive for minimizing any linear lift.
+The independent oracle walks the spanning trees of the support grid
+directly, a depth-first pass that skips every cell closing a cycle, and
+solves each one; the nonnegative solutions are exactly the vertices of the
+transportation polytope, which is exhaustive for minimizing any linear lift.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -319,86 +319,87 @@ def fiber_vertices(
 
     Every spanning tree of the complete bipartite support grid determines a
     unique flow by leaf stripping; the nonnegative ones are exactly the
-    basic feasible solutions, i.e. the vertices.  Degenerate vertices arise
-    from several trees and are deduplicated.  Trees are solved on the masses
-    scaled to integers by their common denominator D.
+    basic feasible solutions, i.e. the vertices.  The trees are walked
+    directly (see :func:`_spanning_trees`), in the lexicographic order of
+    their row-major cells.  Degenerate vertices arise from several trees and
+    are deduplicated.  Trees are solved on the masses scaled to integers by
+    their common denominator D.
     """
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
     if m * n > max_cells:
         raise FiberCapExceeded(f"{m}x{n} support exceeds the vertex enumeration cap {max_cells}")
-    cells = [(a, b) for a in range(m) for b in range(n)]
-    need = m + n - 1
     seen = set()
     den, (mu_w, nu_w) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
-    for tree in itertools.combinations(cells, need):
-        if not _is_spanning_tree(tree, m, n):
-            continue
-        masses = _solve_tree(tree, mu_w, nu_w, m, n)
+    for tree in _spanning_trees(m, n):
+        masses = _solve_tree(tree, mu_w + nu_w, m)
         if masses is None:
             continue
-        flow = tuple(
-            sorted(((rows[a], cols[b]), w) for (a, b), w in zip(tree, masses) if w > 0)
-        )
+        # Tree cells are in row-major order, so the flow is sorted.
+        flow = tuple(((rows[a], cols[b]), w) for (a, b), w in zip(tree, masses) if w > 0)
         if flow in seen:
             continue
         seen.add(flow)
         yield TransportPlan(tuple((cell, Fraction(w, den)) for cell, w in flow))
 
 
-def _is_spanning_tree(tree, m, n) -> bool:
-    parent = list(range(m + n))
+def _spanning_trees(m: int, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Spanning trees of K_{m,n} as tuples of (row, column) cells.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A depth-first walk over the row-major cells that skips every cell
+    closing a cycle; an acyclic set of m + n - 1 edges on the m + n nodes is
+    a spanning tree.  Trees come out in the order ``itertools.combinations``
+    lists their cell sets.  ``label`` names each node's component (rows are
+    nodes 0..m-1, columns m..m+n-1).
+    """
+    cells = [(a, b) for a in range(m) for b in range(n)]
+    need = m + n - 1
 
-    merged = 0
-    for a, b in tree:
-        ra, rb = find(a), find(m + b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        merged += 1
-    return merged == m + n - 1
+    def extend(tree: tuple, label: list, start: int):
+        if len(tree) == need:
+            yield tree
+            return
+        for i in range(start, len(cells) - (need - len(tree)) + 1):
+            a, b = cells[i]
+            keep, gone = label[a], label[m + b]
+            if keep != gone:
+                yield from extend(tree + (cells[i],), [keep if c == gone else c for c in label], i + 1)
+
+    return extend((), list(range(m + n)), 0)
 
 
-def _solve_tree(tree, mu_w, nu_w, m, n):
-    """Unique flow carried by a spanning tree, or None if any mass < 0."""
-    need_row = list(mu_w)
-    need_col = list(nu_w)
-    adj: dict = {("r", a): [] for a in range(m)}
-    adj.update({("c", b): [] for b in range(n)})
+def _solve_tree(tree, need: list[int], m: int):
+    """Unique flow carried by a spanning tree, or None if any mass < 0.
+
+    ``need`` holds the integer masses indexed by node (rows, then columns).
+    Leaves are stripped one per edge; a node's XOR of incident edge indices
+    names its last live edge once it is a leaf.
+    """
+    need = list(need)
+    degree = [0] * len(need)
+    edges = [0] * len(need)
     for idx, (a, b) in enumerate(tree):
-        adj[("r", a)].append((("c", b), idx))
-        adj[("c", b)].append((("r", a), idx))
-    masses = [None] * len(tree)
-    degree = {node: len(edges) for node, edges in adj.items()}
-    leaves = [node for node, dcount in degree.items() if dcount == 1]
-    removed = [False] * len(tree)
-    while leaves:
+        degree[a] += 1
+        degree[m + b] += 1
+        edges[a] ^= idx
+        edges[m + b] ^= idx
+    leaves = [node for node, dcount in enumerate(degree) if dcount == 1]
+    masses = [0] * len(tree)
+    for _ in tree:
         node = leaves.pop()
-        live = [(other, idx) for other, idx in adj[node] if not removed[idx]]
-        if not live:
-            continue
-        (other, idx) = live[0]
-        kind, pos = node
-        w = need_row[pos] if kind == "r" else need_col[pos]
+        w = need[node]
         if w < 0:
             return None
+        idx = edges[node]
         masses[idx] = w
         a, b = tree[idx]
-        need_row[a] -= w
-        need_col[b] -= w
-        removed[idx] = True
+        other = m + b if node == a else a
+        need[other] -= w
+        edges[other] ^= idx
         degree[other] -= 1
         if degree[other] == 1:
             leaves.append(other)
-    if any(w is None for w in masses) or any(w < 0 for w in masses):
-        return None
     return masses
 
 

@@ -39,7 +39,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from . import transport  # by module, so a tracer that patches kantorovich sees these calls
 from .core import FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, scale_to_integers, validate_space
@@ -169,7 +170,7 @@ class ProperRepresentationPair:
         return tuple((b, s) for _a, b, s in self.rows)
 
 
-def letter_sum_lift(fn, keys: Sequence, variant: str) -> Fraction:
+def letter_sum_lift(fn, keys: Iterable, variant: str) -> Fraction:
     """Sum fn over all positions (graev) or over distinct keys only
     (swierczkowski); keys are points for words, pairs for representations."""
     if variant == GRAEV:
@@ -181,8 +182,8 @@ def letter_sum_lift(fn, keys: Sequence, variant: str) -> Fraction:
 
 def word_lift(fn, item, variant: str) -> Fraction:
     if isinstance(item, ProperRepresentationPair):
-        return letter_sum_lift(fn, [(a, b) for a, b, _s in item.rows], variant)
-    return letter_sum_lift(fn, [x for x, _s in item.letters], variant)
+        return letter_sum_lift(fn, map(itemgetter(0, 1), item.rows), variant)
+    return letter_sum_lift(fn, map(itemgetter(0), item.letters), variant)
 
 
 def default_cap(a: GroupWord, b: GroupWord) -> int:
@@ -304,36 +305,36 @@ def enumerate_proper_representations(
     ltarget, rtarget = left.target, right.target
     successors: dict[tuple, list] = {}
 
-    def expand(lkey: tuple, rkey: tuple, depth: int) -> list:
-        # The feasible rows (x, y, s) in sign, then x, then y order, each
-        # with the next prefixes and whether they complete a representation.
-        key = (lkey, rkey, depth)
-        out = successors.get(key)
-        if out is None:
-            remaining = cap - depth - 1
-            ltable, rtable = left[lkey], right[rkey]
-            out = []
-            for s in (1, -1):
-                neg = s == -1
-                ys = [(y, rnext) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining]
-                for x, (lnext, lneed) in enumerate(ltable[neg::2]):
-                    if lneed <= remaining:
-                        done = lnext == ltarget
-                        out.extend(((x, y, s), lnext, rnext, done and rnext == rtarget) for y, rnext in ys)
-            successors[key] = out
+    def expand(key: tuple) -> list:
+        # The feasible rows (x, y, s) of state (lkey, rkey, depth) in sign, then x, then y
+        # order, each with the state it leads to and whether that completes a representation.
+        lkey, rkey, depth = key
+        remaining = cap - depth - 1
+        ltable, rtable = left[lkey], right[rkey]
+        out = []
+        for s in (1, -1):
+            neg = s == -1
+            ys = [(y, rnext) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining]
+            for x, (lnext, lneed) in enumerate(ltable[neg::2]):
+                if lneed <= remaining:
+                    done = lnext == ltarget
+                    out.extend(((x, y, s), (lnext, rnext, depth + 1), done and rnext == rtarget) for y, rnext in ys)
+        successors[key] = out
         return out
 
     def stream() -> Iterator[ProperRepresentationPair]:
         if ltarget == () and rtarget == ():
             yield ProperRepresentationPair(())
         rows: list[tuple[int, int, int]] = []
-        stack = [iter(expand((), (), 0))]  # stack[d] walks the rows at depth d
+        stack = [iter(expand(((), (), 0)))]  # stack[d] walks the rows at depth d
         while stack:
-            for row, lnext, rnext, done in stack[-1]:
+            for row, key, done in stack[-1]:
                 rows.append(row)
                 if done:
                     yield ProperRepresentationPair(tuple(rows))
-                below = expand(lnext, rnext, len(rows))
+                below = successors.get(key)
+                if below is None:
+                    below = expand(key)
                 if below:
                     stack.append(iter(below))
                     break
@@ -677,14 +678,17 @@ def naive_word_distance(
     commutative = a.commutative
     best = None
     count = 0
+
+    def reducing_to(word: GroupWord, signs: tuple) -> list[tuple]:
+        strings = itertools.product(range(n), repeat=len(signs))
+        return [xs for xs in strings if reduce_letters(list(zip(xs, signs)), commutative, pointed) == word]
+
     for length in range(cap + 1):
         for signs in itertools.product((1, -1), repeat=length):
-            for xs in itertools.product(range(n), repeat=length):
-                if reduce_letters(list(zip(xs, signs)), commutative, pointed) != a:
-                    continue
-                for ys in itertools.product(range(n), repeat=length):
-                    if reduce_letters(list(zip(ys, signs)), commutative, pointed) != b:
-                        continue
+            lefts = reducing_to(a, signs)
+            rights = reducing_to(b, signs) if lefts else []
+            for xs in lefts:
+                for ys in rights:
                     count += 1
                     cost = letter_sum_lift(
                         lambda p: dist[p[0]][p[1]], list(zip(xs, ys)), variant

@@ -30,7 +30,12 @@ BAD_TRIANGLE = {
 
 
 # The one selftest check each fault must fail.
-FAULT_TARGETS = {"transport-solver": "transport-solver-vs-oracle", "words-dp": "words-search-vs-naive"}
+FAULT_TARGETS = {
+    "transport-solver": "transport-solver-vs-oracle",
+    "words-dp": "words-search-vs-naive",
+    "hausdorff": "hyperspace-coincidence",
+    "power": "power-coincidence",
+}
 
 
 def run_cli(*args):
@@ -217,6 +222,20 @@ class TestDist:
         assert payload["specialized"]["value"] == "6"
         assert payload["generic"]["value"] == "5"
         assert payload["specialized"]["witness"]
+
+    @pytest.mark.parametrize(
+        "fault,args",
+        [("hausdorff", ("hyperspace", '["x"]', '["x","y"]')), ("power", ("power", '["x","x"]', '["y","x"]'))],
+    )
+    def test_fault_mismatches_its_instance_exit_3(self, tmp_path, fault, args):
+        path = write_space(tmp_path, TWO_POINT)
+        functor, a, b = args
+        common = ("dist", functor, "--method", "both", "--space", path, "--a", a, "--b", b)
+        assert run_cli(*common)[0] == 0
+        code, out, _ = run_cli(*common, "--inject-fault", fault)
+        assert code == 3
+        payload = json.loads(out)
+        assert (payload["specialized"]["value"], payload["generic"]["value"]) == ("6", "5")
 
     def test_deterministic_output(self, tmp_path):
         path = write_space(tmp_path, WORDS_SPACE)

@@ -204,6 +204,59 @@ class TestIntegerMinimum:
                             assert (functor.lift(table, c1) == 0) == (functor.lift(other, c1) == 0), functor.name
 
 
+def reference_check_lipschitz(functor, ctx, table1, table2, element_pairs):
+    """The perturbation check lifting both rational tables on every coupling."""
+    checked, failures = 0, []
+    max_value_gap = max_lift_gap = F(0)
+    for a, b in element_pairs:
+        lifted = [(functor.lift(table1, c), functor.lift(table2, c)) for c in functor.fiber(a, b, ctx)]
+        min1, min2 = min(v1 for v1, _ in lifted), min(v2 for _, v2 in lifted)
+        pair_lift_gap = max([F(0)] + [abs(v1 - v2) for v1, v2 in lifted])
+        checked += 1
+        if abs(min1 - min2) > pair_lift_gap:
+            failures.append(f"pair ({a!r},{b!r}): |{min1} - {min2}| > fiber sup {pair_lift_gap}")
+        max_value_gap = max(max_value_gap, abs(min1 - min2))
+        max_lift_gap = max(max_lift_gap, pair_lift_gap)
+    return checked + 1, failures, [f"value gap {max_value_gap} <= lift gap {max_lift_gap}"]
+
+
+class TestIntegerLipschitz:
+    @pytest.mark.parametrize("k", [F(2), F(7, 3)])
+    def test_lift_is_homogeneous(self, k):
+        # check_lipschitz compares lift gaps on tables scaled to integers,
+        # which needs lift(k*t, c) == k**deg * lift(t, c) for a fixed degree.
+        rng = random.Random(62)
+        for functor in functor_instances():
+            deg = functor.norm.p if isinstance(functor, PowerFunctor) and not functor.norm.is_max else 1
+            space = random_metric_space(rng, 3, den_max=7)
+            ctx = make_ctx(functor, space)
+            for table in sample_tables(rng, space)[:3]:
+                a = sample_element(rng, functor, ctx)
+                b = sample_element(rng, functor, ctx)
+                for c in itertools.islice(functor.fiber(a, b, ctx), 12):
+                    assert functor.lift(table.scale(k), c) == k**deg * functor.lift(table, c), functor.name
+
+
+    @pytest.mark.parametrize("index", range(len(functor_instances())))
+    def test_matches_the_rational_check(self, index):
+        # Same counts and byte-identical notes, with tables of different
+        # denominators (61-bit ones among them) as the two sides.
+        functor = functor_instances()[index]
+        rng = random.Random(100 + index)
+        for _ in range(2):
+            space = random_metric_space(rng, 3, den_max=7)
+            ctx = make_ctx(functor, space)
+            if isinstance(functor, WordsFunctor):  # total length <= 3 keeps the rational reference fast
+                pairs = [tuple(random_word(rng, ctx, k, functor.commutative) for k in (1, 2))]
+            else:
+                pairs = [(sample_element(rng, functor, ctx), sample_element(rng, functor, ctx)) for _ in range(2)]
+            for t1, t2 in itertools.permutations(sample_tables(rng, space)[:3], 2):
+                report = check_lipschitz(functor, ctx, t1, t2, pairs)
+                assert (report.checked, report.failures, report.notes) == reference_check_lipschitz(
+                    functor, ctx, t1, t2, pairs
+                )
+
+
 class TestMarginalSoundness:
     def test_every_coupling_projects_correctly(self):
         rng = random.Random(10)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -120,6 +121,29 @@ class TestFiberSubsets:
         for c in fiber_subsets(a, b):
             assert {x for x, _ in c.pairs} == set(a.members)
             assert {y for _, y in c.pairs} == set(b.members)
+
+
+# Subset streams of the per-mask cover scan: the number of couplings and a
+# sha256 prefix of the ordered couplings, per pair of SUBSET_SHAPES subsets.
+SUBSET_STREAMS = [
+    (1, "1586ce528a79bda0"),
+    (25, "e810ea52cdea1d88"),
+    (265, "8095894b014ed56a"),
+    (727, "7701dd1717964d29"),
+    (2161, "2aaf355d9b2d5e57"),
+    (2161, "12f60e05c9dedb95"),
+]
+SUBSET_SHAPES = [(1, 4), (2, 3), (3, 3), (2, 6), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("seed", range(len(SUBSET_STREAMS)))
+def test_subset_stream_is_pinned(seed):
+    m, n = SUBSET_SHAPES[seed]
+    rng = random.Random(seed)
+    a, b = Subset(tuple(rng.sample(range(6), m))), Subset(tuple(rng.sample(range(6), n)))
+    couplings = list(fiber_subsets(a, b))
+    text = "\n".join(" ".join(f"{x},{y}" for x, y in c.pairs) for c in couplings)
+    assert (len(couplings), hashlib.sha256(text.encode()).hexdigest()[:16]) == SUBSET_STREAMS[seed]
 
 
 class TestCoincidence:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from fiberdist.transport import (
     MiddleMarginalError,
     TransportFunctor,
     UnbalancedMassError,
+    _spanning_trees,
     distribution,
     fiber_vertices,
     glue_plans,
@@ -206,6 +208,36 @@ def test_vertex_stream_is_pinned(seed):
     assert all(type(w) is F for plan in plans for _cell, w in plan.items())
     text = "\n".join(" ".join(f"{i},{j},{w}" for (i, j), w in plan.items()) for plan in plans)
     assert (len(plans), hashlib.sha256(text.encode()).hexdigest()[:16]) == VERTEX_STREAMS[seed]
+
+
+def reference_spanning_trees(m, n):
+    """Every (m+n-1)-subset of the row-major cells that union-find finds
+    acyclic, in ``itertools.combinations`` order: the enumeration the
+    spanning-tree walk replaced."""
+    cells = [(a, b) for a in range(m) for b in range(n)]
+    for tree in itertools.combinations(cells, m + n - 1):
+        parent = list(range(m + n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in tree:
+            ra, rb = find(a), find(m + b)
+            if ra == rb:
+                break
+            parent[ra] = rb
+        else:
+            yield tree
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 21) for n in range(1, 21) if m * n <= 20])
+def test_spanning_tree_walk_matches_filtered_combinations(m, n):
+    trees = list(_spanning_trees(m, n))
+    assert trees == list(reference_spanning_trees(m, n))
+    assert len(trees) == m ** (n - 1) * n ** (m - 1)  # Scoins' formula for K_{m,n}
 
 
 class TestSolverVsOracle:
