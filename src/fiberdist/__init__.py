@@ -23,18 +23,7 @@ from .core import (
     space_from_obj,
     validate_space,
 )
-from .extension import (
-    CheckReport,
-    EmptyFiberError,
-    ExtensionResult,
-    Functor,
-    check_extension_property,
-    check_lipschitz,
-    check_naturality,
-    check_operator_axioms,
-    check_pseudometric_axioms,
-    extend_generic,
-)
+from .extension import EmptyFiberError, ExtensionResult, Functor, extend_generic
 from .hyperspace import (
     HyperspaceFunctor,
     Subset,

@@ -15,7 +15,6 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +23,45 @@ Scalar = Fraction
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 MODES = ("metric", "pseudometric")
+
+set_field = object.__setattr__
+
+
+class Value:
+    """An immutable record, compared, hashed and shown by its fields.
+
+    Subclasses name their fields in ``__slots__`` and fill them in their
+    ``__init__``, with :meth:`_set` or, on hot paths, ``set_field``: the
+    record's own ``__setattr__`` refuses every assignment.  Values are equal
+    only to values of the same class; the repr is ``Class(field=..., ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            set_field(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ParseError(ValueError):
@@ -74,17 +112,17 @@ def decimal_str(x: Fraction, digits: int = 10) -> str:
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Value):
     """Labeled points with an exact symmetric distance matrix.
 
     Instances are built through :func:`validate_space` (or the JSON loader),
     which is the single gate enforcing the axioms for the requested mode.
     """
 
-    points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
-    mode: str = "metric"
+    __slots__ = ("points", "dist", "mode")
+
+    def __init__(self, points: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...], mode: str = "metric"):
+        self._set(points, dist, mode)
 
     @property
     def n(self) -> int:
@@ -265,13 +303,13 @@ def canonical_space_json(space: FiniteMetricSpace, basepoint: str | None = None)
     return json.dumps(canonical_space_obj(space, basepoint), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Value):
     """A total map between spaces, stored as target indices per source index."""
 
-    source: FiniteMetricSpace
-    target: FiniteMetricSpace
-    assignment: tuple[int, ...]
+    __slots__ = ("source", "target", "assignment")
+
+    def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace, assignment: tuple[int, ...]):
+        self._set(source, target, assignment)
 
     def __call__(self, i: int) -> int:
         return self.assignment[i]
@@ -294,14 +332,13 @@ def identity_map(space: FiniteMetricSpace) -> PointMap:
     return PointMap(space, space, tuple(range(space.n)))
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(Value):
     """A function on X x X with exact rational values, callable on (i, j)."""
 
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
+    def __init__(self, values):
+        self._set(tuple(tuple(row) for row in values))
 
     @property
     def n(self) -> int:

@@ -9,37 +9,34 @@ minimum over all couplings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import PairTable, ParseError
+from .core import PairTable, ParseError, Value, set_field
 from .extension import ElementDomainError, FiberCapExceeded, Functor
 
 DEFAULT_MAX_CELLS = 16
 
 
-@dataclass(frozen=True)
-class Subset:
-    members: tuple[int, ...]
+class Subset(Value):
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple[int, ...]):
+        if not members:
             raise ValueError("subsets must be nonempty")
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        self._set(tuple(sorted(set(members))))
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SubsetCoupling:
-    pairs: tuple[tuple[int, int], ...]
+class SubsetCoupling(Value):
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        if not pairs:
             raise ValueError("couplings must be nonempty")
-        object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
+        set_field(self, "pairs", tuple(sorted(set(pairs))))
 
 
 def sup_lift(fn, members: Iterable) -> Fraction:
@@ -76,7 +73,8 @@ def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -
     Exhaustive, so it contains a minimizer of any lift.  Enumeration order
     (ascending bitmask over the row-major cell grid) is deterministic.  The
     rows and columns a mask covers are those of ``mask ^ lowbit`` plus its
-    lowest cell's, one lookup per mask.
+    lowest cell's, one lookup per mask.  A mask's pairs are sorted and
+    distinct, so its coupling skips the constructor's re-sort.
     """
     cells = [(x, y) for x in a.members for y in b.members]
     k = len(cells)
@@ -87,11 +85,14 @@ def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -
     cell_cover = [1 << r | 1 << (na + c) for r in range(na) for c in range(nb)]
     full = (1 << (na + nb)) - 1
     cover = [0] * (1 << k)
+    new = object.__new__
     for mask in range(1, 1 << k):
         low = mask & -mask
         cover[mask] = covered = cover[mask ^ low] | cell_cover[low.bit_length() - 1]
         if covered == full:
-            yield SubsetCoupling(tuple(cells[i] for i in range(k) if mask >> i & 1))
+            coupling = new(SubsetCoupling)
+            set_field(coupling, "pairs", tuple(cells[i] for i in range(k) if mask >> i & 1))
+            yield coupling
 
 
 class HyperspaceFunctor(Functor):

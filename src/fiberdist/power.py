@@ -12,28 +12,27 @@ too tight to decide are reported as undecided, never passed silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import PairTable, ParseError, decimal_str
+from .core import PairTable, ParseError, Value, decimal_str
 from .extension import ElementDomainError, Functor
 
 ROOT_SCALE_DIGITS = 31
 
 
-@dataclass(frozen=True)
-class PNorm:
+class PNorm(Value):
     """Either the max norm (p is None) or an integer exponent p >= 1."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or isinstance(self.p, bool):
-                raise ParseError(f"finite norm exponent must be an integer, got {self.p!r}")
-            if self.p < 1:
-                raise ParseError(f"finite norm exponent must be >= 1, got {self.p}")
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ParseError(f"finite norm exponent must be an integer, got {p!r}")
+            if p < 1:
+                raise ParseError(f"finite norm exponent must be >= 1, got {p}")
+        self._set(p)
 
     @property
     def is_max(self) -> bool:

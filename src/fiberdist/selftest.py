@@ -1,4 +1,9 @@
-"""One table of verification checks, run at two scales.
+"""Property harnesses and one table of verification checks, run at two scales.
+
+The ``check_*`` harnesses assert on samples what the package rests on: the
+extended distance restricts to the base one, is a pseudometric, moves by at
+most the lifted tables' sup-distance, and commutes with point maps.  Only
+the checks below and the tests run them, so no request imports them.
 
 Each row of :data:`CHECKS` holds a check ``run(full, fault) -> CheckReport``
 that draws its inputs from a fixed seed.  ``fiberdist selftest`` runs every
@@ -15,14 +20,13 @@ from __future__ import annotations
 import random
 import sys
 import traceback
-from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from .extension import (
-    FAULTS, CheckReport, EmptyFiberError, check_extension_property, check_lipschitz, check_naturality,
-    check_operator_axioms, check_pseudometric_axioms, extend_generic, reported_value,
-)
+from .core import PairTable, Value
+from .extension import FAULTS, EmptyFiberError, Functor, extend_generic, integer_tables, reported_value
 from .hyperspace import HyperspaceFunctor
 from .power import PNorm, PowerFunctor
 from .sampling import (
@@ -31,9 +35,260 @@ from .sampling import (
 )
 from .transport import TransportFunctor
 from .words import (
-    GRAEV, VARIANTS, PointedSpace, WordsFunctor, check_word_pseudometric_axioms, graev_distance,
-    naive_word_distance, reduce_letters, search_word_distance,
+    GRAEV, VARIANTS, GroupWord, PointedSpace, WordsFunctor, graev_distance, naive_word_distance, reduce_letters,
+    search_word_distance,
 )
+
+
+class CheckReport(Value):
+    """Outcome of one property harness: counts, failures, optional notes.
+    The one mutable value: a harness fills it in as it runs."""
+
+    __slots__ = ("name", "checked", "failures", "notes")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, checked: int = 0, failures: list[str] | None = None, notes: list[str] | None = None):
+        self._set(name, checked, [] if failures is None else failures, [] if notes is None else notes)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def fail(self, message: str) -> None:
+        self.failures.append(message)
+
+    def add(self, other: "CheckReport") -> None:
+        """Merge another report's counts, failures and notes into this one."""
+        self.checked += other.checked
+        self.failures += other.failures
+        self.notes += other.notes
+
+
+def check_extension_property(functor: Functor, ctx, *, method: str = "generic") -> CheckReport:
+    """Extended distance between embedded points equals the base distance.
+
+    Only meaningful for instances whose lift restricts to the identity on
+    embedded points; instances that fail ``is_extension_instance`` are
+    reported as skipped in the notes rather than checked vacuously.
+    """
+    space = functor.space_of(ctx)
+    table = space.pair_table()
+    report = CheckReport(f"extension-property[{functor.name}]")
+    if not functor.is_extension_instance():
+        report.notes.append("lift does not restrict to the identity on points; skipped")
+        return report
+    for i, j in product(range(space.n), repeat=2):
+        a = functor.embed(ctx, i)
+        b = functor.embed(ctx, j)
+        if method == "generic":
+            got = extend_generic(functor, ctx, table, a, b).value
+        else:
+            got = functor.distance(ctx, table, a, b).value
+        want = functor.ground_form(space.d(i, j))
+        report.checked += 1
+        if got != want:
+            report.fail(
+                f"embed({space.points[i]}), embed({space.points[j]}): got {got}, want {want}"
+            )
+    return report
+
+
+def check_pseudometric_axioms(
+    functor: Functor,
+    ctx,
+    table: PairTable,
+    elements: Sequence,
+) -> CheckReport:
+    """Identity, symmetry and the triangle inequality on sampled elements.
+
+    Uses the instance's preferred distance path.  Triangle comparisons go
+    through ``functor.triangle_check`` so instances whose value form needs a
+    rooted comparison can decide it soundly; undecided comparisons are
+    recorded as notes, never as silent passes.
+    """
+    report = CheckReport(f"pseudometric-axioms[{functor.name}]")
+    dist_cache: dict[tuple, Fraction] = {}
+
+    def dist(x, y) -> Fraction:
+        key = (x, y)
+        if key not in dist_cache:
+            dist_cache[key] = functor.distance(ctx, table, x, y).value
+        return dist_cache[key]
+
+    for e in elements:
+        report.checked += 1
+        if dist(e, e) != 0:
+            report.fail(f"d({e!r},{e!r}) = {dist(e, e)} != 0")
+    for i, a in enumerate(elements):
+        for b in elements[i + 1 :]:
+            report.checked += 1
+            if dist(a, b) != dist(b, a):
+                report.fail(f"asymmetric: d({a!r},{b!r}) != d({b!r},{a!r})")
+    for a, b, c in product(elements, repeat=3):
+        verdict = functor.triangle_check(ctx, table, a, b, c, dist(a, b), dist(b, c), dist(a, c))
+        report.checked += 1
+        if verdict is None:
+            report.notes.append(f"triangle undecided for ({a!r},{b!r},{c!r})")
+        elif not verdict:
+            report.fail(
+                f"triangle: d({a!r},{c!r}) = {dist(a, c)} > {dist(a, b)} + {dist(b, c)}"
+            )
+    return report
+
+
+def check_lipschitz(
+    functor: Functor,
+    ctx,
+    table1: PairTable,
+    table2: PairTable,
+    element_pairs: Sequence[tuple],
+) -> CheckReport:
+    """Perturbation bound: the sup-distance of extended values over the
+    sampled pairs is at most the sup-distance of the lifted tables over the
+    union of the enumerated fibers.
+
+    Both extended values are taken as minima over the same enumerated fiber,
+    computed in one pass per pair on both tables scaled to integers by one
+    common denominator (see :meth:`Functor.lift`); the couplings attaining
+    the reported gaps are lifted again on the tables themselves.
+    """
+    report = CheckReport(f"lift-perturbation-bound[{functor.name}]")
+    lift = functor.lift
+    rank1, rank2 = (table.__getitem__ for table in integer_tables(table1, table2))
+
+    def gap(c1, c2) -> Fraction:
+        return Fraction(0) if c1 is None else abs(lift(table1, c1) - lift(table2, c2))
+
+    # (integer gap, coupling lifted on table1, coupling lifted on table2)
+    max_value_gap = max_lift_gap = (0, None, None)
+    for a, b in element_pairs:
+        lifted = [(lift(rank1, c), lift(rank2, c), c) for c in functor.fiber(a, b, ctx)]
+        if not lifted:
+            raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
+        min1, _, best1 = min(lifted, key=itemgetter(0))
+        _, min2, best2 = min(lifted, key=itemgetter(1))
+        v1, v2, widest = max(lifted, key=lambda t: abs(t[0] - t[1]))
+        value_gap, lift_gap = (abs(min1 - min2), best1, best2), (abs(v1 - v2), widest, widest)
+        report.checked += 1
+        if value_gap[0] > lift_gap[0]:
+            lifts = f"|{lift(table1, best1)} - {lift(table2, best2)}|"
+            report.fail(f"pair ({a!r},{b!r}): {lifts} > fiber sup {gap(widest, widest)}")
+        max_value_gap = max(max_value_gap, value_gap, key=itemgetter(0))
+        max_lift_gap = max(max_lift_gap, lift_gap, key=itemgetter(0))
+    report.checked += 1
+    if max_value_gap[0] > max_lift_gap[0]:
+        report.fail(f"global: value gap {gap(*max_value_gap[1:])} > lifted-table gap {gap(*max_lift_gap[1:])}")
+    report.notes.append(f"value gap {gap(*max_value_gap[1:])} <= lift gap {gap(*max_lift_gap[1:])}")
+    return report
+
+
+def check_naturality(
+    functor: Functor,
+    src_ctx,
+    dst_ctx,
+    assignment: Sequence[int],
+    phi: Sequence[Fraction],
+    *,
+    cap: int,
+) -> CheckReport:
+    """Single-space lifts commute with the functorial action of a point map.
+
+    For every enumerated element e over the source, lifting ``phi`` composed
+    with the map equals lifting ``phi`` on the pushed element.  Group-word
+    instances satisfy this for injective basepoint-preserving maps (see the
+    words module); callers choose maps accordingly.
+    """
+    report = CheckReport(f"naturality[{functor.name}]")
+    for e in functor.enumerate_elements(src_ctx, cap):
+        lhs = functor.lift(lambda y: phi[assignment[y]], e)
+        pushed = functor.apply_map(lambda y: assignment[y], e, dst_ctx)
+        rhs = functor.lift(lambda x: phi[x], pushed)
+        report.checked += 1
+        if lhs != rhs:
+            report.fail(f"element {e!r}: lift(phi o i) = {lhs} != {rhs} = lift(phi) o push")
+    return report
+
+
+def check_operator_axioms(
+    functor: Functor,
+    ctx,
+    phi: Sequence[Fraction],
+    psi: Sequence[Fraction],
+    elements: Sequence,
+) -> CheckReport:
+    """Positivity, monotonicity and semiadditivity of the single-space lift.
+
+    Requires phi >= psi >= 0 pointwise; these are properties of the lift, not
+    of particular inputs, so they are sampled here rather than enforced per
+    call.
+    """
+    if any(p < q for p, q in zip(phi, psi)) or any(q < 0 for q in psi):
+        raise ValueError("need phi >= psi >= 0 pointwise")
+    report = CheckReport(f"operator-axioms[{functor.name}]")
+    for e in elements:
+        hi = functor.lift(lambda i: phi[i], e)
+        lo = functor.lift(lambda i: psi[i], e)
+        report.checked += 3
+        if lo < 0:
+            report.fail(f"positivity fails on {e!r}: {lo}")
+        if hi < lo:
+            report.fail(f"monotonicity fails on {e!r}: {hi} < {lo}")
+        verdict = functor.semiadditivity_check(phi, psi, e)
+        if verdict is None:
+            report.notes.append(f"semiadditivity undecided on {e!r}")
+        elif not verdict:
+            report.fail(f"semiadditivity fails on {e!r}")
+    return report
+
+
+def check_word_pseudometric_axioms(
+    pointed: PointedSpace,
+    variant: str,
+    triples: Sequence[tuple[GroupWord, GroupWord, GroupWord]],
+    *,
+    retries: int = 1,
+) -> CheckReport:
+    """Identity, symmetry and triangle under the shared-cap protocol.
+
+    All three distances of a triple are computed at cap |A|+|B|+|C|+2 so the
+    values are certified at compatible exhaustiveness; an apparent triangle
+    violation is retried at cap+2 (capped values are upper bounds and may
+    shrink) before being reported.
+    """
+    commutative = triples[0][0].commutative if triples else False
+    report = CheckReport(f"pseudometric-axioms[words-{variant}{'-abelian' if commutative else ''}]")
+    words = []
+    for triple in triples:
+        for w in triple:
+            if w not in words:
+                words.append(w)
+    for w in words:
+        report.checked += 1
+        value = graev_distance(w, w, pointed, variant).value
+        if value != 0:
+            report.fail(f"d(w,w) = {value} != 0 for {w!r}")
+    for a, b, _c in triples:
+        cap = len(a) + len(b) + 2
+        report.checked += 1
+        if graev_distance(a, b, pointed, variant, cap).value != graev_distance(b, a, pointed, variant, cap).value:
+            report.fail(f"asymmetric values for ({a!r}, {b!r})")
+    for a, b, c in triples:
+        cap = len(a) + len(b) + len(c) + 2
+        report.checked += 1
+        ok = False
+        for attempt in range(retries + 1):
+            shared = cap + 2 * attempt
+            dab = graev_distance(a, b, pointed, variant, shared).value
+            dbc = graev_distance(b, c, pointed, variant, shared).value
+            dac = graev_distance(a, c, pointed, variant, shared).value
+            if dac <= dab + dbc:
+                ok = True
+                break
+        if not ok:
+            report.fail(
+                f"triangle at cap {shared}: d(a,c)={dac} > {dab} + {dbc} for ({a!r},{b!r},{c!r})"
+            )
+    return report
 
 
 def extension_instances():
@@ -195,14 +450,16 @@ def words_search_vs_naive(full: bool, fault: str | None) -> CheckReport:
             a, b = (random_word_of_length(rng, ctx, 1, commutative=commutative) for _ in range(2))
             cases.append((a, b, 2))
     for a, b, cap in cases:
+        naive, _count = naive_word_distance(a, b, ctx, cap)
         for variant in VARIANTS:
-            naive, _count = naive_word_distance(a, b, ctx, variant, cap)
             report.checked += 1
             # The Swierczkowski entry point is the search itself.
             for distance in (graev_distance, search_word_distance) if variant == GRAEV else (graev_distance,):
                 got = value(distance, a, b, ctx, variant, cap)
-                if got != naive:
-                    report.fail(f"{distance.__name__}({a!r}, {b!r}, {variant}, cap {cap}) = {got}, naive {naive}")
+                if got != naive[variant]:
+                    report.fail(
+                        f"{distance.__name__}({a!r}, {b!r}, {variant}, cap {cap}) = {got}, naive {naive[variant]}"
+                    )
     return report
 
 
@@ -305,18 +562,18 @@ def operator_axioms(full: bool, fault: str | None) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """A row of the table: a check, the unit its count is in, and the
     acceptance criterion it is at full scale (None: selftest only) with
     its time budget and the number of checks it must make there."""
 
-    name: str
-    unit: str
-    run: Callable[[bool, str | None], CheckReport]
-    criterion: int | None = None
-    budget_s: float = 0.0
-    full_checks: int = 0
+    __slots__ = ("name", "unit", "run", "criterion", "budget_s", "full_checks")
+
+    def __init__(
+        self, name: str, unit: str, run: Callable[[bool, str | None], CheckReport],
+        criterion: int | None = None, budget_s: float = 0.0, full_checks: int = 0,
+    ):
+        self._set(name, unit, run, criterion, budget_s, full_checks)
 
     def detail(self, report: CheckReport) -> str:
         return f"{report.checked} {self.unit}, {len(report.failures)} failures"

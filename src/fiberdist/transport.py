@@ -23,11 +23,10 @@ transportation polytope, which is exhaustive for minimizing any linear lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .core import PairTable, ParseError, format_scalar, parse_scalar, scale_to_integers
+from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
 from .extension import ElementDomainError, FiberCapExceeded, Functor
 
 DEFAULT_MAX_VERTEX_CELLS = 20
@@ -41,14 +40,13 @@ class MiddleMarginalError(ValueError):
     """Two plans cannot be glued: the shared marginal differs."""
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Value):
     """Probability measure with rational weights; zero weights are dropped."""
 
-    mass: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("mass",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mass", tuple(sorted(self.mass)))
+    def __init__(self, mass: tuple[tuple[int, Fraction], ...]):
+        self._set(tuple(sorted(mass)))
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self.mass
@@ -83,14 +81,13 @@ def point_mass(i: int) -> Distribution:
     return Distribution(((i, Fraction(1)),))
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(Value):
     """Joint rational weights on index pairs with prescribed marginals."""
 
-    flow: tuple[tuple[tuple[int, int], Fraction], ...]
+    __slots__ = ("flow",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "flow", tuple(sorted(self.flow)))
+    def __init__(self, flow: tuple[tuple[tuple[int, int], Fraction], ...]):
+        set_field(self, "flow", tuple(sorted(flow)))
 
     def items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         return self.flow
@@ -133,12 +130,11 @@ def integrate(fn, measure) -> Fraction:
     return sum((w * fn(point) for point, w in measure.items()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class KantorovichResult:
-    value: Fraction
-    plan: TransportPlan
-    dual_row: dict[int, Fraction]
-    dual_col: dict[int, Fraction]
+class KantorovichResult(Value):
+    __slots__ = ("value", "plan", "dual_row", "dual_col")
+
+    def __init__(self, value: Fraction, plan: TransportPlan, dual_row: dict[int, Fraction], dual_col: dict[int, Fraction]):
+        self._set(value, plan, dual_row, dual_col)
 
 
 def dual_certificate(table: PairTable, mu: Distribution, nu: Distribution, plan: TransportPlan):

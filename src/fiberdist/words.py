@@ -37,14 +37,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import transport  # by module, so a tracer that patches kantorovich sees these calls
-from .core import FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, scale_to_integers, validate_space
-from .extension import CheckReport, ElementDomainError, EmptyFiberError, ExtensionResult, Functor
+from .core import (
+    FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, Value, scale_to_integers, set_field, validate_space,
+)
+from .extension import ElementDomainError, EmptyFiberError, ExtensionResult, Functor
 
 GRAEV = "graev"
 SWIERCZKOWSKI = "swierczkowski"
@@ -60,14 +61,13 @@ class WitnessError(RuntimeError):
     not reduce to the two words: an invariant of the exact path broke."""
 
 
-@dataclass(frozen=True)
-class PointedSpace:
-    space: FiniteMetricSpace
-    basepoint: int
+class PointedSpace(Value):
+    __slots__ = ("space", "basepoint")
 
-    def __post_init__(self):
-        if not 0 <= self.basepoint < self.space.n:
-            raise ValueError(f"basepoint index {self.basepoint} out of range")
+    def __init__(self, space: FiniteMetricSpace, basepoint: int):
+        if not 0 <= basepoint < space.n:
+            raise ValueError(f"basepoint index {basepoint} out of range")
+        self._set(space, basepoint)
 
     @property
     def n(self) -> int:
@@ -78,12 +78,22 @@ def pointed_space(space: FiniteMetricSpace, basepoint_label: str) -> PointedSpac
     return PointedSpace(space, space.index(basepoint_label))
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Value):
     """A canonically reduced word; build through :func:`reduce_letters`."""
 
-    letters: tuple[tuple[int, int], ...]
-    commutative: bool = False
+    __slots__ = ("letters", "commutative")
+
+    def __init__(self, letters: tuple[tuple[int, int], ...], commutative: bool = False):
+        set_field(self, "letters", letters)
+        set_field(self, "commutative", commutative)
+
+    def __eq__(self, other):
+        # Spelled out: the oracle compares words millions of times.
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters and self.commutative == other.commutative
+        return NotImplemented
+
+    __hash__ = Value.__hash__
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -157,11 +167,13 @@ def format_word(word: GroupWord, pointed: PointedSpace) -> list[str]:
     return [pts[x] if s == 1 else f"{pts[x]}^-1" for x, s in word.letters]
 
 
-@dataclass(frozen=True)
-class ProperRepresentationPair:
+class ProperRepresentationPair(Value):
     """Equal-signature letter strings whose sides reduce to the two words."""
 
-    rows: tuple[tuple[int, int, int], ...]  # (left letter, right letter, sign)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, int, int], ...]):  # (left letter, right letter, sign)
+        set_field(self, "rows", rows)
 
     def left_letters(self) -> tuple[tuple[int, int], ...]:
         return tuple((a, s) for a, _b, s in self.rows)
@@ -667,16 +679,17 @@ def search_word_distance(
 
 
 def naive_word_distance(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, variant: str, cap: int | None = None
-) -> tuple[Fraction | None, int]:
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None = None
+) -> tuple[dict[str, Fraction | None], int]:
     """Independent oracle: generate every signed letter string pair up to the
-    cap, filter by reduction, take the minimum.  Exponential; tiny inputs
-    only."""
+    cap, filter by reduction, take the minimum.  One pass answers both
+    variants: returns ``{variant: minimum}`` (None for an empty fiber) and
+    the number of pairs.  Exponential; tiny inputs only."""
     cap = _check_pair(a, b, cap)
     n = pointed.n
     dist = pointed.space.dist
     commutative = a.commutative
-    best = None
+    best = dict.fromkeys(VARIANTS)
     count = 0
 
     def reducing_to(word: GroupWord, signs: tuple) -> list[tuple]:
@@ -690,62 +703,12 @@ def naive_word_distance(
             for xs in lefts:
                 for ys in rights:
                     count += 1
-                    cost = letter_sum_lift(
-                        lambda p: dist[p[0]][p[1]], list(zip(xs, ys)), variant
-                    )
-                    if best is None or cost < best:
-                        best = cost
+                    pairs = list(zip(xs, ys))
+                    for variant, low in best.items():
+                        cost = letter_sum_lift(lambda p: dist[p[0]][p[1]], pairs, variant)
+                        if low is None or cost < low:
+                            best[variant] = cost
     return best, count
-
-
-def check_word_pseudometric_axioms(
-    pointed: PointedSpace,
-    variant: str,
-    triples: Sequence[tuple[GroupWord, GroupWord, GroupWord]],
-    *,
-    retries: int = 1,
-) -> CheckReport:
-    """Identity, symmetry and triangle under the shared-cap protocol.
-
-    All three distances of a triple are computed at cap |A|+|B|+|C|+2 so the
-    values are certified at compatible exhaustiveness; an apparent triangle
-    violation is retried at cap+2 (capped values are upper bounds and may
-    shrink) before being reported.
-    """
-    commutative = triples[0][0].commutative if triples else False
-    report = CheckReport(f"pseudometric-axioms[words-{variant}{'-abelian' if commutative else ''}]")
-    words = []
-    for triple in triples:
-        for w in triple:
-            if w not in words:
-                words.append(w)
-    for w in words:
-        report.checked += 1
-        value = graev_distance(w, w, pointed, variant).value
-        if value != 0:
-            report.fail(f"d(w,w) = {value} != 0 for {w!r}")
-    for a, b, _c in triples:
-        cap = len(a) + len(b) + 2
-        report.checked += 1
-        if graev_distance(a, b, pointed, variant, cap).value != graev_distance(b, a, pointed, variant, cap).value:
-            report.fail(f"asymmetric values for ({a!r}, {b!r})")
-    for a, b, c in triples:
-        cap = len(a) + len(b) + len(c) + 2
-        report.checked += 1
-        ok = False
-        for attempt in range(retries + 1):
-            shared = cap + 2 * attempt
-            dab = graev_distance(a, b, pointed, variant, shared).value
-            dbc = graev_distance(b, c, pointed, variant, shared).value
-            dac = graev_distance(a, c, pointed, variant, shared).value
-            if dac <= dab + dbc:
-                ok = True
-                break
-        if not ok:
-            report.fail(
-                f"triangle at cap {shared}: d(a,c)={dac} > {dab} + {dbc} for ({a!r},{b!r},{c!r})"
-            )
-    return report
 
 
 class WordsFunctor(Functor):

@@ -35,6 +35,7 @@ FAULT_TARGETS = {
     "words-dp": "words-search-vs-naive",
     "hausdorff": "hyperspace-coincidence",
     "power": "power-coincidence",
+    "words-search": "words-search-vs-naive",
 }
 
 
@@ -175,6 +176,18 @@ class TestDist:
         assert code == 3
         payload = json.loads(out)
         assert (payload["specialized"]["value"], payload["generic"]["value"]) == ("21", "20")
+
+    def test_search_fault_mismatches_swierczkowski_exit_3(self, tmp_path):
+        path = write_space(tmp_path, WORDS_SPACE)
+        common = ("dist", "words", "--method", "both", "--space", path, "--a", '["x","x"]', "--b", '["y","y"]')
+        swierczkowski = common + ("--variant", "swierczkowski")
+        assert run_cli(*swierczkowski)[0] == 0
+        code, out, _ = run_cli(*swierczkowski, "--inject-fault", "words-search")
+        assert code == 3
+        payload = json.loads(out)
+        assert (payload["specialized"]["value"], payload["generic"]["value"]) == ("2", "1")
+        # Exact Graev answers settle no search state, so the fault leaves them be.
+        assert run_cli(*common, "--inject-fault", "words-search")[0] == 0
 
     def test_words_without_basepoint_exit_1(self, tmp_path):
         path = write_space(tmp_path, TWO_POINT)
@@ -432,8 +445,11 @@ class TestSelftest:
         assert failed == [f"FAIL {FAULT_TARGETS[fault]}", "FAIL overall"]
 
 
-def test_cli_import_leaves_selftest_and_sampling_unloaded():
-    probe = "import sys, fiberdist.cli; print(sorted({'fiberdist.selftest', 'fiberdist.sampling'} & set(sys.modules)))"
+def test_cli_import_leaves_dataclasses_selftest_and_sampling_unloaded():
+    probe = (
+        "import sys, fiberdist.cli; "
+        "print(sorted({'dataclasses', 'fiberdist.selftest', 'fiberdist.sampling'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"

@@ -5,16 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fiberdist.core import PairTable, scale_to_integers
-from fiberdist.extension import (
-    ElementDomainError,
-    ExtensionResult,
-    check_extension_property,
-    check_lipschitz,
-    check_naturality,
-    check_operator_axioms,
-    check_pseudometric_axioms,
-    extend_generic,
-)
+from fiberdist.extension import ElementDomainError, ExtensionResult, extend_generic
 from fiberdist.hyperspace import HyperspaceFunctor, Subset
 from fiberdist.power import PNorm, PowerFunctor
 from fiberdist.sampling import (
@@ -26,6 +17,13 @@ from fiberdist.sampling import (
     random_pseudometric_table,
     random_subset,
     random_word,
+)
+from fiberdist.selftest import (
+    check_extension_property,
+    check_lipschitz,
+    check_naturality,
+    check_operator_axioms,
+    check_pseudometric_axioms,
 )
 from fiberdist.transport import TransportFunctor
 from fiberdist.words import GroupWord, PointedSpace, WordsFunctor

@@ -1,7 +1,7 @@
 import io
 
 from fiberdist import cli, selftest, words
-from fiberdist.extension import CheckReport
+from fiberdist.selftest import CheckReport
 
 
 def test_raising_suite_is_a_failure_and_the_rest_still_run(monkeypatch, capsys):
