@@ -6,10 +6,14 @@ Commands:
   batch     -- run a JSON array of requests, responses in input order
   selftest  -- run every verification check at the small scale
 
-Exit codes: 0 success, 1 parse/validation error, 2 computation error
-(enumeration cap exceeded, unbalanced masses, no representation within
-cap, a word witness failing its check), 3 specialized/generic mismatch
-under ``--method both``.
+Exit codes: 0 success, 1 parse/validation error, 2 computation error (an
+``extension.ComputeError``: enumeration cap exceeded, unbalanced masses, no
+representation within cap, a word witness failing its check, a value too
+large to print), 3 specialized/generic mismatch under ``--method both``.
+
+Functors are known only through one table, CLI name -> (module, class);
+a functor's module is imported when a request first names it, and the
+class builds, places and renders its own requests.
 
 Values are emitted as exact rational strings first and decimals second.
 For a finite-exponent norm the exact field holds the p-th power of the
@@ -22,31 +26,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .core import ParseError, SpaceValidationError, canonical_space_obj, decimal_str, space_document_from_obj
-from .extension import FAULTS, ElementDomainError, EmptyFiberError, FiberCapExceeded, extend_generic, reported_value
-from .hyperspace import HyperspaceFunctor
-from .power import PNorm, PowerFunctor, root_decimal_str
-from .transport import MiddleMarginalError, TransportFunctor, UnbalancedMassError
-from .words import VARIANTS, CapTooSmallError, PointedSpace, WitnessError, WordsFunctor, default_cap
+from .core import ParseError, SpaceValidationError, canonical_space_obj, space_document_from_obj
+from .extension import FAULTS, VARIANTS, ComputeError, ElementDomainError, extend_generic, reported_value
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
 EXIT_MISMATCH = 3
 
-FUNCTORS = ("hyperspace", "power", "transport", "words")
+# CLI functor name -> (module, Functor subclass).
+_FUNCTOR_CLASSES = {
+    "hyperspace": ("hyperspace", "HyperspaceFunctor"),
+    "power": ("power", "PowerFunctor"),
+    "transport": ("transport", "TransportFunctor"),
+    "words": ("words", "WordsFunctor"),
+}
+FUNCTORS = tuple(_FUNCTOR_CLASSES)
 METHODS = ("specialized", "generic", "both")
 
-_INPUT_ERRORS = (ParseError, SpaceValidationError, ElementDomainError)
-_COMPUTE_ERRORS = (
-    CapTooSmallError,
-    FiberCapExceeded,
-    UnbalancedMassError,
-    MiddleMarginalError,
-    EmptyFiberError,
-    WitnessError,
-)
+_ERRORS = (ParseError, SpaceValidationError, ElementDomainError, ComputeError)
 
 _REQUIRED = object()
 # Request fields per command as (key, default, allowed): a tuple of choices,
@@ -105,68 +105,40 @@ def _load_space_document(path: str):
     return space_document_from_obj(_read_json_file(path, "space file"))
 
 
-def _build_functor(request: dict, element_json):
-    kind = request["functor"]
-    if kind == "hyperspace":
-        return HyperspaceFunctor()
-    if kind == "power":
-        norm = PNorm.parse(request["norm"])
-        if not isinstance(element_json, list) or not element_json:
-            raise ParseError("a tuple element is a nonempty JSON array of labels")
-        return PowerFunctor(len(element_json), norm)
-    if kind == "transport":
-        return TransportFunctor()
-    return WordsFunctor(request["variant"], commutative=request["abelian"], cap=request["cap"])
+def _functor_class(name: str):
+    module, cls = _FUNCTOR_CLASSES[name]
+    return getattr(import_module(f".{module}", __package__), cls)
 
 
-def _single_response(functor, ctx, table, a, b, method: str, request: dict) -> dict:
-    words = request["functor"] == "words"
+def _single_response(functor, ctx, table, a, b, method: str, fault: str | None) -> dict:
     if method == "specialized":
         result = functor.distance(ctx, table, a, b)
+        value = reported_value(functor, result, fault)
     else:
         result = extend_generic(functor, ctx, table, a, b, early_exit=False)
-    # A specialized word answer that settled no search state is exact.
-    exact = words and method == "specialized" and result.fiber_size_enumerated == 0
-    value = result.value if method == "generic" else reported_value(functor, result, request["inject_fault"])
-    response = {"functor": functor.name, "method": method, "value": str(value)}
-    norm = getattr(functor, "norm", None)
-    if norm is not None and not norm.is_max:
-        response["p"] = norm.p
-        response["value_decimal"] = root_decimal_str(value, norm.p)
-    else:
-        response["value_decimal"] = decimal_str(value)
-    response["witness"] = functor.format_coupling(result.witness, ctx)
-    if method == "generic":
-        flags = {"fiber_size": result.fiber_size_enumerated}
-    elif words:
-        flags = {"search_states": result.fiber_size_enumerated}
-    else:
-        flags = {}
-    if words:
-        flags["cap"] = default_cap(a, b) if request["cap"] is None else request["cap"]
-        flags["cap_limited"] = result.cap_limited
-        flags["certified"] = "exact" if exact else "exhaustive_within_cap"
-    response["flags"] = flags
-    return response
+        value = result.value
+    return {
+        "functor": functor.name,
+        "method": method,
+        "value": str(value),
+        **functor.render_value(value),
+        "witness": functor.format_coupling(result.witness, ctx),
+        "flags": functor.flags(result, a, b, method),
+    }
 
 
 def _dist(request: dict, load_space) -> tuple[dict, int]:
     space, basepoint = load_space(request["space"])
-    functor = _build_functor(request, request["a"])
-    if request["functor"] == "words":
-        if basepoint is None:
-            raise ParseError('word distances need a "basepoint" entry in the space file')
-        ctx = PointedSpace(space, space.index(basepoint))
-    else:
-        ctx = space
+    functor = _functor_class(request["functor"]).from_request(request)
+    ctx = functor.context(space, basepoint)
     table = space.pair_table()
     a = functor.parse_element(request["a"], ctx)
     b = functor.parse_element(request["b"], ctx)
-    method = request["method"]
+    method, fault = request["method"], request["inject_fault"]
     if method != "both":
-        return _single_response(functor, ctx, table, a, b, method, request), EXIT_OK
-    specialized = _single_response(functor, ctx, table, a, b, "specialized", request)
-    generic = _single_response(functor, ctx, table, a, b, "generic", request)
+        return _single_response(functor, ctx, table, a, b, method, fault), EXIT_OK
+    specialized = _single_response(functor, ctx, table, a, b, "specialized", fault)
+    generic = _single_response(functor, ctx, table, a, b, "generic", fault)
     match = specialized["value"] == generic["value"]
     response = {
         "functor": functor.name,
@@ -183,7 +155,7 @@ def _error_response(exc: Exception) -> tuple[dict, int]:
     if isinstance(exc, SpaceValidationError):
         response["axiom"] = exc.axiom
         response["witness"] = list(exc.witness)
-    return response, EXIT_COMPUTE if isinstance(exc, _COMPUTE_ERRORS) else EXIT_INPUT
+    return response, EXIT_COMPUTE if isinstance(exc, ComputeError) else EXIT_INPUT
 
 
 def handle_request(request: dict, load_space) -> tuple[dict, int]:
@@ -203,7 +175,7 @@ def handle_request(request: dict, load_space) -> tuple[dict, int]:
         if command == "dist":
             return _dist(fields, load_space)
         return canonical_space_obj(*load_space(fields["space"])), EXIT_OK
-    except _INPUT_ERRORS + _COMPUTE_ERRORS as exc:
+    except _ERRORS as exc:
         return _error_response(exc)
 
 

@@ -18,8 +18,6 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-Scalar = Fraction
-
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 MODES = ("metric", "pseudometric")
@@ -88,12 +86,14 @@ def parse_scalar(text: str) -> Fraction:
     s = text.strip()
     if not _SCALAR_RE.match(s):
         raise ParseError(f"not a rational scalar: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"rational scalar of {len(s)} characters has too many digits") from None
+    if den == 0:
+        raise ParseError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_scalar(x: Fraction) -> str:
@@ -301,35 +301,6 @@ def canonical_space_obj(space: FiniteMetricSpace, basepoint: str | None = None) 
 def canonical_space_json(space: FiniteMetricSpace, basepoint: str | None = None) -> str:
     """Canonical serialization; loading and re-emitting it is byte-identical."""
     return json.dumps(canonical_space_obj(space, basepoint), indent=2) + "\n"
-
-
-class PointMap(Value):
-    """A total map between spaces, stored as target indices per source index."""
-
-    __slots__ = ("source", "target", "assignment")
-
-    def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace, assignment: tuple[int, ...]):
-        self._set(source, target, assignment)
-
-    def __call__(self, i: int) -> int:
-        return self.assignment[i]
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.assignment)) == len(self.assignment)
-
-
-def point_map(source: FiniteMetricSpace, target: FiniteMetricSpace, assignment: Sequence[int]) -> PointMap:
-    if len(assignment) != source.n:
-        raise ValueError("assignment must cover every source point")
-    for img in assignment:
-        if not 0 <= img < target.n:
-            raise ValueError(f"image index {img} out of range for target space")
-    return PointMap(source, target, tuple(assignment))
-
-
-def identity_map(space: FiniteMetricSpace) -> PointMap:
-    return PointMap(space, space, tuple(range(space.n)))
 
 
 class PairTable(Value):

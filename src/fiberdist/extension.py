@@ -9,7 +9,8 @@ Given such a bundle, :func:`extend_generic` turns a (pseudo-)metric on the
 base space into a distance between composite elements by minimizing the
 lifted table over the fiber.  The property harnesses that check these
 distances on samples live in :mod:`fiberdist.selftest`, off the request
-path.
+path.  Every error a well-formed request can meet while computing derives
+from :class:`ComputeError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
 
-from .core import PairTable, Value, scale_to_integers
+from .core import PairTable, Value, decimal_str, scale_to_integers
 
 PointFn = Callable[[Any], Fraction]
 
@@ -26,8 +27,22 @@ PointFn = Callable[[Any], Fraction]
 # oracle can be seen to fail.
 FAULTS = ("transport-solver", "words-dp", "hausdorff", "power", "words-search")
 
+# The two word-distance variants (see `fiberdist.words`), named here so that
+# the CLI can validate requests without importing the words module.
+GRAEV = "graev"
+SWIERCZKOWSKI = "swierczkowski"
+VARIANTS = (GRAEV, SWIERCZKOWSKI)
 
-class EmptyFiberError(RuntimeError):
+
+class ComputeError(Exception):
+    """A well-formed request that cannot be answered: the CLI's exit 2.
+
+    Every subclass also derives from the builtin error (ValueError or
+    RuntimeError) that library callers catch.
+    """
+
+
+class EmptyFiberError(ComputeError, RuntimeError):
     """No coupling was enumerated for a pair of elements.
 
     Fibers of well-formed functor instances are never empty; hitting this
@@ -40,7 +55,7 @@ class ElementDomainError(ValueError):
     """An element does not live over the space it was used with."""
 
 
-class FiberCapExceeded(RuntimeError):
+class FiberCapExceeded(ComputeError, RuntimeError):
     """A fiber is too large for exhaustive coupling enumeration."""
 
 
@@ -57,6 +72,9 @@ class Functor:
     # True when ``fiber`` yields only the couplings within a cap, so that a
     # nonzero minimum over it may shrink under a larger cap.
     capped_fiber = False
+    # The FAULTS entry that corrupts the specialized solver (see
+    # `solver_fault`).
+    fault = None
 
     def space_of(self, ctx):
         return ctx
@@ -129,6 +147,30 @@ class Functor:
         both = self.lift(lambda i: phi[i] + psi[i], elem)
         return both <= self.lift(lambda i: phi[i], elem) + self.lift(lambda i: psi[i], elem)
 
+    # The request path: `fiberdist.cli` builds, places and renders every
+    # instance through these, so it has no per-instance branches.
+
+    @classmethod
+    def from_request(cls, request: dict) -> "Functor":
+        """The instance a validated ``dist`` request names."""
+        return cls()
+
+    def context(self, space, basepoint: str | None):
+        """The space context for a loaded space file and its basepoint label."""
+        return space
+
+    def solver_fault(self, result: "ExtensionResult") -> str | None:
+        """The FAULTS entry that corrupts the solver behind a specialized ``result``."""
+        return self.fault
+
+    def render_value(self, value: Fraction) -> dict:
+        """The response fields that follow the exact value."""
+        return {"value_decimal": decimal_str(value)}
+
+    def flags(self, result: "ExtensionResult", a, b, method: str) -> dict:
+        """How a ``specialized`` or ``generic`` result was reached."""
+        return {"fiber_size": result.fiber_size_enumerated} if method == "generic" else {}
+
 
 class ExtensionResult(Value):
     """Minimum of the lifted table over a fiber, with an attaining witness."""
@@ -182,15 +224,9 @@ def reported_value(functor: Functor, result: ExtensionResult, fault: str | None 
     """The value a specialized ``result`` of ``functor`` reports.
 
     This is the one place a fault corrupts a value: it adds 1 when ``fault``
-    names the solver that produced ``result``.  ``transport-solver`` is the
-    transport solver; ``words-dp`` is the exact word path, the only
-    specialized answer that settles no search state or coupling;
-    ``words-search`` is the word search: a word functor's (the only capped
-    fiber's) answer that settled some state; ``hausdorff`` is the max-min
-    subset distance and ``power`` the tuple closed form.
+    names the solver that produced ``result``, as the functor's
+    :meth:`~Functor.solver_fault` tells.
     """
-    searched = result.fiber_size_enumerated > 0
-    solver = {"transport-solver": functor.name == "transport", "words-dp": not searched,
-              "words-search": functor.capped_fiber and searched,
-              "hausdorff": functor.name == "hyperspace", "power": functor.name.startswith("power[")}
-    return result.value + 1 if solver.get(fault) else result.value
+    if fault is not None and fault == functor.solver_fault(result):
+        return result.value + 1
+    return result.value

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import PairTable, ParseError, Value, set_field
-from .extension import ElementDomainError, FiberCapExceeded, Functor
+from .extension import ElementDomainError, ExtensionResult, FiberCapExceeded, Functor
 
 DEFAULT_MAX_CELLS = 16
 
@@ -97,6 +97,7 @@ def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -
 
 class HyperspaceFunctor(Functor):
     name = "hyperspace"
+    fault = "hausdorff"
 
     def __init__(self, max_cells: int = DEFAULT_MAX_CELLS):
         self.max_cells = max_cells
@@ -134,8 +135,6 @@ class HyperspaceFunctor(Functor):
             yield Subset(tuple(i for i in range(n) if mask >> i & 1))
 
     def distance(self, ctx, table, a, b):
-        from .extension import ExtensionResult
-
         value = hausdorff(table, a, b)
         witness = optimal_coupling(table, a, b)
         return ExtensionResult(value, witness, 1)

@@ -12,13 +12,20 @@ too tight to decide are reported as undecided, never passed silently.
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import PairTable, ParseError, Value, decimal_str
-from .extension import ElementDomainError, Functor
+from .extension import ComputeError, ElementDomainError, ExtensionResult, Functor
 
 ROOT_SCALE_DIGITS = 31
+
+
+class ValueTooLargeError(ComputeError, ValueError):
+    """A p-power value may have more digits than Python converts to text."""
 
 
 class PNorm(Value):
@@ -90,7 +97,14 @@ def int_nth_root(m: int, p: int) -> int:
         raise ValueError("negative radicand")
     if m in (0, 1) or p == 1:
         return m
-    x = 1 << ((m.bit_length() + p - 1) // p)
+    # Start near the root, from a float estimate of log2(m): from a power of
+    # two above it, Newton's method creeps down by (p - 1)/p per step.  One
+    # step from any x > 0 lands at or above the root (AM-GM), and the steps
+    # after it descend to the root.
+    shift = max(m.bit_length() - 64, 0)
+    e = (shift + math.log2(m >> shift)) / p
+    x = int(2.0**e) if e < 1000 else 1 << ((m.bit_length() + p - 1) // p)
+    x = ((p - 1) * x + m // x ** (p - 1)) // p
     while True:
         y = ((p - 1) * x + m // x ** (p - 1)) // p
         if y >= x:
@@ -170,6 +184,8 @@ def root_decimal_str(power_value: Fraction, p: int, digits: int = 10) -> str:
 class PowerFunctor(Functor):
     """n-tuples of points under a fixed norm; elements are plain int tuples."""
 
+    fault = "power"
+
     def __init__(self, n: int, norm: PNorm):
         if n < 1:
             raise ValueError("tuple length must be >= 1")
@@ -190,20 +206,45 @@ class PowerFunctor(Functor):
     def apply_map(self, fn, elem, dst_ctx=None):
         return tuple(fn(c) for c in elem)
 
+    @classmethod
+    def from_request(cls, request: dict) -> "PowerFunctor":
+        norm = PNorm.parse(request["norm"])
+        if not isinstance(request["a"], list) or not request["a"]:
+            raise ParseError("a tuple element is a nonempty JSON array of labels")
+        return cls(len(request["a"]), norm)
+
+    def _check_renderable(self, entries: Sequence[Fraction]) -> None:
+        """Refuse coordinate distances whose p-power value may have more
+        digits than ``sys.get_int_max_str_digits()`` allows, before any power
+        is taken.
+
+        With L the common denominator of the k entries n_i/d_i, the value is
+        the sum of (n_i L/d_i)^p over L^p, so neither of its two integers has
+        more than p * max(bits(L), bits(n_i L/d_i)) + bits(k) bits.
+        """
+        limit = sys.get_int_max_str_digits()
+        if self.norm.is_max or not limit:
+            return
+        den = math.lcm(*(d.denominator for d in entries))
+        top = max((abs(d.numerator) * (den // d.denominator) for d in entries), default=0)
+        bits = self.norm.p * max(den.bit_length(), top.bit_length()) + len(entries).bit_length()
+        digits = math.ceil(bits * math.log10(2))
+        if digits > limit:
+            raise ValueTooLargeError(f"{self.name}: the exact value may have {digits} digits, "
+                                     f"more than the {limit} Python renders")
+
     def fiber(self, a, b, ctx) -> Iterator:
+        self._check_renderable([ctx.d(x, y) for x, y in zip(a, b)])
         return fiber_tuples(a, b)
 
     def lift(self, fn, elem) -> Fraction:
         return power_lift(fn, elem, self.norm)
 
     def enumerate_elements(self, ctx, cap: int = 0) -> Iterator[tuple[int, ...]]:
-        import itertools
-
         return itertools.product(range(ctx.n), repeat=self.n)
 
     def distance(self, ctx, table, a, b):
-        from .extension import ExtensionResult
-
+        self._check_renderable([table(pair) for pair in zip(a, b)])
         value = power_distance(table, a, b, self.norm)
         return ExtensionResult(value, tuple(zip(a, b)), 1)
 
@@ -232,6 +273,11 @@ class PowerFunctor(Functor):
         v = [psi[i] for i in elem]
         w = [phi[i] + psi[i] for i in elem]
         return rooted_sum_inequality(w, u, v, self.norm.p)
+
+    def render_value(self, value: Fraction) -> dict:
+        if self.norm.is_max:
+            return super().render_value(value)
+        return {"p": self.norm.p, "value_decimal": root_decimal_str(value, self.norm.p)}
 
     def parse_element(self, obj, ctx) -> tuple[int, ...]:
         if not isinstance(obj, list) or len(obj) != self.n:

@@ -27,16 +27,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
-from .extension import ElementDomainError, FiberCapExceeded, Functor
+from .extension import ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor
 
 DEFAULT_MAX_VERTEX_CELLS = 20
 
 
-class UnbalancedMassError(ValueError):
+class UnbalancedMassError(ComputeError, ValueError):
     """Weights do not sum to exactly 1; never silently normalized."""
 
 
-class MiddleMarginalError(ValueError):
+class MiddleMarginalError(ComputeError, ValueError):
     """Two plans cannot be glued: the shared marginal differs."""
 
 
@@ -424,6 +424,7 @@ def glue_plans(plan_ab: TransportPlan, plan_bc: TransportPlan) -> TransportPlan:
 
 class TransportFunctor(Functor):
     name = "transport"
+    fault = "transport-solver"
 
     def __init__(self, max_cells: int = DEFAULT_MAX_VERTEX_CELLS, element_cap: int = 4):
         self.max_cells = max_cells
@@ -470,8 +471,6 @@ class TransportFunctor(Functor):
                     yield d
 
     def distance(self, ctx, table, a, b):
-        from .extension import ExtensionResult
-
         result = kantorovich(table, a, b)
         return ExtensionResult(result.value, result.plan, 1)
 

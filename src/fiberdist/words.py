@@ -45,18 +45,16 @@ from . import transport  # by module, so a tracer that patches kantorovich sees 
 from .core import (
     FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, Value, scale_to_integers, set_field, validate_space,
 )
-from .extension import ElementDomainError, EmptyFiberError, ExtensionResult, Functor
-
-GRAEV = "graev"
-SWIERCZKOWSKI = "swierczkowski"
-VARIANTS = (GRAEV, SWIERCZKOWSKI)
+from .extension import (
+    GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult, Functor,
+)
 
 
-class CapTooSmallError(ValueError):
+class CapTooSmallError(ComputeError, ValueError):
     """No representation can exist below the reduced word length."""
 
 
-class WitnessError(RuntimeError):
+class WitnessError(ComputeError, RuntimeError):
     """A constructed representation does not re-lift to its value or does
     not reduce to the two words: an invariant of the exact path broke."""
 
@@ -803,6 +801,32 @@ class WordsFunctor(Functor):
         if cap is None:
             cap = self.cap
         return graev_distance(a, b, ctx, self.variant, cap, cost_table=table)
+
+    @staticmethod
+    def is_exact(result: ExtensionResult) -> bool:
+        """Whether an answer is exact: the closed forms settle no search
+        state, and every search or fiber minimum settles at least one."""
+        return result.fiber_size_enumerated == 0
+
+    @classmethod
+    def from_request(cls, request: dict) -> "WordsFunctor":
+        return cls(request["variant"], commutative=request["abelian"], cap=request["cap"])
+
+    def context(self, space: FiniteMetricSpace, basepoint: str | None) -> PointedSpace:
+        if basepoint is None:
+            raise ParseError('word distances need a "basepoint" entry in the space file')
+        return PointedSpace(space, space.index(basepoint))
+
+    def solver_fault(self, result: ExtensionResult) -> str:
+        return "words-dp" if self.is_exact(result) else "words-search"
+
+    def flags(self, result: ExtensionResult, a: GroupWord, b: GroupWord, method: str) -> dict:
+        return {
+            "search_states" if method == "specialized" else "fiber_size": result.fiber_size_enumerated,
+            "cap": default_cap(a, b) if self.cap is None else self.cap,
+            "cap_limited": result.cap_limited,
+            "certified": "exact" if self.is_exact(result) else "exhaustive_within_cap",
+        }
 
     def parse_element(self, obj, ctx) -> GroupWord:
         return parse_word(obj, ctx, self.commutative)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from fiberdist.extension import FAULTS
 
 CMD = [sys.executable, "-m", "fiberdist.cli"]
+METHODS = ("specialized", "generic", "both")
 
 TWO_POINT = {
     "points": ["x", "y"],
@@ -271,9 +273,8 @@ class TestWitnessRoundTrip:
     def test_witness_relifts_to_value(self, tmp_path, functor, a, b, extra):
         from fractions import Fraction
 
-        from fiberdist.cli import _build_functor
+        from fiberdist.cli import _functor_class
         from fiberdist.core import space_document_from_obj
-        from fiberdist.words import PointedSpace
 
         space_obj = WORDS_SPACE
         path = write_space(tmp_path, space_obj)
@@ -281,17 +282,17 @@ class TestWitnessRoundTrip:
         assert code == 0
         payload = json.loads(out)
 
-        space, basepoint = space_document_from_obj(space_obj)
-        ctx = PointedSpace(space, space.index(basepoint)) if functor == "words" else space
-
         request = {
             "functor": functor,
+            "a": json.loads(a),
             "norm": extra[1] if extra else "max",
             "variant": "graev",
             "abelian": False,
             "cap": None,
         }
-        instance = _build_functor(request, json.loads(a))
+        instance = _functor_class(functor).from_request(request)
+        space, basepoint = space_document_from_obj(space_obj)
+        ctx = instance.context(space, basepoint)
         witness = instance.parse_coupling(payload["witness"], ctx)
         assert instance.lift(space.pair_table(), witness) == Fraction(payload["value"])
 
@@ -445,11 +446,106 @@ class TestSelftest:
         assert failed == [f"FAIL {FAULT_TARGETS[fault]}", "FAIL overall"]
 
 
-def test_cli_import_leaves_dataclasses_selftest_and_sampling_unloaded():
+class TestOversizedInput:
+    """Inputs whose exact numbers Python will not convert between int and
+    text (``sys.get_int_max_str_digits()``) are refused, not tracebacks."""
+
+    HUGE = {**TWO_POINT, "matrix": [["0", "1" * 5000], ["1" * 5000, "0"]]}
+    DIGITS_ERROR = {"error": "rational scalar of 5000 characters has too many digits"}
+
+    def test_long_literal_is_an_input_error(self, tmp_path):
+        path = write_space(tmp_path, self.HUGE)
+        for args in (("validate",), ("dist", "hyperspace", "--a", '["x"]', "--b", '["y"]')):
+            code, out, err = run_cli(*args, "--space", path)
+            assert (code, err, json.loads(out)) == (1, "", self.DIGITS_ERROR)
+
+    def test_long_literal_fails_only_its_batch_entries(self, tmp_path):
+        good, huge = write_space(tmp_path, TWO_POINT), write_space(tmp_path, self.HUGE, "huge.json")
+        entry = {"command": "dist", "functor": "transport", "a": {"x": "1"}, "b": {"y": "1"}}
+        requests = [{**entry, "space": good}, {"command": "validate", "space": huge}, {**entry, "space": huge}]
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps(requests + requests[:1]))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert [r["exit_code"] for r in payload] == [0, 1, 1, 0]
+        assert payload[0]["value"] == payload[3]["value"] == "5"
+        assert payload[1] == payload[2] == {**self.DIGITS_ERROR, "exit_code": 1}
+
+    @pytest.mark.parametrize("p", [100_000, 30_000_000])
+    def test_huge_norm_exponent_exits_2_at_once(self, tmp_path, p):
+        path = write_space(tmp_path, TWO_POINT)
+        elements = {"a": ["x", "y"], "b": ["y", "y"]}
+        error = (
+            f"power[n=2,p{p}]: the exact value may have {math.ceil((3 * p + 2) * math.log10(2))} digits, "
+            f"more than the {sys.get_int_max_str_digits()} Python renders"
+        )
+        args = ["--space", path, "--norm", f"p:{p}", "--a", json.dumps(elements["a"]), "--b", json.dumps(elements["b"])]
+        for method in METHODS:
+            proc = subprocess.run(CMD + ["dist", "power", "--method", method, *args], capture_output=True, text=True,
+                                  timeout=10)
+            assert (proc.returncode, proc.stderr, json.loads(proc.stdout)) == (2, "", {"error": error})
+        requests = [
+            {"command": "dist", "functor": "power", "space": path, "norm": f"p:{n}", "method": method, **elements}
+            for n in (2, p)
+            for method in METHODS
+        ]
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps(requests))
+        proc = subprocess.run(CMD + ["batch", str(batch_path)], capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        payload = json.loads(proc.stdout)
+        assert [r["exit_code"] for r in payload] == [0, 0, 0, 2, 2, 2]
+        assert payload[0]["value"] == "25"
+        assert payload[3:] == [{"error": error, "exit_code": 2}] * 3
+
+
+def test_compute_errors_keep_their_builtin_base():
+    """Exit 2 is exactly a ComputeError, and each still is what library
+    callers caught before."""
+    from fiberdist import cli, power, transport, words
+    from fiberdist.extension import ComputeError, EmptyFiberError, FiberCapExceeded
+
+    bases = {
+        EmptyFiberError: RuntimeError,
+        FiberCapExceeded: RuntimeError,
+        power.ValueTooLargeError: ValueError,
+        transport.UnbalancedMassError: ValueError,
+        transport.MiddleMarginalError: ValueError,
+        words.CapTooSmallError: ValueError,
+        words.WitnessError: RuntimeError,
+    }
+    assert set(ComputeError.__subclasses__()) == set(bases)
+    for cls, base in bases.items():
+        assert issubclass(cls, base)
+        assert cli._error_response(cls("boom")) == ({"error": "boom"}, 2)
+
+
+FUNCTOR_MODULES = ("hyperspace", "power", "transport", "words")
+
+
+def loaded_modules(*argv):
+    """Which of dataclasses, selftest, sampling and the functor modules a
+    fresh process loads to import the CLI and, given ``argv``, run it."""
+    watched = ["dataclasses", "fiberdist.selftest", "fiberdist.sampling"]
+    watched += [f"fiberdist.{name}" for name in FUNCTOR_MODULES]
     probe = (
         "import sys, fiberdist.cli; "
-        "print(sorted({'dataclasses', 'fiberdist.selftest', 'fiberdist.sampling'} & set(sys.modules)))"
+        "code = fiberdist.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        f"print(sorted(set({watched!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+    return proc.stderr.strip()
+
+
+def test_cli_import_leaves_dataclasses_selftest_and_sampling_unloaded(tmp_path):
+    path = write_space(tmp_path, WORDS_SPACE)
+    assert loaded_modules() == "[]"
+    assert loaded_modules("validate", "--space", path) == "[]"
+    assert loaded_modules("dist", "hyperspace", "--space", path, "--a", '["x"]', "--b", '["y"]') == str(
+        ["fiberdist.hyperspace"]
+    )
+    assert loaded_modules("dist", "words", "--space", path, "--a", '["x"]', "--b", '["y"]') == str(
+        ["fiberdist.transport", "fiberdist.words"]
+    )

@@ -11,9 +11,7 @@ from fiberdist.core import (
     canonical_space_json,
     decimal_str,
     format_scalar,
-    identity_map,
     parse_scalar,
-    point_map,
     space_document_from_obj,
     space_from_json,
     validate_space,
@@ -35,6 +33,13 @@ class TestScalar:
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+    def test_oversized_literal_is_a_parse_error(self):
+        # Python refuses int() on more than sys.get_int_max_str_digits() digits.
+        for text in ["1" * 5000, "1/" + "3" * 5000, "-" + "7" * 5000 + "/2"]:
+            with pytest.raises(ParseError, match="too many digits"):
+                parse_scalar(text)
+        assert parse_scalar("9" * 4000) == 10**4000 - 1
 
     def test_round_trip(self):
         for text in ["0", "7", "-7", "5/2", "-9/4"]:
@@ -175,23 +180,6 @@ class TestSpaceFile:
         obj = {"points": ["x", "y", "z"], "matrix": [["0", "5/2", " 5/2"], ["5/2", "0", "5/2"], ["5/2", "10/4", "0"]]}
         space, _ = space_document_from_obj(obj)
         assert {space.d(i, j) for i in range(3) for j in range(3) if i != j} == {F(5, 2)}
-
-
-class TestPointMap:
-    def test_validation(self):
-        sp = two_point()
-        with pytest.raises(ValueError):
-            point_map(sp, sp, (0,))
-        with pytest.raises(ValueError):
-            point_map(sp, sp, (0, 5))
-        pm = point_map(sp, sp, (1, 0))
-        assert pm.is_injective
-        assert pm(0) == 1
-
-    def test_identity(self):
-        sp = two_point()
-        pm = identity_map(sp)
-        assert pm.assignment == (0, 1)
 
 
 class TestPairTable:

@@ -9,6 +9,7 @@ from fiberdist.extension import extend_generic
 from fiberdist.power import (
     PNorm,
     PowerFunctor,
+    ValueTooLargeError,
     fiber_tuples,
     int_nth_root,
     nth_root_interval,
@@ -109,6 +110,17 @@ class TestIntegerRoots:
             r = int_nth_root(m, p)
             assert r**p <= m < (r + 1) ** p
 
+    def test_int_nth_root_of_wide_radicands(self):
+        # Large exponents over small roots (decimal renderings of p-power
+        # values) and roots past a float's range, around exact powers.
+        rng = random.Random(9)
+        for p, root_bits in [(2, 1200), (3, 700), (64, 40), (1000, 34), (14000, 34), (5, 300)]:
+            for _ in range(3):
+                x = rng.getrandbits(root_bits) | 1 << (root_bits - 1)
+                for m in (x**p - 1, x**p, x**p + rng.getrandbits(root_bits)):
+                    r = int_nth_root(m, p)
+                    assert r**p <= m < (r + 1) ** p
+
     def test_interval_encloses(self):
         for q, p in [(F(18), 2), (F(5, 3), 3), (F(1), 7), (F(0), 2)]:
             lo, hi = nth_root_interval(q, p)
@@ -119,6 +131,28 @@ class TestIntegerRoots:
         assert root_decimal_str(F(18), 2, 6).startswith("4.242")
         assert root_decimal_str(F(8), 3, 6) == "2"
         assert root_decimal_str(F(5, 2), 1) == "2.5"
+
+
+class TestRenderableValues:
+    """Finite norms refuse a pair whose p-power value may pass Python's
+    int-to-str digit limit, on both paths and before any power is taken."""
+
+    def test_huge_exponents_are_refused(self):
+        space = two_point(F(5, 3))
+        for p in (10**5, 3 * 10**7, 10**12):
+            functor = PowerFunctor(2, PNorm(p))
+            with pytest.raises(ValueTooLargeError):
+                functor.distance(space, space.pair_table(), (0, 1), (1, 1))
+            with pytest.raises(ValueTooLargeError):
+                extend_generic(functor, space, space.pair_table(), (0, 1), (1, 1))
+
+    def test_renderable_values_are_answered(self):
+        space = two_point(F(5, 3))
+        for norm in (PNorm.max_norm(), PNorm(1), PNorm(2), PNorm(1000)):
+            functor = PowerFunctor(2, norm)
+            value = functor.distance(space, space.pair_table(), (0, 1), (1, 1)).value
+            assert value == extend_generic(functor, space, space.pair_table(), (0, 1), (1, 1)).value
+            assert F(str(value)) == value
 
 
 class TestRootedInequality:

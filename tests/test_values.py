@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fiberdist.core import FiniteMetricSpace, PairTable, PointMap, Value, set_field, validate_space
+from fiberdist.core import FiniteMetricSpace, PairTable, Value, set_field, validate_space
 from fiberdist.extension import ElementDomainError, ExtensionResult
 from fiberdist.hyperspace import Subset, SubsetCoupling
 from fiberdist.power import PNorm, PowerFunctor
@@ -29,7 +29,6 @@ SPACE = (
 # (builder of a fresh value, its repr)
 CASES = [
     (space, SPACE),
-    (lambda: PointMap(space(), space(), (1, 0)), f"PointMap(source={SPACE}, target={SPACE}, assignment=(1, 0))"),
     (lambda: PairTable([[F(0), 1], [F(1), 0]]), "PairTable(values=((Fraction(0, 1), 1), (Fraction(1, 1), 0)))"),
     (
         lambda: ExtensionResult(F(3, 2), (0, 1), 4),
