@@ -29,7 +29,9 @@ import sys
 from importlib import import_module
 
 from .core import ParseError, SpaceValidationError, canonical_space_obj, space_document_from_obj
-from .extension import FAULTS, VARIANTS, ComputeError, ElementDomainError, extend_generic, reported_value
+from .extension import (
+    FAULTS, VARIANTS, ComputeError, ElementDomainError, ValueTooLargeError, extend_generic, reported_value,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -117,12 +119,17 @@ def _single_response(functor, ctx, table, a, b, method: str, fault: str | None) 
     else:
         result = extend_generic(functor, ctx, table, a, b, early_exit=False)
         value = result.value
+    try:
+        rendered = {"value": str(value), **functor.render_value(value)}
+        witness = functor.format_coupling(result.witness, ctx)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise ValueTooLargeError(f"{functor.name}: the answer holds a number with more than the "
+                                 f"{sys.get_int_max_str_digits()} digits Python renders") from None
     return {
         "functor": functor.name,
         "method": method,
-        "value": str(value),
-        **functor.render_value(value),
-        "witness": functor.format_coupling(result.witness, ctx),
+        **rendered,
+        "witness": witness,
         "flags": functor.flags(result, a, b, method),
     }
 

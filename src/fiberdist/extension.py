@@ -16,7 +16,7 @@ from :class:`ComputeError`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from .core import PairTable, Value, decimal_str, scale_to_integers
 
@@ -59,13 +59,19 @@ class FiberCapExceeded(ComputeError, RuntimeError):
     """A fiber is too large for exhaustive coupling enumeration."""
 
 
+class ValueTooLargeError(ComputeError, ValueError):
+    """An answer holds a number with more digits than Python converts to text."""
+
+
 class Functor:
     """One concrete way of forming composite elements over a metric space.
 
     Subclasses provide the element representation and the six primitive
     operations; the engine and harnesses only ever go through this surface.
     ``ctx`` is the space context: a FiniteMetricSpace for most instances, a
-    PointedSpace for group-word instances.
+    PointedSpace for group-word instances.  Values are compared in the
+    instance's value form (see :meth:`ground_form`), where every comparison,
+    :meth:`sum_bound` included, is exact and answers True or False.
     """
 
     name = "abstract"
@@ -138,14 +144,10 @@ class Functor:
         """Whether the lift restricts to the identity on embedded points."""
         return True
 
-    def triangle_check(self, ctx, table, a, b, c, dab, dbc, dac):
-        """True/False for a decided triangle inequality, None if undecidable."""
-        return dac <= dab + dbc
-
-    def semiadditivity_check(self, phi: Sequence[Fraction], psi: Sequence[Fraction], elem):
-        """Check lift(phi+psi) <= lift(phi) + lift(psi) on one element."""
-        both = self.lift(lambda i: phi[i] + psi[i], elem)
-        return both <= self.lift(lambda i: phi[i], elem) + self.lift(lambda i: psi[i], elem)
+    def sum_bound(self, w: Fraction, u: Fraction, v: Fraction) -> bool:
+        """Whether w <= u + v, all three read in this instance's value form:
+        the triangle inequality on distances and semiadditivity on lifts."""
+        return w <= u + v
 
     # The request path: `fiberdist.cli` builds, places and renders every
     # instance through these, so it has no per-instance branches.

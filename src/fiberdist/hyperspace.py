@@ -15,7 +15,8 @@ from typing import Iterable, Iterator
 from .core import PairTable, ParseError, Value, set_field
 from .extension import ElementDomainError, ExtensionResult, FiberCapExceeded, Functor
 
-DEFAULT_MAX_CELLS = 16
+# fiber_subsets walks all 2**cells masks of A x B, so it refuses larger grids.
+MAX_CELLS = 16
 
 
 class Subset(Value):
@@ -67,7 +68,7 @@ def optimal_coupling(table: PairTable, a: Subset, b: Subset) -> SubsetCoupling:
     return SubsetCoupling(pairs)
 
 
-def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -> Iterator[SubsetCoupling]:
+def fiber_subsets(a: Subset, b: Subset) -> Iterator[SubsetCoupling]:
     """Every subset of A x B whose projections are exactly A and B.
 
     Exhaustive, so it contains a minimizer of any lift.  Enumeration order
@@ -78,8 +79,8 @@ def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -
     """
     cells = [(x, y) for x in a.members for y in b.members]
     k = len(cells)
-    if k > max_cells:
-        raise FiberCapExceeded(f"{k} cells exceed the enumeration cap {max_cells}")
+    if k > MAX_CELLS:
+        raise FiberCapExceeded(f"{k} cells exceed the enumeration cap {MAX_CELLS}")
     na, nb = len(a.members), len(b.members)
     # Bit r of a cover is row r, bit na + c is column c.
     cell_cover = [1 << r | 1 << (na + c) for r in range(na) for c in range(nb)]
@@ -98,9 +99,6 @@ def fiber_subsets(a: Subset, b: Subset, *, max_cells: int = DEFAULT_MAX_CELLS) -
 class HyperspaceFunctor(Functor):
     name = "hyperspace"
     fault = "hausdorff"
-
-    def __init__(self, max_cells: int = DEFAULT_MAX_CELLS):
-        self.max_cells = max_cells
 
     def validate_element(self, elem, ctx) -> None:
         if not isinstance(elem, Subset):
@@ -123,7 +121,7 @@ class HyperspaceFunctor(Functor):
         return SubsetCoupling(tuple((i, i) for i in elem.members))
 
     def fiber(self, a, b, ctx) -> Iterator[SubsetCoupling]:
-        return fiber_subsets(a, b, max_cells=self.max_cells)
+        return fiber_subsets(a, b)
 
     def lift(self, fn, elem) -> Fraction:
         members = elem.pairs if isinstance(elem, SubsetCoupling) else elem.members

@@ -4,10 +4,8 @@ For a finite exponent p the lifted value is stored as the exact rational sum
 of p-th powers; the 1/p root is irrational in general and is taken only for
 display.  Every comparison the package makes between two p-power values is
 therefore exact, because the root is strictly monotone on nonnegative
-reals.  Inequalities that genuinely mix rooted sums (triangle inequality,
-semiadditivity of the lift) are decided by a cascade of exact criteria and,
-as a last resort, interval enclosures of width 1e-31 per root; enclosures
-too tight to decide are reported as undecided, never passed silently.
+reals.  Inequalities that mix rooted sums (the triangle inequality and
+semiadditivity of the lift) are decided exactly by :func:`rooted_le`.
 """
 
 from __future__ import annotations
@@ -19,13 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import PairTable, ParseError, Value, decimal_str
-from .extension import ComputeError, ElementDomainError, ExtensionResult, Functor
-
-ROOT_SCALE_DIGITS = 31
-
-
-class ValueTooLargeError(ComputeError, ValueError):
-    """A p-power value may have more digits than Python converts to text."""
+from .extension import ElementDomainError, ExtensionResult, Functor, ValueTooLargeError
 
 
 class PNorm(Value):
@@ -117,68 +109,58 @@ def int_nth_root(m: int, p: int) -> int:
     return x
 
 
-def nth_root_interval(q: Fraction, p: int, digits: int = ROOT_SCALE_DIGITS) -> tuple[Fraction, Fraction]:
-    """An enclosure [lo, hi] of q ** (1/p) with hi - lo <= 10**-digits."""
+def nth_root_interval(q: Fraction, p: int, digits: int) -> tuple[Fraction, Fraction]:
+    """lo <= q ** (1/p) < hi, where lo is q ** (1/p) truncated to `digits`
+    decimals and hi = lo + 10**-digits."""
     if q < 0:
         raise ValueError("negative radicand")
     scale = 10**digits
-    m = (q.numerator * scale**p) // q.denominator
-    r = int_nth_root(m, p)
+    r = int_nth_root(q.numerator * scale**p // q.denominator, p)
     return Fraction(r, scale), Fraction(r + 1, scale)
 
 
-def rooted_sum_inequality(
-    w_vec: Sequence[Fraction],
-    u_vec: Sequence[Fraction],
-    v_vec: Sequence[Fraction],
-    p: int,
-) -> bool | None:
-    """Decide (sum w^p)^(1/p) <= (sum u^p)^(1/p) + (sum v^p)^(1/p).
+def _rational_root(q: Fraction, p: int) -> Fraction | None:
+    """q ** (1/p) when it is rational, else None."""
+    num, den = int_nth_root(q.numerator, p), int_nth_root(q.denominator, p)
+    if num**p == q.numerator and den**p == q.denominator:
+        return Fraction(num, den)
+    return None
 
-    Exact criteria first:
-      * W <= U + V in p-power form suffices, since t -> t^(1/p) is
-        subadditive on nonnegative reals;
-      * a zero side reduces the claim to a plain p-power comparison;
-      * componentwise w = u + v with u and v proportional is the exact
-        equality case.
-    Otherwise interval enclosures decide, or return None when the margin is
-    below the enclosure width.
+
+def rooted_le(W: Fraction, U: Fraction, V: Fraction, p: int) -> bool:
+    """Decide W^(1/p) <= U^(1/p) + V^(1/p) exactly, for p-power values W, U, V >= 0.
+
+    W <= U + V suffices, since t -> t^(1/p) is subadditive.  Otherwise
+    W > 0, and dividing by W^(1/p) asks whether x + y >= 1 for x = (U/W)^(1/p)
+    and y = (V/W)^(1/p).  When both are rational that is exact arithmetic.
+    When either is not, x + y != 1, since a sum of nonnegative real p-th
+    roots of rationals is rational only when each root is (Besicovitch,
+    J. London Math. Soc. 15 (1940); Mordell, Pacific J. Math. 3 (1953)).
+    So enclosures of the three roots, refined by doubling their digits,
+    decide it.
     """
-    W = sum((w**p for w in w_vec), Fraction(0))
-    U = sum((u**p for u in u_vec), Fraction(0))
-    V = sum((v**p for v in v_vec), Fraction(0))
     if W <= U + V:
         return True
-    if U == 0:
-        return W <= V
-    if V == 0:
-        return W <= U
-    if all(w == u + v for w, u, v in zip(w_vec, u_vec, v_vec)):
-        proportional = all(
-            u_vec[i] * v_vec[j] == u_vec[j] * v_vec[i]
-            for i in range(len(u_vec))
-            for j in range(i + 1, len(u_vec))
-        )
-        if proportional:
+    x, y = _rational_root(U / W, p), _rational_root(V / W, p)
+    if x is not None and y is not None:
+        return x + y >= 1
+    digits = 16
+    while True:
+        w_lo, w_hi = nth_root_interval(W, p, digits)
+        u_lo, u_hi = nth_root_interval(U, p, digits)
+        v_lo, v_hi = nth_root_interval(V, p, digits)
+        if w_hi <= u_lo + v_lo:
             return True
-    w_lo, w_hi = nth_root_interval(W, p)
-    u_lo, u_hi = nth_root_interval(U, p)
-    v_lo, v_hi = nth_root_interval(V, p)
-    if w_hi <= u_lo + v_lo:
-        return True
-    if w_lo > u_hi + v_hi:
-        return False
-    return None
+        if w_lo >= u_hi + v_hi:
+            return False
+        digits *= 2
 
 
 def root_decimal_str(power_value: Fraction, p: int, digits: int = 10) -> str:
     """Decimal rendering of power_value ** (1/p), truncated to `digits`."""
     if p == 1:
         return decimal_str(power_value, digits)
-    scale = 10**digits
-    m = (power_value.numerator * scale**p) // power_value.denominator
-    r = int_nth_root(m, p)
-    return decimal_str(Fraction(r, scale), digits)
+    return decimal_str(nth_root_interval(power_value, p, digits)[0], digits)
 
 
 class PowerFunctor(Functor):
@@ -258,21 +240,10 @@ class PowerFunctor(Functor):
         # it does not restrict to the identity on embedded points.
         return self.norm.is_max or self.n == 1
 
-    def triangle_check(self, ctx, table, a, b, c, dab, dbc, dac):
-        if self.norm.is_max or self.norm.p == 1:
-            return dac <= dab + dbc
-        u = [table(pr) for pr in zip(a, b)]
-        v = [table(pr) for pr in zip(b, c)]
-        w = [table(pr) for pr in zip(a, c)]
-        return rooted_sum_inequality(w, u, v, self.norm.p)
-
-    def semiadditivity_check(self, phi, psi, elem):
-        if self.norm.is_max or self.norm.p == 1:
-            return super().semiadditivity_check(phi, psi, elem)
-        u = [phi[i] for i in elem]
-        v = [psi[i] for i in elem]
-        w = [phi[i] + psi[i] for i in elem]
-        return rooted_sum_inequality(w, u, v, self.norm.p)
+    def sum_bound(self, w: Fraction, u: Fraction, v: Fraction) -> bool:
+        if self.norm.is_max:
+            return super().sum_bound(w, u, v)
+        return rooted_le(w, u, v, self.norm.p)
 
     def render_value(self, value: Fraction) -> dict:
         if self.norm.is_max:

@@ -29,7 +29,9 @@ from typing import Iterable, Iterator, Mapping
 from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
 from .extension import ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor
 
-DEFAULT_MAX_VERTEX_CELLS = 20
+# fiber_vertices walks every spanning tree of the support grid, so it
+# refuses grids of more cells.
+MAX_VERTEX_CELLS = 20
 
 
 class UnbalancedMassError(ComputeError, ValueError):
@@ -308,9 +310,7 @@ def _find_support_cycle(flow: dict[tuple[int, int], Fraction]):
         seen_at[node] = len(cells)
 
 
-def fiber_vertices(
-    mu: Distribution, nu: Distribution, *, max_cells: int = DEFAULT_MAX_VERTEX_CELLS
-) -> Iterator[TransportPlan]:
+def fiber_vertices(mu: Distribution, nu: Distribution) -> Iterator[TransportPlan]:
     """All vertices of the transportation polytope of (mu, nu).
 
     Every spanning tree of the complete bipartite support grid determines a
@@ -324,8 +324,8 @@ def fiber_vertices(
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
-    if m * n > max_cells:
-        raise FiberCapExceeded(f"{m}x{n} support exceeds the vertex enumeration cap {max_cells}")
+    if m * n > MAX_VERTEX_CELLS:
+        raise FiberCapExceeded(f"{m}x{n} support exceeds the vertex enumeration cap {MAX_VERTEX_CELLS}")
     seen = set()
     den, (mu_w, nu_w) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
     for tree in _spanning_trees(m, n):
@@ -426,10 +426,6 @@ class TransportFunctor(Functor):
     name = "transport"
     fault = "transport-solver"
 
-    def __init__(self, max_cells: int = DEFAULT_MAX_VERTEX_CELLS, element_cap: int = 4):
-        self.max_cells = max_cells
-        self.element_cap = element_cap
-
     def validate_element(self, elem, ctx) -> None:
         if not isinstance(elem, Distribution):
             raise ElementDomainError(f"expected a Distribution, got {elem!r}")
@@ -453,14 +449,13 @@ class TransportFunctor(Functor):
         return TransportPlan(tuple(((i, i), w) for i, w in elem.items()))
 
     def fiber(self, a, b, ctx) -> Iterator[TransportPlan]:
-        return fiber_vertices(a, b, max_cells=self.max_cells)
+        return fiber_vertices(a, b)
 
     def lift(self, fn, elem) -> Fraction:
         return integrate(fn, elem)
 
-    def enumerate_elements(self, ctx, cap: int = 0) -> Iterator[Distribution]:
+    def enumerate_elements(self, ctx, cap: int) -> Iterator[Distribution]:
         """All distributions whose weights share a denominator <= cap."""
-        cap = cap or self.element_cap
         n = ctx.n
         seen = set()
         for q in range(1, cap + 1):

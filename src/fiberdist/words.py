@@ -96,12 +96,6 @@ class GroupWord(Value):
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> "GroupWord":
-        if self.commutative:
-            flipped = tuple(sorted((x, -s) for x, s in self.letters))
-            return GroupWord(flipped, True)
-        return GroupWord(tuple((x, -s) for x, s in reversed(self.letters)), False)
-
 
 def reduce_letters(letters: Sequence[tuple[int, int]], commutative: bool, pointed: PointedSpace) -> GroupWord:
     """Canonical reduced form; independent of the order cancellations are
@@ -133,12 +127,6 @@ def reduce_letters(letters: Sequence[tuple[int, int]], commutative: bool, pointe
         else:
             stack.append((x, s))
     return GroupWord(tuple(stack), False)
-
-
-def concat(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> GroupWord:
-    if a.commutative != b.commutative:
-        raise ValueError("cannot concatenate free and free-abelian words")
-    return reduce_letters(a.letters + b.letters, a.commutative, pointed)
 
 
 def parse_word(obj, pointed: PointedSpace, commutative: bool) -> GroupWord:
@@ -815,7 +803,7 @@ class WordsFunctor(Functor):
     def context(self, space: FiniteMetricSpace, basepoint: str | None) -> PointedSpace:
         if basepoint is None:
             raise ParseError('word distances need a "basepoint" entry in the space file')
-        return PointedSpace(space, space.index(basepoint))
+        return pointed_space(space, basepoint)
 
     def solver_fault(self, result: ExtensionResult) -> str:
         return "words-dp" if self.is_exact(result) else "words-search"

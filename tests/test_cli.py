@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -499,17 +500,36 @@ class TestOversizedInput:
         assert payload[0]["value"] == "25"
         assert payload[3:] == [{"error": error, "exit_code": 2}] * 3
 
+    def test_oversized_value_fails_only_its_batch_entries(self, tmp_path):
+        # d and the small mass print in about 3,000 digits each; the
+        # transport value, their product, needs about 6,000.
+        d, m = Fraction(1, 3**6300), Fraction(1, 3**6290)
+        path = write_space(tmp_path, {**TWO_POINT, "matrix": [["0", str(d)], [str(d), "0"]]})
+        transport = {"command": "dist", "functor": "transport", "space": path,
+                     "a": {"x": str(m), "y": str(1 - m)}, "b": {"y": "1"}}
+        hyperspace = {"command": "dist", "functor": "hyperspace", "space": path, "a": ["x"], "b": ["y"]}
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps([{**transport, "method": method} for method in METHODS] + [hyperspace]))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert [r["exit_code"] for r in payload] == [2, 2, 2, 0]
+        error = (f"transport: the answer holds a number with more than the {sys.get_int_max_str_digits()} "
+                 "digits Python renders")
+        assert payload[:3] == [{"error": error, "exit_code": 2}] * 3
+        assert payload[3]["value"] == str(d)
+
 
 def test_compute_errors_keep_their_builtin_base():
     """Exit 2 is exactly a ComputeError, and each still is what library
     callers caught before."""
-    from fiberdist import cli, power, transport, words
-    from fiberdist.extension import ComputeError, EmptyFiberError, FiberCapExceeded
+    from fiberdist import cli, transport, words
+    from fiberdist.extension import ComputeError, EmptyFiberError, FiberCapExceeded, ValueTooLargeError
 
     bases = {
         EmptyFiberError: RuntimeError,
         FiberCapExceeded: RuntimeError,
-        power.ValueTooLargeError: ValueError,
+        ValueTooLargeError: ValueError,
         transport.UnbalancedMassError: ValueError,
         transport.MiddleMarginalError: ValueError,
         words.CapTooSmallError: ValueError,

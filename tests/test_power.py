@@ -16,7 +16,7 @@ from fiberdist.power import (
     power_distance,
     power_lift,
     root_decimal_str,
-    rooted_sum_inequality,
+    rooted_le,
 )
 from fiberdist.sampling import random_metric_space
 
@@ -123,7 +123,7 @@ class TestIntegerRoots:
 
     def test_interval_encloses(self):
         for q, p in [(F(18), 2), (F(5, 3), 3), (F(1), 7), (F(0), 2)]:
-            lo, hi = nth_root_interval(q, p)
+            lo, hi = nth_root_interval(q, p, 31)
             assert lo**p <= q <= hi**p
             assert hi - lo <= F(1, 10**31)
 
@@ -156,31 +156,53 @@ class TestRenderableValues:
 
 
 class TestRootedInequality:
+    """rooted_le(W, U, V, p) decides W^(1/p) <= U^(1/p) + V^(1/p) on p-power
+    values."""
+
     def test_sufficient_branch(self):
-        assert rooted_sum_inequality([F(1)], [F(1)], [F(1)], 2) is True
+        assert rooted_le(F(1), F(1), F(1), 2) is True
 
     def test_zero_side(self):
-        assert rooted_sum_inequality([F(4)], [F(0)], [F(4)], 2) is True
-        assert rooted_sum_inequality([F(5)], [F(0)], [F(4)], 2) is False
+        assert rooted_le(F(16), F(0), F(16), 2) is True
+        assert rooted_le(F(25), F(0), F(16), 2) is False
+        assert rooted_le(F(3), F(2), F(0), 2) is False
 
     def test_exact_equality_pattern(self):
-        # w = u + v componentwise with proportional u, v: equality case.
-        u = [F(1), F(2)]
-        v = [F(2), F(4)]
-        w = [F(3), F(6)]
-        assert rooted_sum_inequality(w, u, v, 2) is True
+        # Proportional u = (1, 2), v = (2, 4) and w = u + v: equality.
+        assert rooted_le(F(45), F(5), F(20), 2) is True
 
     def test_interval_decides_strict_cases(self):
         # sqrt(9) = 3 > sqrt(1) + sqrt(1) = 2
-        assert rooted_sum_inequality([F(3), F(0)], [F(1), F(0)], [F(1), F(0)], 2) is False
+        assert rooted_le(F(9), F(1), F(1), 2) is False
         # sqrt(2) <= 1 + 1
-        assert rooted_sum_inequality([F(1), F(1)], [F(1), F(0)], [F(0), F(1)], 2) is True
+        assert rooted_le(F(2), F(1), F(1), 2) is True
+        # sqrt(3) + sqrt(2) is irrational, just below 3.1463 and above 3.1462
+        assert rooted_le(F(31463, 10000) ** 2, F(3), F(2), 2) is False
+        assert rooted_le(F(31462, 10000) ** 2, F(3), F(2), 2) is True
+
+    def test_equality_with_rational_roots(self):
+        # sqrt(4) = sqrt(1) + sqrt(1), from w = (2, 0), u = (1, 0), v = (0, 1).
+        assert rooted_le(F(4), F(1), F(1), 2) is True
+        # cbrt(27) = cbrt(8) + cbrt(1), from w = (3, 0), u = (2, 0), v = (0, 1).
+        assert rooted_le(F(27), F(8), F(1), 3) is True
+        assert rooted_le(F(27) + F(1, 10**80), F(8), F(1), 3) is False
+        assert rooted_le(F(9, 4), F(1, 4), F(1), 2) is True
+
+    def test_near_equality_is_refined(self):
+        # 2 + 10^-70 > sqrt(1) + sqrt(1), by less than any fixed enclosure.
+        assert rooted_le((2 + F(1, 10**70)) ** 2, F(1), F(1), 2) is False
+        assert rooted_le((2 - F(1, 10**70)) ** 2, F(1), F(1), 2) is True
+        # (sqrt(3) + sqrt(2))^2 = 5 + 2 sqrt(6), approached from both sides
+        # within 10^-40.
+        r = F(int_nth_root(6 * 10**80, 2), 10**40)
+        assert rooted_le(5 + 2 * r, F(3), F(2), 2) is True
+        assert rooted_le(5 + 2 * (r + F(1, 10**40)), F(3), F(2), 2) is False
 
     def test_minkowski_sampled(self):
         # Triangle inequality for the 2-power distance always holds; the
-        # decision procedure must never answer False on real triples.
+        # decision must answer True on every sampled triple.
         rng = random.Random(13)
-        undecided = 0
+        norm = PNorm(2)
         for _ in range(200):
             sp = random_metric_space(rng, 3)
             t = sp.pair_table()
@@ -188,14 +210,13 @@ class TestRootedInequality:
             a = tuple(rng.randrange(3) for _ in range(n))
             b = tuple(rng.randrange(3) for _ in range(n))
             c = tuple(rng.randrange(3) for _ in range(n))
-            u = [t((x, y)) for x, y in zip(a, b)]
-            v = [t((x, y)) for x, y in zip(b, c)]
-            w = [t((x, y)) for x, y in zip(a, c)]
-            verdict = rooted_sum_inequality(w, u, v, 2)
-            assert verdict is not False
-            if verdict is None:
-                undecided += 1
-        assert undecided == 0
+            W, U, V = (power_distance(t, s, u, norm) for s, u in ((a, c), (a, b), (b, c)))
+            assert rooted_le(W, U, V, 2) is True
+
+    def test_sum_bound_reads_the_value_form(self):
+        assert PowerFunctor(2, PNorm(2)).sum_bound(F(4), F(1), F(1)) is True
+        assert PowerFunctor(2, PNorm(2)).sum_bound(F(5), F(1), F(1)) is False
+        assert PowerFunctor(2, PNorm.max_norm()).sum_bound(F(3), F(1), F(1)) is False
 
 
 class TestExtensionBehavior:

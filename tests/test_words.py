@@ -15,7 +15,6 @@ from fiberdist.words import (
     ProperRepresentationPair,
     WitnessError,
     WordsFunctor,
-    concat,
     enumerate_proper_representations,
     format_word,
     graev_distance,
@@ -85,10 +84,6 @@ class TestReduce:
                 else:
                     del work[idx : idx + 2]
             assert tuple(work) == word(ctx, letters).letters
-
-    def test_inverse_and_concat(self, ctx):
-        w = word(ctx, [(1, 1), (2, -1)])
-        assert concat(w, w.inverse(), ctx).letters == ()
 
 
 class TestWordSyntax:
