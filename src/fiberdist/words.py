@@ -12,16 +12,20 @@ over distinct letter pairs only for the "swierczkowski" variant.  Every
 distance is taken within a cap on the string length (default: combined
 reduced length plus two).
 
-``graev_distance`` answers the Graev variant exactly and cap-free: an
-interval program over non-crossing matchings for free words, and a padded
-``kantorovich`` transport (the Arens-Eells norm) for free-abelian words.
-Either builds a witness of at most |a|+|b| rows and checks it by re-lifting
-and reducing; the answer stands whenever that witness fits the cap.  The
-Swierczkowski variant has no such bound on the optimal string length, so
-it (and any Graev call the exact path cannot answer) goes to
+``graev_distance`` answers both variants exactly under a pseudometric cost
+whenever a witness attaining a cap-free lower bound fits the cap.  For
+Graev, the bound is the value itself: an interval program over
+non-crossing matchings for free words, and a padded ``kantorovich``
+transport (the Arens-Eells norm) for free-abelian words, each with a
+witness of at most |a|+|b| rows.  For Swierczkowski, the bound is the least
+summed Steiner-tree cost over the partitions of the words' points that make
+the two words equal once each block is one letter, and the witness is the
+shortest representation on one cheapest forest's edges.  Every such witness
+is checked by re-lifting and reducing.  The other calls (a cost that is no
+pseudometric, a witness longer than the cap) go to
 ``search_word_distance``, whose results carry a ``cap_limited`` flag: a
 capped value is an upper bound of the true infimum that is certified
-exhaustive within its cap.
+exhaustive within its cap, and is exact when it meets the bound.
 
 ``enumerate_proper_representations`` streams every representation pair
 within the cap (the coupling fiber), and ``search_word_distance`` expands
@@ -39,7 +43,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import transport  # by module, so a tracer that patches kantorovich sees these calls
 from .core import (
@@ -178,10 +182,22 @@ def letter_sum_lift(fn, keys: Iterable, variant: str) -> Fraction:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def word_lift(fn, item, variant: str) -> Fraction:
-    if isinstance(item, ProperRepresentationPair):
-        return letter_sum_lift(fn, map(itemgetter(0, 1), item.rows), variant)
-    return letter_sum_lift(fn, map(itemgetter(0), item.letters), variant)
+# Equal rows, witnesses and values of word answers are one shared object
+# each, so a caller that keeps many answers holds each of them once.  The
+# table is emptied when it reaches _SHARED_LIMIT entries, which bounds it.
+_SHARED: dict = {}
+_SHARED_LIMIT = 1 << 15
+
+
+def _shared(item):
+    if len(_SHARED) >= _SHARED_LIMIT:
+        _SHARED.clear()
+    return _SHARED.setdefault(item, item)
+
+
+def _word_result(value: Fraction, rows: Iterable, states: int, cap_limited: bool) -> ExtensionResult:
+    witness = ProperRepresentationPair(tuple([_shared(row) for row in rows]))
+    return ExtensionResult(_shared(value), _shared(witness), states, cap_limited)
 
 
 def default_cap(a: GroupWord, b: GroupWord) -> int:
@@ -286,6 +302,33 @@ def _prefix_tables(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[_
     )
 
 
+def _live_rows(key: tuple, left: _PrefixTables, right: _PrefixTables, cap: int, successors: dict) -> list:
+    """The live rows (x, y, s) of state ``key`` = (lkey, rkey, depth), in
+    sign, then x, then y order, each with the live rows of the state it
+    leads to and whether that completes a representation.  A row is live
+    when it completes one or has live rows below it; ``successors`` keeps
+    every state's list once it is built."""
+    lkey, rkey, depth = key
+    remaining = cap - depth - 1
+    ltable, rtable, ltarget, rtarget = left[lkey], right[rkey], left.target, right.target
+    out = []
+    for s in (1, -1):
+        neg = s == -1
+        ys = [(y, rnext, rnext == rtarget) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining]
+        for x, (lnext, lneed) in enumerate(ltable[neg::2]):
+            if lneed <= remaining:
+                ldone = lnext == ltarget
+                for y, rnext, rdone in ys:
+                    child = (lnext, rnext, depth + 1)
+                    below = successors.get(child)
+                    if below is None:
+                        below = _live_rows(child, left, right, cap, successors)
+                    if below or (ldone and rdone):
+                        out.append(((x, y, s), below, ldone and rdone))
+    successors[key] = out
+    return out
+
+
 def enumerate_proper_representations(
     a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None = None
 ) -> Iterator[ProperRepresentationPair]:
@@ -295,44 +338,22 @@ def enumerate_proper_representations(
     within the remaining rows is cut), so the stream is exhaustive within
     the cap.  The walk keeps one explicit stack of successor iterators; a
     state's successors depend only on its two prefixes and its depth, so
-    each such list is built once per stream.
+    each such list is built once per stream, without the rows that lead to
+    no representation.
     """
     cap = _check_pair(a, b, cap)
-    n = pointed.n
     left, right = _prefix_tables(a, b, pointed)
-    ltarget, rtarget = left.target, right.target
-    successors: dict[tuple, list] = {}
-
-    def expand(key: tuple) -> list:
-        # The feasible rows (x, y, s) of state (lkey, rkey, depth) in sign, then x, then y
-        # order, each with the state it leads to and whether that completes a representation.
-        lkey, rkey, depth = key
-        remaining = cap - depth - 1
-        ltable, rtable = left[lkey], right[rkey]
-        out = []
-        for s in (1, -1):
-            neg = s == -1
-            ys = [(y, rnext) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining]
-            for x, (lnext, lneed) in enumerate(ltable[neg::2]):
-                if lneed <= remaining:
-                    done = lnext == ltarget
-                    out.extend(((x, y, s), (lnext, rnext, depth + 1), done and rnext == rtarget) for y, rnext in ys)
-        successors[key] = out
-        return out
 
     def stream() -> Iterator[ProperRepresentationPair]:
-        if ltarget == () and rtarget == ():
+        if left.target == () and right.target == ():
             yield ProperRepresentationPair(())
         rows: list[tuple[int, int, int]] = []
-        stack = [iter(expand(((), (), 0)))]  # stack[d] walks the rows at depth d
+        stack = [iter(_live_rows(((), (), 0), left, right, cap, {}))]  # stack[d] walks the rows at depth d
         while stack:
-            for row, key, done in stack[-1]:
+            for row, below, done in stack[-1]:
                 rows.append(row)
                 if done:
                     yield ProperRepresentationPair(tuple(rows))
-                below = successors.get(key)
-                if below is None:
-                    below = expand(key)
                 if below:
                     stack.append(iter(below))
                     break
@@ -356,16 +377,20 @@ def graev_distance(
 ) -> ExtensionResult:
     """Distance between two words, free or free-abelian, within the cap.
 
-    For the Graev variant under a pseudometric cost, the value has a closed
-    form that needs no search: the non-crossing matching program for free
-    words (:func:`_free_graev`) and the Arens-Eells transport for
-    free-abelian words (:func:`_abelian_graev`).  Their witness has at most
-    ``|a| + |b|`` rows, is checked by re-lifting and reducing, and answers
-    whenever it fits the cap: the minimum within a cap is at least the
-    infimum, which the witness attains.  Such answers are exact, so
+    Under a pseudometric cost, both variants have a cap-free lower bound
+    with a witness that attains it.  For Graev, the bound is the value's
+    closed form: the non-crossing matching program for free words
+    (:func:`_free_graev`) and the Arens-Eells transport for free-abelian
+    words (:func:`_abelian_graev`), each witnessed by at most ``|a| + |b|``
+    rows.  For Swierczkowski, it is the Steiner-forest bound of
+    :func:`_swierczkowski_forest`, witnessed by the fewest rows on the
+    forest's edges.  The witness is checked by re-lifting and reducing, and
+    answers whenever it fits the cap: the minimum within a cap is at least
+    the bound, which the witness attains.  Such answers are exact, so
     ``cap_limited`` is false and ``fiber_size_enumerated`` is 0.  Every
-    other call (the Swierczkowski variant, a cost that is no pseudometric,
-    a cap below the witness) is answered by :func:`search_word_distance`.
+    other call (a cost that is no pseudometric, a cap below the witness) is
+    answered by :func:`search_word_distance`; a Swierczkowski search value
+    that meets the bound is not ``cap_limited`` either.
 
     ``cost_table`` (a nonnegative function on pairs) replaces the base
     distance.
@@ -373,18 +398,24 @@ def graev_distance(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    if variant == GRAEV:
-        dist, denom, idist = _integer_costs(pointed, cost_table)
-        if dist == pointed.space.dist or _is_pseudometric(pointed.space.points, dist):
-            if a.commutative:
-                value, rows = _abelian_graev(a, b, pointed, dist)
-            else:
-                cost, rows = _free_graev(a, b, pointed, idist)
-                value = Fraction(cost, denom)
-            _check_witness(a, b, pointed, rows, value, denom, idist)
-            if len(rows) <= cap:
-                return ExtensionResult(value, ProperRepresentationPair(tuple(rows)), 0, False)
-    return search_word_distance(a, b, pointed, variant, cap, cost_table=cost_table)
+    dist, denom, idist = _integer_costs(pointed, cost_table)
+    swier = variant == SWIERCZKOWSKI
+    if not (dist == pointed.space.dist or _is_pseudometric(pointed.space.points, dist)):
+        return _search(a, b, pointed, swier, cap, denom, idist)
+    bound = 0
+    if swier:
+        bound, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
+        value = Fraction(bound, denom)
+    elif a.commutative:
+        value, rows = _abelian_graev(a, b, pointed, dist)
+    else:
+        cost, rows = _free_graev(a, b, pointed, idist)
+        value = Fraction(cost, denom)
+    if rows is not None:
+        _check_witness(a, b, pointed, rows, value, denom, idist, variant)
+        if len(rows) <= cap:
+            return _word_result(value, rows, 0, False)
+    return _search(a, b, pointed, swier, cap, denom, idist, bound)
 
 
 def _integer_costs(pointed: PointedSpace, cost_table) -> tuple[tuple, int, list[list[int]]]:
@@ -553,9 +584,204 @@ def _unit_rows(ends: list, e: int) -> list[tuple[int, int, int]]:
     return [(x1, x1, s1), (x1, x2, s2) if r1 else (x2, x1, s2)]
 
 
-def _check_witness(a, b, pointed, rows, value: Fraction, denom: int, idist) -> None:
-    """Raise unless the rows re-lift to ``value`` and reduce to (a, b)."""
-    lifted = Fraction(sum(idist[x][y] for x, y, _s in rows), denom)
+# Above this many terminals (the words' points and the basepoint), the
+# Steiner-forest bound costs 3^t subset splits and Bell(t) partitions, and
+# Swierczkowski calls go to the search.
+MAX_FOREST_TERMINALS = 8
+
+
+def _swierczkowski_forest(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, idist, cap: int
+) -> tuple[int, list | None]:
+    """``(bound, rows)``: a lower bound on the integer cost of every
+    Swierczkowski representation of (a, b), and the fewest rows within the
+    cap that attain it (None when none fits).
+
+    Let T hold the points of a and b and the basepoint.  The keys of a
+    representation join its letters into components, and mapping each
+    letter to its component (the basepoint's to the identity) takes both
+    sides to one word; so the components split T into a feasible partition,
+    and the keys inside each component cost at least the Steiner tree of
+    its part of T.  The bound is the least summed Steiner cost over
+    feasible partitions.  Rows on one cheapest forest's edges, each paid
+    edge used in one orientation, cost at most the bound, so any such
+    witness attains it.
+    """
+    e = pointed.basepoint
+    terminals = sorted({e, *(x for x, _s in a.letters), *(x for x, _s in b.letters)})
+    if len(terminals) > MAX_FOREST_TERMINALS:
+        return 0, None
+    cost, tree_edges = _steiner_trees(terminals, idist)
+    bound, partitions = _cheapest_partitions(a, b, pointed, terminals, cost)
+    best = None
+    for blocks in partitions:
+        edges = sorted({edge for block in blocks for edge in tree_edges(block)})
+        rows = _shortest_witness(a, b, pointed, edges, idist, cap if best is None else len(best) - 1)
+        if rows is not None:
+            best = rows
+    return bound, best
+
+
+def _steiner_trees(terminals: list[int], idist) -> tuple[list[int], Callable]:
+    """Dreyfus-Wagner over the subsets of ``terminals`` (Networks 1 (1971)).
+
+    The costs are a pseudometric, so they are their own shortest-path
+    closure and a tree edge is a direct pair.  ``tree[mask][v]`` is the
+    least cost of a tree joining the terminals in ``mask`` and point v,
+    reached from the junction and split in ``via[mask][v]``.  Returns the
+    Steiner cost of every mask and a function giving one such tree's edges
+    as sorted point pairs.
+    """
+    points = range(len(idist))
+    tree: list = [None] * (1 << len(terminals))
+    via: list = [None] * (1 << len(terminals))
+    cost = [0] * (1 << len(terminals))
+    for i, x in enumerate(terminals):
+        tree[1 << i] = idist[x]
+        via[1 << i] = [(x, 0)] * len(idist)
+    for mask in range(1, 1 << len(terminals)):
+        low = mask & -mask
+        if mask == low:
+            continue
+        rest = mask ^ low
+        merge, split = None, None
+        sub = rest
+        while sub:  # every split {low | sub, rest ^ sub} with rest ^ sub nonempty
+            sub = (sub - 1) & rest
+            one = low | sub
+            sums = [p + q for p, q in zip(tree[one], tree[mask ^ one])]
+            if merge is None:
+                merge, split = sums, [one] * len(sums)
+            else:
+                for u, c in enumerate(sums):
+                    if c < merge[u]:
+                        merge[u], split[u] = c, one
+        tree[mask] = row = []
+        via[mask] = back = []
+        for v in points:
+            c, u = min((merge[u] + idist[u][v], u) for u in points)
+            row.append(c)
+            back.append((u, split[u]))
+        cost[mask] = row[terminals[low.bit_length() - 1]]
+
+    def tree_edges(mask: int) -> list[tuple[int, int]]:
+        out = []
+        todo = [(mask ^ (mask & -mask), terminals[(mask & -mask).bit_length() - 1])]
+        while todo:
+            mask, v = todo.pop()
+            if not mask:
+                continue
+            u, one = via[mask][v]
+            if u != v:
+                out.append((min(u, v), max(u, v)))
+            todo += [(one, u), (mask ^ one, u)] if one else []
+        return out
+
+    return cost, tree_edges
+
+
+def _cheapest_partitions(a: GroupWord, b: GroupWord, pointed: PointedSpace, terminals: list[int], cost: list[int]):
+    """``(bound, partitions)``: the least summed Steiner cost over the
+    feasible partitions of the terminals, and each partition (a tuple of
+    terminal masks) that attains it, in a fixed order.
+
+    A partition is feasible when mapping each letter to its block and
+    reducing, with the basepoint's block as the identity, takes a and b to
+    one word; a block stands for its first terminal, or for the basepoint.
+    Adding a terminal to a block never makes it cheaper, so a partial
+    partition dearer than the best one found is cut.
+    """
+    e = pointed.basepoint
+    found: list = []
+    best = None
+
+    def image(word: GroupWord, rep: dict) -> GroupWord:
+        return reduce_letters([(rep[x], s) for x, s in word.letters], word.commutative, pointed)
+
+    stack = [(0, (), 0)]  # (next terminal, blocks so far, their summed cost)
+    while stack:
+        i, blocks, total = stack.pop()
+        if best is not None and total > best:
+            continue
+        if i == len(terminals):
+            rep = {}
+            for mask in blocks:
+                members = [x for j, x in enumerate(terminals) if mask >> j & 1]
+                rep.update(dict.fromkeys(members, e if e in members else members[0]))
+            if image(a, rep) == image(b, rep):
+                if best is None or total < best:
+                    best = total
+                    found.clear()
+                found.append(blocks)
+            continue
+        # Terminal i opens a block of its own or joins one; pushed in reverse
+        # so that joining the first block is tried first.
+        bit = 1 << i
+        stack.append((i + 1, blocks + (bit,), total))
+        for k in reversed(range(len(blocks))):
+            joined = blocks[k] | bit
+            stack.append((i + 1, blocks[:k] + (joined,) + blocks[k + 1:], total - cost[blocks[k]] + cost[joined]))
+    return best, found
+
+
+def _shortest_witness(a: GroupWord, b: GroupWord, pointed: PointedSpace, edges, idist, cap: int) -> list | None:
+    """The fewest rows, at most ``cap``, of a representation of (a, b) whose
+    keys are forest ``edges`` or diagonal; None when none fits.
+
+    A* over (left prefix, right prefix, orientations) with the larger side's
+    need as the heuristic, which no row lowers by more than one.  A
+    positive-cost edge {u, v} appears as (u, v) or (v, u), never both, so
+    the rows pay it once; zero-cost edges and diagonal rows are free.
+    Points that no edge touches and neither word uses would only add rows.
+    """
+    e = pointed.basepoint
+    left, right = _prefix_tables(a, b, pointed)
+    ltarget, rtarget = left.target, right.target
+    moves = []  # (left code, right code, row, orientation bit it sets, bit that forbids it)
+    used = {x for x, _s in a.letters + b.letters}.union(*edges) - {e}
+    for x in sorted(used):
+        moves += [(2 * x, 2 * x, (x, x, 1), 0, 0), (2 * x + 1, 2 * x + 1, (x, x, -1), 0, 0)]
+    for i, (u, v) in enumerate(edges):
+        bits = (1 << 2 * i, 2 << 2 * i) if idist[u][v] else (0, 0)
+        for (p, q), own, other in (((u, v), *bits), ((v, u), *reversed(bits))):
+            moves += [(2 * p, 2 * q, (p, q, 1), own, other), (2 * p + 1, 2 * q + 1, (p, q, -1), own, other)]
+    start = ((), (), 0)
+    heap = [(max(len(a), len(b)), 0, 0, start, None, None)]  # rows + need, -rows, seq, state, parent, row
+    settled: dict = {}
+    seq = 0
+    while heap:
+        _f, minus_depth, _seq, state, parent, row = heapq.heappop(heap)
+        if state in settled:
+            continue
+        settled[state] = (parent, row)
+        lkey, rkey, mask = state
+        if lkey == ltarget and rkey == rtarget:
+            rows = []
+            while row is not None:
+                rows.append(row)
+                parent, row = settled[parent]
+            return rows[::-1]
+        depth = 1 - minus_depth
+        ltable, rtable = left[lkey], right[rkey]
+        for lcode, rcode, row, own, other in moves:
+            if mask & other:
+                continue
+            lnext, lneed = ltable[lcode]
+            rnext, rneed = rtable[rcode]
+            f = depth + (lneed if lneed > rneed else rneed)
+            if f > cap:
+                continue
+            nxt = (lnext, rnext, mask | own)
+            if nxt not in settled:
+                seq += 1
+                heapq.heappush(heap, (f, -depth, seq, nxt, state, row))
+    return None
+
+
+def _check_witness(a, b, pointed, rows, value: Fraction, denom: int, idist, variant: str) -> None:
+    """Raise unless the rows re-lift to ``value`` under the variant and reduce to (a, b)."""
+    keys = [(x, y) for x, y, _s in rows]
+    lifted = Fraction(sum(idist[x][y] for x, y in (dict.fromkeys(keys) if variant == SWIERCZKOWSKI else keys)), denom)
     left = reduce_letters([(x, s) for x, _y, s in rows], a.commutative, pointed)
     right = reduce_letters([(y, s) for _x, y, s in rows], a.commutative, pointed)
     if lifted != value or left != a or right != b:
@@ -579,10 +805,11 @@ def search_word_distance(
     the set of positive-cost pairs already paid for); appending a row is a
     transition.  States are expanded in cost order, so the first matched
     state popped is the minimum over all representations within the cap; a
-    state is skipped when an already-expanded state with the same prefixes
-    dominates it (no deeper, no costlier, and no larger paid set).  This
-    explores the same space as the exhaustive stream, just with provably
-    lossless pruning; the agreement is tested against the naive enumerator.
+    state is skipped, when pushed or popped, if an already-expanded state
+    with the same prefixes dominates it (no deeper, no costlier, and no
+    larger paid set).  This explores the same space as the exhaustive
+    stream, just with provably lossless pruning; the agreement is tested
+    against the naive enumerator.
 
     ``cost_table`` (a nonnegative function on pairs) replaces the base
     distance.  The result's ``fiber_size_enumerated`` counts settled states.
@@ -590,11 +817,14 @@ def search_word_distance(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    n = pointed.n
-    # Integer costs keep the heap fast.
     _dist, denom, idist = _integer_costs(pointed, cost_table)
+    return _search(a, b, pointed, variant == SWIERCZKOWSKI, cap, denom, idist)
 
-    swier = variant == SWIERCZKOWSKI
+
+def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int = 0) -> ExtensionResult:
+    """:func:`search_word_distance` on integer costs; a value at ``floor``,
+    a lower bound of every representation's cost, is not ``cap_limited``."""
+    n = pointed.n
     positive_bit: dict[tuple[int, int], int] = {}
     if swier:
         for x in range(n):
@@ -612,36 +842,33 @@ def search_word_distance(
         )
     ]
 
-    start = ((), (), 0)  # lkey, rkey, mask
-    heap = [(0, 0, 0, start)]  # cost, seq, depth, state
-    parents: dict[int, tuple[int, tuple | None]] = {0: (-1, None)}
+    # Heap entries: cost, push order, depth, state (lkey, rkey, mask), and the
+    # settled state and row it was pushed from; a state's parent is recorded
+    # only when it settles.
+    heap = [(0, 0, 0, ((), (), 0), -1, None)]
+    parents: list[tuple[int, tuple | None]] = []  # settled state -> (its parent, its row)
     seq = 0
     settled: dict[tuple, list[tuple[int, int]]] = {}  # (l, r) -> [(mask, depth)]
-    states = 0
 
     while heap:
-        cost, me, depth, (lkey, rkey, mask) = heapq.heappop(heap)
+        cost, _seq, depth, (lkey, rkey, mask), parent, row = heapq.heappop(heap)
         entries = settled.setdefault((lkey, rkey), [])
         if any(m & mask == m and d <= depth for m, d in entries):
             continue
         entries[:] = [(m, d) for m, d in entries if not (mask & m == mask and depth <= d)]
         entries.append((mask, depth))
-        states += 1
+        me = len(parents)
+        parents.append((parent, row))
         if lkey == ltarget and rkey == rtarget:
             rows = []
-            node = me
-            while node != -1:
-                parent, row = parents[node]
-                if row is not None:
-                    rows.append(row)
-                node = parent
-            rows.reverse()
-            return ExtensionResult(
-                Fraction(cost, denom), ProperRepresentationPair(tuple(rows)), states, cost != 0
-            )
+            while row is not None:
+                rows.append(row)
+                parent, row = parents[parent]
+            return _word_result(Fraction(cost, denom), reversed(rows), len(parents), cost > floor)
         if depth == cap:
             continue
         remaining = cap - depth - 1
+        depth += 1
         # Successor prefixes that can still reach their target, else None.
         lnexts = [nxt if k <= remaining else None for nxt, k in left[lkey]]
         rnexts = [nxt if k <= remaining else None for nxt, k in right[rkey]]
@@ -657,9 +884,11 @@ def search_word_distance(
                 nmask = mask | bit
             else:
                 step, nmask = base, 0
+            seen = settled.get((lnext, rnext))
+            if seen and any(m & nmask == m and d <= depth for m, d in seen):
+                continue
             seq += 1
-            parents[seq] = (me, row)
-            heapq.heappush(heap, (cost + step, seq, depth + 1, (lnext, rnext, nmask)))
+            heapq.heappush(heap, (cost + step, seq, depth, (lnext, rnext, nmask), me, row))
 
     raise EmptyFiberError(f"no proper representation of ({a!r}, {b!r}) within cap {cap}")
 
@@ -695,6 +924,9 @@ def naive_word_distance(
                         if low is None or cost < low:
                             best[variant] = cost
     return best, count
+
+
+_pair_key, _point_key = itemgetter(0, 1), itemgetter(0)
 
 
 class WordsFunctor(Functor):
@@ -749,7 +981,11 @@ class WordsFunctor(Functor):
         return enumerate_proper_representations(a, b, ctx, cap if cap is not None else self.cap)
 
     def lift(self, fn, elem) -> Fraction:
-        return word_lift(fn, elem, self.variant)
+        if elem.__class__ is ProperRepresentationPair:
+            keys = map(_pair_key, elem.rows)
+        else:
+            keys = map(_point_key, elem.letters)
+        return sum(map(fn, dict.fromkeys(keys) if self.variant == SWIERCZKOWSKI else keys))
 
     def enumerate_elements(self, ctx: PointedSpace, cap: int) -> Iterator[GroupWord]:
         if self.commutative:
@@ -792,7 +1028,7 @@ class WordsFunctor(Functor):
 
     @staticmethod
     def is_exact(result: ExtensionResult) -> bool:
-        """Whether an answer is exact: the closed forms settle no search
+        """Whether an answer is exact: the exact paths settle no search
         state, and every search or fiber minimum settles at least one."""
         return result.fiber_size_enumerated == 0
 

@@ -161,10 +161,8 @@ class TestDist:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == "1"
-        assert payload["flags"]["cap"] == 6
-        assert payload["flags"]["cap_limited"] is True
-        assert payload["flags"]["certified"] == "exhaustive_within_cap"
-        assert payload["flags"]["search_states"] > 0
+        # Two rows on the edge {x, y} attain the Steiner-forest bound.
+        assert payload["flags"] == {"search_states": 0, "cap": 6, "cap_limited": False, "certified": "exact"}
 
     @pytest.mark.parametrize("abelian", [[], ["--abelian"]])
     def test_graev_words_are_exact(self, tmp_path, abelian):
@@ -182,15 +180,29 @@ class TestDist:
 
     def test_search_fault_mismatches_swierczkowski_exit_3(self, tmp_path):
         path = write_space(tmp_path, WORDS_SPACE)
-        common = ("dist", "words", "--method", "both", "--space", path, "--a", '["x","x"]', "--b", '["y","y"]')
+        both = ("dist", "words", "--method", "both", "--space", path)
+        # xy against yx needs four rows to reach the bound 1, so cap 3 leaves
+        # the search, which pays both orientations of {x, y}.
+        capped = both + ("--variant", "swierczkowski", "--cap", "3", "--a", '["x","y"]', "--b", '["y","x"]')
+        code, out, _ = run_cli(*capped)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["specialized"]["value"] == "2"
+        assert payload["specialized"]["flags"]["cap_limited"] is True
+        code, out, _ = run_cli(*capped, "--inject-fault", "words-search")
+        assert code == 3
+        payload = json.loads(out)
+        assert (payload["specialized"]["value"], payload["generic"]["value"]) == ("3", "2")
+        # Exact answers settle no search state, so the search fault leaves
+        # them be, and the exact-path fault flips them.
+        common = both + ("--a", '["x","x"]', "--b", '["y","y"]')
         swierczkowski = common + ("--variant", "swierczkowski")
-        assert run_cli(*swierczkowski)[0] == 0
-        code, out, _ = run_cli(*swierczkowski, "--inject-fault", "words-search")
+        assert run_cli(*common, "--inject-fault", "words-search")[0] == 0
+        assert run_cli(*swierczkowski, "--inject-fault", "words-search")[0] == 0
+        code, out, _ = run_cli(*swierczkowski, "--inject-fault", "words-dp")
         assert code == 3
         payload = json.loads(out)
         assert (payload["specialized"]["value"], payload["generic"]["value"]) == ("2", "1")
-        # Exact Graev answers settle no search state, so the fault leaves them be.
-        assert run_cli(*common, "--inject-fault", "words-search")[0] == 0
 
     def test_words_without_basepoint_exit_1(self, tmp_path):
         path = write_space(tmp_path, TWO_POINT)

@@ -1,6 +1,6 @@
 """Property tests: the word stream and the best-first search, which share one
-prefix model, both match the naive oracle, and the exact Graev path matches
-the search."""
+prefix model, both match the naive oracle, and the exact Graev and
+Swierczkowski paths match the search."""
 
 from fractions import Fraction as F
 
@@ -9,7 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from fiberdist import words
 from fiberdist.core import validate_space
+from fiberdist.extension import EmptyFiberError
 from fiberdist.sampling import labels
 from fiberdist.words import (
     VARIANTS,
@@ -83,3 +85,30 @@ def test_exact_graev_equals_the_search(case):
     pairs = [(x, y) for x, y, _s in rows]
     assert letter_sum_lift(lambda p: pointed.space.dist[p[0]][p[1]], pairs, "graev") == exact.value
     assert WordsFunctor(commutative=a.commutative).marginals(exact.witness, pointed) == (a, b)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(pointed_words(max_points=4))
+def test_exact_swierczkowski_equals_the_search(case):
+    pointed, a, b = case
+    _dist, denom, idist = words._integer_costs(pointed, None)
+    default = len(a) + len(b) + 2
+    for cap in (max(len(a), len(b)), default):
+        try:
+            searched = search_word_distance(a, b, pointed, "swierczkowski", cap)
+        except EmptyFiberError:
+            with pytest.raises(EmptyFiberError):
+                graev_distance(a, b, pointed, "swierczkowski", cap)
+            continue
+        answered = graev_distance(a, b, pointed, "swierczkowski", cap)
+        assert answered.value == searched.value
+        bound, rows = words._swierczkowski_forest(a, b, pointed, idist, cap)
+        if answered.fiber_size_enumerated == 0:
+            assert not answered.cap_limited and len(rows) <= cap
+            assert answered.value == F(bound, denom) and answered.witness.rows == tuple(rows)
+        else:
+            assert rows is None and answered.cap_limited == (answered.value > F(bound, denom))
+    # The bound holds below every capped value, not just the default one.
+    bound = F(words._swierczkowski_forest(a, b, pointed, idist, default)[0], denom)
+    for cap in (default, default + 1, default + 2):
+        assert bound <= search_word_distance(a, b, pointed, "swierczkowski", cap).value

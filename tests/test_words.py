@@ -185,7 +185,63 @@ class TestDistances:
         assert r1.value == F(2)
         assert r2.value == F(1)
         assert not r1.cap_limited  # the exact Graev path
-        assert r2.cap_limited
+        # The exact Swierczkowski path: the edge {x, y} is the cheapest
+        # forest, and two rows on it reach the bound.
+        assert (r2.fiber_size_enumerated, r2.cap_limited) == (0, False)
+        assert r2.witness.rows == ((1, 2, 1), (1, 2, 1))
+
+    def test_swierczkowski_capped_above_the_bound(self, ctx):
+        # x against x^-1 x^-1 y^-1: the cheapest forest the bound builds is
+        # the tree {e-x, x-y} of cost 11, whose shortest witness has 7 rows.  The default cap 6
+        # leaves the search at 20; at cap + 2 the exact path meets the bound,
+        # and the search alone reaches it from cap 7 on.
+        a, b = word(ctx, [(1, 1)]), word(ctx, [(1, -1), (1, -1), (2, -1)])
+        capped = graev_distance(a, b, ctx, "swierczkowski")
+        assert capped == search_word_distance(a, b, ctx, "swierczkowski")
+        assert (capped.value, capped.cap_limited) == (F(20), True) and capped.fiber_size_enumerated > 0
+        exact = graev_distance(a, b, ctx, "swierczkowski", 8)
+        assert (exact.value, exact.fiber_size_enumerated, exact.cap_limited) == (F(11), 0, False)
+        assert len(exact.witness.rows) == 7
+        assert search_word_distance(a, b, ctx, "swierczkowski", 7).value == F(11)
+
+    def test_swierczkowski_search_at_the_bound_is_not_cap_limited(self, ctx):
+        # The empty word against x y y: the bound 11 needs 6 rows, one more
+        # than the default cap, and the search meets it there.
+        a, b = word(ctx, []), word(ctx, [(1, 1), (2, 1), (2, 1)])
+        result = graev_distance(a, b, ctx, "swierczkowski")
+        assert result.fiber_size_enumerated > 0 and result.value == F(11)
+        assert not result.cap_limited
+        assert search_word_distance(a, b, ctx, "swierczkowski").cap_limited
+
+    def test_answers_share_equal_parts_in_a_bounded_table(self, ctx, monkeypatch):
+        a, b = word(ctx, [(1, 1), (2, -1)]), word(ctx, [(2, 1)])
+        for variant in ("graev", "swierczkowski"):
+            first, again = graev_distance(a, b, ctx, variant), graev_distance(a, b, ctx, variant)
+            assert first.witness is again.witness and first.value is again.value
+        monkeypatch.setattr(words, "_SHARED", {})
+        monkeypatch.setattr(words, "_SHARED_LIMIT", 3)
+        assert graev_distance(a, b, ctx, "swierczkowski") == first
+        assert len(words._SHARED) <= 3
+
+    def test_many_terminals_go_to_the_search(self):
+        # Eight letters and the basepoint are nine terminals, one more than
+        # the forest bound takes; at cap 4 each row must pair x_i with x_i+4.
+        pointed = PointedSpace(random_metric_space(random.Random(9), 9), 0)
+        a, b = word(pointed, [(i, 1) for i in range(1, 5)]), word(pointed, [(i, 1) for i in range(5, 9)])
+        assert len({0, *range(1, 9)}) > words.MAX_FOREST_TERMINALS
+        result = graev_distance(a, b, pointed, "swierczkowski", 4)
+        assert result == search_word_distance(a, b, pointed, "swierczkowski", 4)
+        assert result.fiber_size_enumerated > 0
+
+    def test_non_pseudometric_cost_goes_to_the_search(self, ctx):
+        # d(x, y) = 5 breaks the triangle through e; the Steiner bound needs
+        # costs that are their own shortest paths, so the search answers.
+        costs = [[F(0), F(1), F(1)], [F(1), F(0), F(5)], [F(1), F(5), F(0)]]
+        table = lambda pair: costs[pair[0]][pair[1]]
+        a, b = word(ctx, [(1, 1), (1, 1)]), word(ctx, [(2, 1), (2, 1)])
+        result = graev_distance(a, b, ctx, "swierczkowski", cost_table=table)
+        assert result == search_word_distance(a, b, ctx, "swierczkowski", cost_table=table)
+        assert result.fiber_size_enumerated > 0 and result.value == F(2)
 
     def test_witness_reevaluates_to_value(self, ctx):
         rng = random.Random(44)
