@@ -8,8 +8,9 @@ Commands:
 
 Exit codes: 0 success, 1 parse/validation error, 2 computation error (an
 ``extension.ComputeError``: enumeration cap exceeded, unbalanced masses, no
-representation within cap, a word witness failing its check, a value too
-large to print), 3 specialized/generic mismatch under ``--method both``.
+representation within cap, a word witness or transport certificate
+failing its check, a value too large to print), 3 specialized/generic
+mismatch under ``--method both``.
 
 Functors are known only through one table, CLI name -> (module, class);
 a functor's module is imported when a request first names it, and the

@@ -59,6 +59,13 @@ class FiberCapExceeded(ComputeError, RuntimeError):
     """A fiber is too large for exhaustive coupling enumeration."""
 
 
+class WitnessError(ComputeError, RuntimeError):
+    """A specialized answer fails its own check: a word representation does
+    not re-lift to its value or reduce to the two words, or a transport plan
+    and its dual potentials do not certify each other.  An invariant of the
+    solver broke."""
+
+
 class ValueTooLargeError(ComputeError, ValueError):
     """An answer holds a number with more digits than Python converts to text."""
 

@@ -11,9 +11,11 @@ the common denominator of the masses: each round pushes at least 1/D of
 the unit total, so there are at most D rounds.  Shortest paths are found
 by Bellman-Ford over a fixed arc order, which keeps witnesses
 deterministic.
-The solver keeps no potentials: ``dual_certificate`` runs its own
-Bellman-Ford on the final plan to produce exact dual potentials that
-certify optimality.
+The last round's shortest distances are the dual potentials: every node is
+reachable in that round, and pushing along a shortest path keeps every
+residual reduced cost nonnegative, so they certify the final plan.
+``dual_certificate`` checks that certificate in O(mn) and raises
+``WitnessError`` when it fails, as every broken solver invariant does.
 
 The independent oracle walks the spanning trees of the support grid
 directly, a depth-first pass that skips every cell closing a cycle, and
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
-from .extension import ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor
+from .extension import ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, WitnessError
 
 # fiber_vertices walks every spanning tree of the support grid, so it
 # refuses grids of more cells.
@@ -56,9 +58,6 @@ class Distribution(Value):
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.mass)
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.mass)
 
 
 def distribution(weights: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]]) -> Distribution:
@@ -139,39 +138,35 @@ class KantorovichResult(Value):
         self._set(value, plan, dual_row, dual_col)
 
 
-def dual_certificate(table: PairTable, mu: Distribution, nu: Distribution, plan: TransportPlan):
-    """Feasible dual potentials with exact complementary slackness.
+def dual_certificate(
+    table: PairTable,
+    mu: Distribution,
+    nu: Distribution,
+    plan: TransportPlan,
+    value: Fraction,
+    dual_row: dict[int, Fraction],
+    dual_col: dict[int, Fraction],
+) -> None:
+    """Check that the potentials certify ``plan`` as optimal with ``value``.
 
-    Solves the difference constraints v_j - u_i <= d(i, j), with equality on
-    the plan's support, by Bellman-Ford shortest distances; a negative cycle
-    would mean the plan is not optimal, which is a solver invariant
-    violation and raises.
+    The plan's marginals must be mu and nu, the potentials feasible
+    (v_j - u_i <= d(i, j) on every support pair), tight on the plan's
+    support, and the dual value sum v_j nu_j - sum u_i mu_i must equal
+    ``value``; by weak duality no plan then costs less.  Raises
+    ``WitnessError`` naming the first check that fails.
     """
-    rows = mu.support
-    cols = nu.support
-    support = set(plan.support)
-    nodes = [("r", i) for i in rows] + [("c", j) for j in cols]
-    dist = {node: Fraction(0) for node in nodes}
-    arcs = []
-    for i in rows:
-        for j in cols:
-            arcs.append((("r", i), ("c", j), table((i, j))))
-            if (i, j) in support:
-                arcs.append((("c", j), ("r", i), -table((i, j))))
-    for _ in range(len(nodes) - 1):
-        changed = False
-        for u, v, w in arcs:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            break
-    for u, v, w in arcs:
-        if dist[u] + w < dist[v]:
-            raise RuntimeError("negative dual cycle: transport plan is not optimal")
-    dual_row = {i: dist[("r", i)] for i in rows}
-    dual_col = {j: dist[("c", j)] for j in cols}
-    return dual_row, dual_col
+    if plan.row_marginal() != mu or plan.col_marginal() != nu:
+        raise WitnessError("transport plan marginals differ from mu and nu")
+    for i in mu.support:
+        for j in nu.support:
+            if dual_col[j] - dual_row[i] > table((i, j)):
+                raise WitnessError(f"dual potentials infeasible at ({i}, {j})")
+    for i, j in plan.support:
+        if dual_col[j] - dual_row[i] != table((i, j)):
+            raise WitnessError(f"complementary slackness fails at ({i}, {j})")
+    dual_value = integrate(dual_col.__getitem__, nu) - integrate(dual_row.__getitem__, mu)
+    if dual_value != value:
+        raise WitnessError(f"dual value {dual_value} differs from the transport value {value}")
 
 
 def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> KantorovichResult:
@@ -223,7 +218,7 @@ def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> Kantoro
             if not changed:
                 break
         if dist[sink] is None:
-            raise RuntimeError("no augmenting path; balanced marginals should prevent this")
+            raise WitnessError("no augmenting path; balanced marginals should prevent this")
         path = []
         v = sink
         while v != source:
@@ -249,8 +244,10 @@ def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> Kantoro
     flow = _cancel_support_cycles(flow, table)
     plan = transport_plan(flow)
     if integrate(table, plan) != value:
-        raise RuntimeError("plan does not re-integrate to the optimal value")
-    dual_row, dual_col = dual_certificate(table, mu, nu, plan)
+        raise WitnessError("plan does not re-integrate to the optimal value")
+    dual_row = {i: dist[1 + a] for a, i in enumerate(rows)}
+    dual_col = {j: dist[m + 1 + b] for b, j in enumerate(cols)}
+    dual_certificate(table, mu, nu, plan, value, dual_row, dual_col)
     return KantorovichResult(value, plan, dual_row, dual_col)
 
 
@@ -264,7 +261,7 @@ def _cancel_support_cycles(flow: dict[tuple[int, int], Fraction], table: PairTab
         signed = [(cell, 1 if idx % 2 == 0 else -1) for idx, cell in enumerate(cycle)]
         alt_cost = sum(sign * table(cell) for cell, sign in signed)
         if alt_cost != 0:
-            raise RuntimeError("support cycle with nonzero alternating cost in an optimal plan")
+            raise WitnessError("support cycle with nonzero alternating cost in an optimal plan")
         delta = min(flow[cell] for cell, sign in signed if sign < 0)
         for cell, sign in signed:
             flow[cell] = flow.get(cell, Fraction(0)) + sign * delta
@@ -412,7 +409,7 @@ def glue_plans(plan_ab: TransportPlan, plan_bc: TransportPlan) -> TransportPlan:
         raise MiddleMarginalError(
             f"middle marginals differ: {middle_out.mass} vs {middle_in.mass}"
         )
-    nu = middle_out.as_dict()
+    nu = dict(middle_out.items())
     acc: dict[tuple[int, int], Fraction] = {}
     for (i, k), w1 in plan_ab.items():
         for (k2, j), w2 in plan_bc.items():

@@ -51,16 +51,12 @@ from .core import (
 )
 from .extension import (
     GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult, Functor,
+    WitnessError,
 )
 
 
 class CapTooSmallError(ComputeError, ValueError):
     """No representation can exist below the reduced word length."""
-
-
-class WitnessError(ComputeError, RuntimeError):
-    """A constructed representation does not re-lift to its value or does
-    not reduce to the two words: an invariant of the exact path broke."""
 
 
 class PointedSpace(Value):

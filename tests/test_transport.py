@@ -1,13 +1,14 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from fiberdist.core import validate_space
-from fiberdist.extension import extend_generic
-from fiberdist.sampling import random_distribution, random_metric_space
+from fiberdist.core import PairTable, validate_space
+from fiberdist.extension import WitnessError, extend_generic
+from fiberdist.sampling import random_distribution, random_metric_space, random_pseudometric_table
 from fiberdist.transport import (
     Distribution,
     FiberCapExceeded,
@@ -23,6 +24,21 @@ from fiberdist.transport import (
     point_mass,
     transport_plan,
 )
+
+
+@pytest.fixture
+def off_by_one_potential(monkeypatch):
+    """Hand the certificate check the solver's potentials with the first
+    row potential raised by one."""
+    from fiberdist import transport
+
+    certify = transport.dual_certificate
+
+    def shifted(table, mu, nu, plan, value, dual_row, dual_col):
+        first = min(dual_row)
+        certify(table, mu, nu, plan, value, {**dual_row, first: dual_row[first] + 1}, dual_col)
+
+    monkeypatch.setattr(transport, "dual_certificate", shifted)
 
 
 def two_point(d=F(1)):
@@ -102,19 +118,39 @@ class TestKantorovich:
 
         monkeypatch.setattr(transport, "_cancel_support_cycles", shifted)
         mu = distribution({0: F(1, 3), 1: F(2, 3)})
-        with pytest.raises(RuntimeError, match="re-integrate"):
+        with pytest.raises(WitnessError, match="re-integrate"):
             kantorovich(two_point().pair_table(), mu, mu)
 
     def test_dual_certificate(self):
         # Feasible potentials with exact complementary slackness certify
-        # optimality independently of the solver's own bookkeeping.
+        # optimality independently of the solver's own bookkeeping.  Beyond
+        # metric tables: pseudometric tables with zero off-diagonal entries,
+        # nonnegative tables that break the triangle inequality, and
+        # one-point supports on either side, since the potentials are the
+        # solver's last round of shortest distances and every node must be
+        # reachable in it.
         rng = random.Random(14)
+        cases = []
         for _ in range(20):
             sp = random_metric_space(rng, rng.randint(2, 4))
-            t = sp.pair_table()
-            mu = random_distribution(rng, sp.n)
-            nu = random_distribution(rng, sp.n)
+            cases.append((sp.pair_table(), random_distribution(rng, sp.n), random_distribution(rng, sp.n)))
+        tables = []
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            tables.append(random_pseudometric_table(rng, n, zero_prob=0.5))
+            costs = [[F(rng.randint(0, 9), rng.randint(1, 3)) for _j in range(n)] for _i in range(n)]
+            tables.append(PairTable([[F(0) if i == j else c for j, c in enumerate(row)] for i, row in enumerate(costs)]))
+        assert any(t((i, j)) == 0 for t in tables[::2] for i in range(t.n) for j in range(t.n) if i != j)
+        assert any(
+            t((i, k)) > t((i, j)) + t((j, k)) for t in tables[1::2] for i, j, k in itertools.permutations(range(t.n), 3)
+        )
+        for t in tables:
+            mu = random_distribution(rng, t.n)
+            nu = random_distribution(rng, t.n)
+            cases += [(t, mu, nu), (t, point_mass(rng.randrange(t.n)), nu), (t, mu, point_mass(rng.randrange(t.n)))]
+        for t, mu, nu in cases:
             r = kantorovich(t, mu, nu)
+            assert set(r.dual_row) == set(mu.support) and set(r.dual_col) == set(nu.support)
             for i in mu.support:
                 for j in nu.support:
                     reduced = t((i, j)) + r.dual_row[i] - r.dual_col[j]
@@ -126,6 +162,30 @@ class TestKantorovich:
                 F(0),
             )
             assert certified == r.value
+
+    def test_broken_potentials_fail_the_certificate(self, off_by_one_potential):
+        mu = distribution({0: F(1, 3), 1: F(2, 3)})
+        with pytest.raises(WitnessError, match="complementary slackness"):
+            kantorovich(two_point().pair_table(), mu, point_mass(0))
+
+    def test_broken_potentials_exit_2(self, off_by_one_potential, tmp_path, capsys):
+        from fiberdist import cli
+
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"points": ["x", "y"], "matrix": [["0", "5"], ["5", "0"]], "mode": "metric"}))
+        argv = ["dist", "transport", "--space", str(path), "--a", '{"x":"1/3","y":"2/3"}', "--b", '{"x":"1"}']
+        assert cli.main(argv) == 2
+        assert list(json.loads(capsys.readouterr().out)) == ["error"]
+
+    def test_moved_plan_cell_fails_the_certificate(self, monkeypatch):
+        # d(0, 1) = 0, so moving the plan's one cell from (0, 1) to (0, 0)
+        # keeps its cost and breaks only the column marginal.
+        from fiberdist import transport
+
+        monkeypatch.setattr(transport, "_cancel_support_cycles", lambda flow, table: {(0, 0): flow[(0, 1)]})
+        table = PairTable([[F(0), F(0), F(1)], [F(0), F(0), F(1)], [F(1), F(1), F(0)]])
+        with pytest.raises(WitnessError, match="marginals"):
+            kantorovich(table, point_mass(0), point_mass(1))
 
     def test_support_bound(self):
         rng = random.Random(21)
