@@ -7,16 +7,16 @@ and how to lift a table of pair distances to a single value per coupling.
 
 Given such a bundle, :func:`extend_generic` turns a (pseudo-)metric on the
 base space into a distance between composite elements by minimizing the
-lifted table over the fiber.  The property harnesses that check these
-distances on samples live in :mod:`fiberdist.selftest`, off the request
-path.  Every error a well-formed request can meet while computing derives
-from :class:`ComputeError`.
+lifted table over the fiber (:meth:`Functor.fiber_minimum`).  The
+property harnesses that check these distances on samples live in
+:mod:`fiberdist.selftest`, off the request path.  Every error a well-formed
+request can meet while computing derives from :class:`ComputeError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import PairTable, Value, decimal_str, scale_to_integers
 
@@ -79,6 +79,9 @@ class Functor:
     PointedSpace for group-word instances.  Values are compared in the
     instance's value form (see :meth:`ground_form`), where every comparison,
     :meth:`sum_bound` included, is exact and answers True or False.
+    :meth:`fiber_minimum` ranks the fiber for :func:`extend_generic`; an
+    instance whose fiber walk can carry the rank as it goes overrides it, and
+    its :meth:`fiber` is that same walk.
     """
 
     name = "abstract"
@@ -124,6 +127,20 @@ class Functor:
     def enumerate_elements(self, ctx, cap: int) -> Iterator:
         """All elements over ctx up to a functor-specific size cap."""
         raise NotImplementedError
+
+    def fiber_minimum(self, a, b, ctx, rank: PointFn, stop_at_zero: bool) -> tuple[Any, Any, int]:
+        """``(best_rank, witness, count)``: the least ``lift(rank, .)`` over
+        the fiber of (a, b), the first coupling of :meth:`fiber` attaining it,
+        and how many couplings were read, stopping at the first zero when
+        ``stop_at_zero``; ``count`` is 0 for an empty fiber.
+
+        ``rank`` is the table scaled to integers (see :func:`extend_generic`).
+        This version lifts every coupling :meth:`fiber` yields; overrides
+        carry the rank along their own walk, build only the witness, and
+        must agree with this version in all three parts.
+        """
+        lift = self.lift
+        return first_minimum(((lift(rank, c), c) for c in self.fiber(a, b, ctx)), stop_at_zero)
 
     # Derived structure; overridden where the coupling type is not just
     # "element over pair points".
@@ -194,32 +211,37 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
     """Minimize ``lift(table, .)`` over the coupling fiber of (a, b).
 
     The fiber stream is finite and deterministic, so the minimum and the
-    first witness attaining it are well defined.  Couplings are ranked on
-    the table scaled to integers by its common denominator, which orders
-    them as the table does (see :meth:`Functor.lift`); the value is the
-    witness lifted on the table itself.  When the table is nonnegative the
-    search stops at the first zero-valued coupling, since lifted values of
-    nonnegative tables are nonnegative.
+    first witness attaining it are well defined.  Couplings are ranked by
+    :meth:`Functor.fiber_minimum` on the table scaled to integers by its
+    common denominator, which orders them as the table does (see
+    :meth:`Functor.lift`); the value is the witness lifted on the table
+    itself.  When the table is nonnegative the search stops at the first
+    zero-valued coupling, since lifted values of nonnegative tables are
+    nonnegative.
     """
     functor.validate_element(a, ctx)
     functor.validate_element(b, ctx)
     (int_table,) = integer_tables(table)
     stop_at_zero = early_exit and min(int_table.values()) >= 0
-    rank = int_table.__getitem__
-    lift = functor.lift
-    best = None
-    witness = None
+    best, witness, count = functor.fiber_minimum(a, b, ctx, int_table.__getitem__, stop_at_zero)
+    if not count:
+        raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
+    return ExtensionResult(Fraction(functor.lift(table, witness)), witness, count, functor.capped_fiber and best != 0)
+
+
+def first_minimum(ranked: Iterable[tuple[Any, Any]], stop_at_zero: bool) -> tuple[Any, Any, int]:
+    """``(best, item, count)`` over a stream of ``(rank, item)`` pairs: the
+    least rank, the first item attaining it, and how many pairs were read,
+    stopping at the first rank 0 when ``stop_at_zero``."""
+    best = item = None
     count = 0
-    for coupling in functor.fiber(a, b, ctx):
-        value = lift(rank, coupling)
+    for value, candidate in ranked:
         count += 1
         if best is None or value < best:
-            best, witness = value, coupling
-            if stop_at_zero and best == 0:
+            best, item = value, candidate
+            if stop_at_zero and value == 0:
                 break
-    if best is None:
-        raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
-    return ExtensionResult(Fraction(lift(table, witness)), witness, count, functor.capped_fiber and best != 0)
+    return best, item, count
 
 
 def integer_tables(*tables: PairTable) -> list[dict[tuple[int, int], int]]:

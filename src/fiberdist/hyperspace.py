@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import PairTable, ParseError, Value, set_field
-from .extension import ElementDomainError, ExtensionResult, FiberCapExceeded, Functor
+from .extension import ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, first_minimum
 
 # fiber_subsets walks all 2**cells masks of A x B, so it refuses larger grids.
 MAX_CELLS = 16
@@ -72,28 +72,60 @@ def fiber_subsets(a: Subset, b: Subset) -> Iterator[SubsetCoupling]:
     """Every subset of A x B whose projections are exactly A and B.
 
     Exhaustive, so it contains a minimizer of any lift.  Enumeration order
-    (ascending bitmask over the row-major cell grid) is deterministic.  The
-    rows and columns a mask covers are those of ``mask ^ lowbit`` plus its
-    lowest cell's, one lookup per mask.  A mask's pairs are sorted and
-    distinct, so its coupling skips the constructor's re-sort.
+    (ascending bitmask over the row-major cell grid) is deterministic; it is
+    the walk of :func:`_full_masks`, which also ranks the couplings for
+    :meth:`HyperspaceFunctor.fiber_minimum`.
     """
+    cells = _grid(a, b)
+    for _top, mask in _full_masks(a, b, [0] * len(cells)):
+        yield _coupling(cells, mask)
+
+
+def _grid(a: Subset, b: Subset) -> list[tuple[int, int]]:
+    """The cells of A x B in row-major order, refused beyond ``MAX_CELLS``."""
     cells = [(x, y) for x in a.members for y in b.members]
-    k = len(cells)
-    if k > MAX_CELLS:
-        raise FiberCapExceeded(f"{k} cells exceed the enumeration cap {MAX_CELLS}")
+    if len(cells) > MAX_CELLS:
+        raise FiberCapExceeded(f"{len(cells)} cells exceed the enumeration cap {MAX_CELLS}")
+    return cells
+
+
+def _full_masks(a: Subset, b: Subset, weights: list) -> Iterator[tuple]:
+    """``(top, mask)`` for every mask of the row-major cell grid that covers
+    every row and column, in ascending order, where ``top`` is the largest
+    of ``weights`` (one per cell) over the mask's cells.
+
+    A mask's cover and top are those of ``mask ^ lowbit`` joined with its
+    lowest cell's, one lookup each per mask.
+    """
     na, nb = len(a.members), len(b.members)
+    k = na * nb
     # Bit r of a cover is row r, bit na + c is column c.
     cell_cover = [1 << r | 1 << (na + c) for r in range(na) for c in range(nb)]
     full = (1 << (na + nb)) - 1
     cover = [0] * (1 << k)
-    new = object.__new__
+    # The empty mask's top is the least weight, so that a one-cell mask's
+    # top is its cell's weight.
+    top = [min(weights)] * (1 << k)
     for mask in range(1, 1 << k):
         low = mask & -mask
-        cover[mask] = covered = cover[mask ^ low] | cell_cover[low.bit_length() - 1]
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        cover[mask] = covered = cover[rest] | cell_cover[i]
+        w, t = weights[i], top[rest]
+        if w > t:
+            t = top[mask] = w
+        else:
+            top[mask] = t
         if covered == full:
-            coupling = new(SubsetCoupling)
-            set_field(coupling, "pairs", tuple(cells[i] for i in range(k) if mask >> i & 1))
-            yield coupling
+            yield t, mask
+
+
+def _coupling(cells: list[tuple[int, int]], mask: int) -> SubsetCoupling:
+    # A mask's pairs are sorted and distinct, so the constructor's re-sort
+    # is skipped.
+    coupling = object.__new__(SubsetCoupling)
+    set_field(coupling, "pairs", tuple([cell for i, cell in enumerate(cells) if mask >> i & 1]))
+    return coupling
 
 
 class HyperspaceFunctor(Functor):
@@ -126,6 +158,11 @@ class HyperspaceFunctor(Functor):
     def lift(self, fn, elem) -> Fraction:
         members = elem.pairs if isinstance(elem, SubsetCoupling) else elem.members
         return sup_lift(fn, members)
+
+    def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
+        cells = _grid(a, b)
+        best, mask, count = first_minimum(_full_masks(a, b, [rank(cell) for cell in cells]), stop_at_zero)
+        return best, _coupling(cells, mask), count
 
     def enumerate_elements(self, ctx, cap: int = 0) -> Iterator[Subset]:
         n = ctx.n

@@ -17,10 +17,11 @@ residual reduced cost nonnegative, so they certify the final plan.
 ``dual_certificate`` checks that certificate in O(mn) and raises
 ``WitnessError`` when it fails, as every broken solver invariant does.
 
-The independent oracle walks the spanning trees of the support grid
-directly, a depth-first pass that skips every cell closing a cycle, and
-solves each one; the nonnegative solutions are exactly the vertices of the
-transportation polytope, which is exhaustive for minimizing any linear lift.
+The independent oracle lists the vertices of the transportation polytope,
+which is exhaustive for minimizing any linear lift.  They are the
+nonnegative flows of the support grid's spanning trees, and the oracle
+reaches them by simplex pivots between feasible bases, not by solving every
+tree.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
-from .extension import ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, WitnessError
+from .extension import (
+    ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, WitnessError, first_minimum,
+)
 
-# fiber_vertices walks every spanning tree of the support grid, so it
-# refuses grids of more cells.
+# fiber_vertices visits every feasible basis of the support grid, and
+# degenerate masses make most spanning trees feasible bases (3,072 of the
+# 4,096 for uniform 4x4 masses; a grid has m^(n-1) * n^(m-1) trees), so it
+# refuses grids of more cells before it pivots.
 MAX_VERTEX_CELLS = 20
 
 
@@ -310,90 +315,154 @@ def _find_support_cycle(flow: dict[tuple[int, int], Fraction]):
 def fiber_vertices(mu: Distribution, nu: Distribution) -> Iterator[TransportPlan]:
     """All vertices of the transportation polytope of (mu, nu).
 
-    Every spanning tree of the complete bipartite support grid determines a
-    unique flow by leaf stripping; the nonnegative ones are exactly the
-    basic feasible solutions, i.e. the vertices.  The trees are walked
-    directly (see :func:`_spanning_trees`), in the lexicographic order of
-    their row-major cells.  Degenerate vertices arise from several trees and
-    are deduplicated.  Trees are solved on the masses scaled to integers by
-    their common denominator D.
+    The vertices are the nonnegative flows a spanning tree of the complete
+    bipartite support grid determines; they come in the order of the first
+    such tree, its row-major cells compared lexicographically.  They are
+    found by :func:`_vertex_flows`, which pivots between feasible bases, on
+    the masses scaled to integers by their common denominator D.
+    """
+    den, flows = _vertex_flows(mu, nu)
+    for flow in flows:
+        yield _plan(flow, den)
+
+
+def _plan(flow: tuple, den: int) -> TransportPlan:
+    """The plan of a vertex flow whose masses are scaled by ``den``."""
+    return TransportPlan(tuple((cell, Fraction(w, den)) for cell, w in flow))
+
+
+def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple]]:
+    """``(D, flows)``: every vertex of the transportation polytope as its
+    positive cells ``((i, j), w)`` in row-major order, w the mass times D,
+    in the order of :func:`fiber_vertices`.
+
+    The vertices are the basic feasible solutions, and simplex pivots
+    connect every feasible basis of the polytope (Klee & Witzgall, 1968;
+    Avis & Fukuda, 1992).
+    So the walk starts from the north-west-corner basis and, from each basis
+    and each cell outside it, pushes the largest theta >= 0 around the
+    cycle the cell closes, following every cell that theta empties to a new
+    basis; visited bases are kept as bitmasks of the row-major cells.
+    Degenerate vertices have several bases and are kept once.  The first
+    spanning tree of a vertex, in lexicographic order of row-major cells,
+    is the one that completes its support greedily in row-major order (a
+    matroid's greedy basis is least cell by cell), and the vertices are
+    sorted by it.
     """
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
     if m * n > MAX_VERTEX_CELLS:
         raise FiberCapExceeded(f"{m}x{n} support exceeds the vertex enumeration cap {MAX_VERTEX_CELLS}")
-    seen = set()
-    den, (mu_w, nu_w) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
-    for tree in _spanning_trees(m, n):
-        masses = _solve_tree(tree, mu_w + nu_w, m)
-        if masses is None:
-            continue
-        # Tree cells are in row-major order, so the flow is sorted.
-        flow = tuple(((rows[a], cols[b]), w) for (a, b), w in zip(tree, masses) if w > 0)
-        if flow in seen:
-            continue
-        seen.add(flow)
-        yield TransportPlan(tuple((cell, Fraction(w, den)) for cell, w in flow))
+    den, (supply, demand) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
+    ends = [(a, m + b) for a in range(m) for b in range(n)]  # a cell's row and column nodes
+    todo = [_north_west_corner(supply, demand)]
+    seen = {todo[0][0]}
+    vertices = set()
+    while todo:
+        mask, flow = todo.pop()
+        vertices.add(tuple([(cell, w) for cell, w in enumerate(flow) if w]))
+        tree = _rooted_tree([cell for cell in range(m * n) if mask >> cell & 1], ends, m + n)
+        for enter in range(m * n):
+            if mask >> enter & 1:
+                continue
+            cycle = _tree_path(tree, *ends[enter])
+            # Pushing theta into ``enter`` takes it from the path's even
+            # cells and adds it to its odd ones.
+            losing = cycle[::2]
+            theta = min([flow[cell] for cell in losing])
+            for leave in losing:
+                moved = mask ^ (1 << enter) ^ (1 << leave)
+                if flow[leave] != theta or moved in seen:
+                    continue
+                seen.add(moved)
+                nxt = flow[:]
+                nxt[enter] = theta
+                for cell in losing:
+                    nxt[cell] -= theta
+                for cell in cycle[1::2]:
+                    nxt[cell] += theta
+                todo.append((moved, nxt))
+    ordered = sorted((_first_tree(support, ends, m + n), support) for support in vertices)
+    return den, [tuple(((rows[cell // n], cols[cell % n]), w) for cell, w in flow) for _key, flow in ordered]
 
 
-def _spanning_trees(m: int, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Spanning trees of K_{m,n} as tuples of (row, column) cells.
-
-    A depth-first walk over the row-major cells that skips every cell
-    closing a cycle; an acyclic set of m + n - 1 edges on the m + n nodes is
-    a spanning tree.  Trees come out in the order ``itertools.combinations``
-    lists their cell sets.  ``label`` names each node's component (rows are
-    nodes 0..m-1, columns m..m+n-1).
-    """
-    cells = [(a, b) for a in range(m) for b in range(n)]
-    need = m + n - 1
-
-    def extend(tree: tuple, label: list, start: int):
-        if len(tree) == need:
-            yield tree
-            return
-        for i in range(start, len(cells) - (need - len(tree)) + 1):
-            a, b = cells[i]
-            keep, gone = label[a], label[m + b]
-            if keep != gone:
-                yield from extend(tree + (cells[i],), [keep if c == gone else c for c in label], i + 1)
-
-    return extend((), list(range(m + n)), 0)
+def _north_west_corner(supply: list[int], demand: list[int]) -> tuple[int, list[int]]:
+    """A feasible basis as ``(mask, flow)`` over the row-major cells: m + n - 1
+    cells on a staircase, stepping down when a row is used up (and rows
+    remain), else right, so that a degenerate step keeps a zero cell."""
+    m, n = len(supply), len(demand)
+    supply, demand = list(supply), list(demand)
+    mask = 0
+    flow = [0] * (m * n)
+    a = b = 0
+    while True:
+        w = flow[a * n + b] = min(supply[a], demand[b])
+        mask |= 1 << (a * n + b)
+        supply[a] -= w
+        demand[b] -= w
+        if a == m - 1 and b == n - 1:
+            return mask, flow
+        if supply[a] == 0 and a < m - 1:
+            a += 1
+        else:
+            b += 1
 
 
-def _solve_tree(tree, need: list[int], m: int):
-    """Unique flow carried by a spanning tree, or None if any mass < 0.
+def _rooted_tree(cells: list[int], ends: list[tuple[int, int]], nodes: int) -> tuple[list[int], list[int], list[int]]:
+    """``(parent, up_cell, depth)`` of the spanning tree on ``cells`` rooted
+    at node 0, where ``up_cell[v]`` is the cell joining v to its parent."""
+    adjacent = [[] for _ in range(nodes)]
+    for cell in cells:
+        a, b = ends[cell]
+        adjacent[a].append((b, cell))
+        adjacent[b].append((a, cell))
+    parent = [-1] * nodes
+    up_cell = [-1] * nodes
+    depth = [0] * nodes
+    order = [0]
+    parent[0] = 0
+    for v in order:
+        for u, cell in adjacent[v]:
+            if parent[u] < 0:
+                parent[u], up_cell[u], depth[u] = v, cell, depth[v] + 1
+                order.append(u)
+    return parent, up_cell, depth
 
-    ``need`` holds the integer masses indexed by node (rows, then columns).
-    Leaves are stripped one per edge; a node's XOR of incident edge indices
-    names its last live edge once it is a leaf.
-    """
-    need = list(need)
-    degree = [0] * len(need)
-    edges = [0] * len(need)
-    for idx, (a, b) in enumerate(tree):
-        degree[a] += 1
-        degree[m + b] += 1
-        edges[a] ^= idx
-        edges[m + b] ^= idx
-    leaves = [node for node, dcount in enumerate(degree) if dcount == 1]
-    masses = [0] * len(tree)
-    for _ in tree:
-        node = leaves.pop()
-        w = need[node]
-        if w < 0:
-            return None
-        idx = edges[node]
-        masses[idx] = w
-        a, b = tree[idx]
-        other = m + b if node == a else a
-        need[other] -= w
-        edges[other] ^= idx
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    return masses
+
+def _tree_path(tree, u: int, v: int) -> list[int]:
+    """The cells of the tree path from node u to node v, in order."""
+    parent, up_cell, depth = tree
+    head, tail = [], []
+    while depth[u] > depth[v]:
+        head.append(up_cell[u])
+        u = parent[u]
+    while depth[v] > depth[u]:
+        tail.append(up_cell[v])
+        v = parent[v]
+    while u != v:
+        head.append(up_cell[u])
+        tail.append(up_cell[v])
+        u, v = parent[u], parent[v]
+    return head + tail[::-1]
+
+
+def _first_tree(support: tuple, ends: list[tuple[int, int]], nodes: int) -> list[int]:
+    """The lexicographically least spanning tree, as sorted row-major
+    cells, that contains a vertex's support: the support, then every other
+    cell in row-major order that closes no cycle.  ``label`` names each
+    node's component."""
+    label = list(range(nodes))
+    tree = [cell for cell, _w in support]
+    chosen = set(tree)
+    for cell in tree + [cell for cell in range(len(ends)) if cell not in chosen]:
+        a, b = ends[cell]
+        keep, gone = label[a], label[b]
+        if keep != gone:
+            label = [keep if c == gone else c for c in label]
+            if cell not in chosen:
+                tree.append(cell)
+    return sorted(tree)
 
 
 def glue_plans(plan_ab: TransportPlan, plan_bc: TransportPlan) -> TransportPlan:
@@ -450,6 +519,12 @@ class TransportFunctor(Functor):
 
     def lift(self, fn, elem) -> Fraction:
         return integrate(fn, elem)
+
+    def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
+        den, flows = _vertex_flows(a, b)
+        ranked = ((sum([w * rank(cell) for cell, w in flow]), flow) for flow in flows)
+        best, flow, count = first_minimum(ranked, stop_at_zero)
+        return best, _plan(flow, den), count
 
     def enumerate_elements(self, ctx, cap: int) -> Iterator[Distribution]:
         """All distributions whose weights share a denominator <= cap."""

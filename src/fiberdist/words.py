@@ -28,7 +28,8 @@ capped value is an upper bound of the true infimum that is certified
 exhaustive within its cap, and is exact when it meets the bound.
 
 ``enumerate_proper_representations`` streams every representation pair
-within the cap (the coupling fiber), and ``search_word_distance`` expands
+within the cap (the coupling fiber; its walk also ranks the fiber for the
+generic minimum), and ``search_word_distance`` expands
 representation prefixes in cost order with provably lossless pruning
 (prefix feasibility and state dominance) and returns the minimum over that
 stream.  Both walk one prefix model: per side, the reduced prefix (free) or
@@ -51,7 +52,7 @@ from .core import (
 )
 from .extension import (
     GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult, Functor,
-    WitnessError,
+    WitnessError, first_minimum,
 )
 
 
@@ -332,34 +333,67 @@ def enumerate_proper_representations(
 
     Pruning is feasibility-only (a side that can no longer reach its target
     within the remaining rows is cut), so the stream is exhaustive within
-    the cap.  The walk keeps one explicit stack of successor iterators; a
-    state's successors depend only on its two prefixes and its depth, so
-    each such list is built once per stream, without the rows that lead to
-    no representation.
+    the cap.  It is the walk of :func:`_representation_walk`, which also
+    ranks the representations for :meth:`WordsFunctor.fiber_minimum`.
+    """
+    walk = _representation_walk(a, b, pointed, cap, [0] * pointed.n**2, False)
+    return (ProperRepresentationPair(rows) for _total, rows in walk)
+
+
+def _representation_walk(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None, weight: list, distinct: bool
+) -> Iterator[tuple[int, tuple]]:
+    """``(total, rows)`` for every representation pair of length <= cap, in
+    depth-first order, where ``total`` sums ``weight[x * n + y]`` over the
+    rows' (left, right) keys (x, y), over distinct keys only when
+    ``distinct``.
+
+    The walk keeps one explicit stack of successor iterators; a state's
+    successors depend only on its two prefixes and its depth, so each such
+    list is built once per walk, without the rows that lead to no
+    representation.  The total moves by one key's weight per step: ``seen``
+    counts each key's rows on the current path, and a key adds its weight
+    only on its first row when ``distinct``.  The cap is checked on the
+    call, before the walk starts.
     """
     cap = _check_pair(a, b, cap)
     left, right = _prefix_tables(a, b, pointed)
+    n = pointed.n
 
-    def stream() -> Iterator[ProperRepresentationPair]:
+    def walk() -> Iterator[tuple[int, tuple]]:
         if left.target == () and right.target == ():
-            yield ProperRepresentationPair(())
+            yield 0, ()
         rows: list[tuple[int, int, int]] = []
+        path: list[tuple[int, int]] = []  # (key, weight added) per row of rows
+        seen = [0] * (n * n)
+        total = 0
         stack = [iter(_live_rows(((), (), 0), left, right, cap, {}))]  # stack[d] walks the rows at depth d
         while stack:
             for row, below, done in stack[-1]:
+                k = row[0] * n + row[1]
+                c = seen[k]
+                seen[k] = c + 1
+                w = 0 if distinct and c else weight[k]
+                total += w
                 rows.append(row)
                 if done:
-                    yield ProperRepresentationPair(tuple(rows))
+                    yield total, tuple(rows)
                 if below:
+                    path.append((k, w))
                     stack.append(iter(below))
                     break
                 rows.pop()
+                seen[k] = c
+                total -= w
             else:
                 stack.pop()
                 if rows:
                     rows.pop()
+                    k, w = path.pop()
+                    seen[k] -= 1
+                    total -= w
 
-    return stream()
+    return walk()
 
 
 def graev_distance(
@@ -975,6 +1009,12 @@ class WordsFunctor(Functor):
 
     def fiber(self, a, b, ctx, cap: int | None = None) -> Iterator[ProperRepresentationPair]:
         return enumerate_proper_representations(a, b, ctx, cap if cap is not None else self.cap)
+
+    def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
+        weight = [rank((x, y)) for x in range(ctx.n) for y in range(ctx.n)]
+        walk = _representation_walk(a, b, ctx, self.cap, weight, self.variant == SWIERCZKOWSKI)
+        best, rows, count = first_minimum(walk, stop_at_zero)
+        return best, None if rows is None else ProperRepresentationPair(rows), count
 
     def lift(self, fn, elem) -> Fraction:
         if elem.__class__ is ProperRepresentationPair:

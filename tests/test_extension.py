@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fiberdist.core import PairTable, scale_to_integers
-from fiberdist.extension import ElementDomainError, ExtensionResult, extend_generic
+from fiberdist.extension import ElementDomainError, EmptyFiberError, ExtensionResult, extend_generic
 from fiberdist.hyperspace import HyperspaceFunctor, Subset
 from fiberdist.power import PNorm, PowerFunctor
 from fiberdist.sampling import (
@@ -25,8 +25,8 @@ from fiberdist.selftest import (
     check_operator_axioms,
     check_pseudometric_axioms,
 )
-from fiberdist.transport import TransportFunctor
-from fiberdist.words import GroupWord, PointedSpace, WordsFunctor
+from fiberdist.transport import TransportFunctor, distribution
+from fiberdist.words import GroupWord, PointedSpace, WordsFunctor, reduce_letters
 
 
 def functor_instances():
@@ -106,6 +106,8 @@ def reference_extend_generic(functor, ctx, table, a, b, *, early_exit=True):
             best, witness = value, coupling
             if stop_at_zero and best == 0:
                 break
+    if best is None:
+        raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
     return ExtensionResult(best, witness, count, functor.capped_fiber and best != 0)
 
 
@@ -126,10 +128,41 @@ def sample_tables(rng, space):
     ]
 
 
+def masses_on(rng, points):
+    """A distribution with random positive masses on exactly ``points``."""
+    raw = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+    total = sum(raw)
+    return distribution({p: w / total for p, w in zip(points, raw)})
+
+
+def wide_cases(rng, functor):
+    """(functor, ctx, a, b) beyond the small random draws: the largest
+    grids each fiber walk accepts, degenerate transport vertices, and word
+    pairs at the least allowed cap and just above it."""
+    if isinstance(functor, HyperspaceFunctor):
+        space = random_metric_space(rng, 5, den_max=7)
+        yield functor, space, Subset((0, 1, 2, 3)), Subset((1, 2, 3, 4))  # 16 cells
+    elif isinstance(functor, TransportFunctor):
+        space = random_metric_space(rng, 10, den_max=7)
+        uniform = [distribution({i: F(1, len(s)) for i in s}) for s in ((0, 1, 2), (3, 4, 5, 6))]
+        yield functor, space, uniform[0], uniform[1]  # degenerate vertices
+        yield functor, space, masses_on(rng, range(4)), masses_on(rng, range(5, 10))  # 4x5 cells
+        yield functor, space, masses_on(rng, (2, 7)), masses_on(rng, range(10))  # 2x10 cells
+    elif isinstance(functor, WordsFunctor):
+        space = random_metric_space(rng, 3, den_max=7)
+        ctx = PointedSpace(space, 0)
+        for _ in range(2):
+            a = random_word(rng, ctx, 2, commutative=functor.commutative)
+            b = random_word(rng, ctx, 2, commutative=functor.commutative)
+            for extra in (0, 1, 2):
+                capped = WordsFunctor(functor.variant, functor.commutative, cap=max(len(a), len(b)) + extra)
+                yield capped, ctx, a, b
+
+
 class TestIntegerMinimum:
-    """extend_generic ranks couplings on the table scaled to integers and
-    must agree with the rational loop in value, witness, fiber count and cap
-    flag."""
+    """extend_generic ranks couplings on the table scaled to integers, by
+    each instance's fiber_minimum, and must agree with the rational loop in
+    value, witness, fiber count and cap flag."""
 
     @staticmethod
     def assert_same(result, reference):
@@ -138,6 +171,23 @@ class TestIntegerMinimum:
         assert result.witness == reference.witness
         assert result.fiber_size_enumerated == reference.fiber_size_enumerated
         assert result.cap_limited == reference.cap_limited
+
+    @classmethod
+    def assert_matches(cls, functor, ctx, table, a, b, early_exit):
+        try:
+            reference = reference_extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
+        except (ValueError, EmptyFiberError) as exc:
+            # Power lifts reject a negative coordinate distance, and a
+            # capped word fiber may be empty.
+            if isinstance(exc, ValueError):
+                assert isinstance(functor, PowerFunctor) and not table.is_nonnegative()
+            else:
+                assert functor.capped_fiber
+            with pytest.raises(type(exc)) as info:
+                extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
+            assert str(info.value) == str(exc)
+            return
+        cls.assert_same(extend_generic(functor, ctx, table, a, b, early_exit=early_exit), reference)
 
     @pytest.mark.parametrize("index", range(len(functor_instances())))
     def test_matches_the_rational_loop(self, index):
@@ -150,29 +200,30 @@ class TestIntegerMinimum:
             b = sample_element(rng, functor, ctx)
             for table in sample_tables(rng, space):
                 for early_exit in (True, False):
-                    try:
-                        reference = reference_extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
-                    except ValueError as exc:
-                        # Power lifts reject a negative coordinate distance.
-                        assert isinstance(functor, PowerFunctor) and not table.is_nonnegative()
-                        with pytest.raises(ValueError) as info:
-                            extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
-                        assert str(info.value) == str(exc)
-                        continue
-                    result = extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
-                    self.assert_same(result, reference)
+                    self.assert_matches(functor, ctx, table, a, b, early_exit)
+        for wide, ctx, a, b in wide_cases(rng, functor):
+            for table in sample_tables(rng, wide.space_of(ctx)):
+                for early_exit in (True, False):
+                    self.assert_matches(wide, ctx, table, a, b, early_exit)
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_empty_word_fiber(self, commutative):
+        # The empty words' fiber holds the empty representation alone; the
+        # fiber of one letter against one of the other sign is empty at
+        # cap 1, and both loops refuse it alike.
         rng = random.Random(7)
         space = random_metric_space(rng, 3, den_max=7)
         ctx = PointedSpace(space, 0)
         empty = GroupWord((), commutative)
         functor = WordsFunctor("swierczkowski", commutative=commutative)
+        x, y = (reduce_letters([letter], commutative, ctx) for letter in ((1, 1), (2, -1)))
         for table in sample_tables(rng, space):
             for early_exit in (True, False):
-                result = extend_generic(functor, ctx, table, empty, empty, early_exit=early_exit)
-                self.assert_same(result, reference_extend_generic(functor, ctx, table, empty, empty, early_exit=early_exit))
+                self.assert_matches(functor, ctx, table, empty, empty, early_exit)
+                with pytest.raises(EmptyFiberError):
+                    reference_extend_generic(WordsFunctor("graev", commutative, cap=1), ctx, table, x, y)
+                for variant in ("graev", "swierczkowski"):
+                    self.assert_matches(WordsFunctor(variant, commutative, cap=1), ctx, table, x, y, early_exit)
         first = extend_generic(functor, ctx, space.pair_table(), empty, empty)
         assert first.value == 0 and type(first.value) is F
         assert first.witness.rows == () and first.fiber_size_enumerated == 1

@@ -15,7 +15,6 @@ from fiberdist.transport import (
     MiddleMarginalError,
     TransportFunctor,
     UnbalancedMassError,
-    _spanning_trees,
     distribution,
     fiber_vertices,
     glue_plans,
@@ -272,8 +271,7 @@ def test_vertex_stream_is_pinned(seed):
 
 def reference_spanning_trees(m, n):
     """Every (m+n-1)-subset of the row-major cells that union-find finds
-    acyclic, in ``itertools.combinations`` order: the enumeration the
-    spanning-tree walk replaced."""
+    acyclic, in ``itertools.combinations`` order."""
     cells = [(a, b) for a in range(m) for b in range(n)]
     for tree in itertools.combinations(cells, m + n - 1):
         parent = list(range(m + n))
@@ -293,11 +291,56 @@ def reference_spanning_trees(m, n):
             yield tree
 
 
+def reference_tree_flow(tree, need, m):
+    """The one flow on a spanning tree's cells meeting the masses ``need``
+    (rows, then columns), by stripping leaves: a node's XOR of incident
+    cell indices names its last live cell once it is a leaf."""
+    need = list(need)
+    degree = [0] * len(need)
+    edges = [0] * len(need)
+    for idx, (a, b) in enumerate(tree):
+        for node in (a, m + b):
+            degree[node] += 1
+            edges[node] ^= idx
+    leaves = [node for node, count in enumerate(degree) if count == 1]
+    flow = [None] * len(tree)
+    while leaves:
+        node = leaves.pop()
+        if degree[node] != 1:
+            continue
+        idx = edges[node]
+        a, b = tree[idx]
+        flow[idx] = w = need[node]
+        for end in (a, m + b):
+            need[end] -= w
+            edges[end] ^= idx
+            degree[end] -= 1
+            if degree[end] == 1:
+                leaves.append(end)
+    return flow
+
+
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 21) for n in range(1, 21) if m * n <= 20])
 def test_spanning_tree_walk_matches_filtered_combinations(m, n):
-    trees = list(_spanning_trees(m, n))
-    assert trees == list(reference_spanning_trees(m, n))
+    # The vertices are the nonnegative flows of spanning trees, each in the
+    # place of the first tree that carries it, for random and for uniform
+    # (degenerate) masses.
+    rng = random.Random(m * 100 + n)
+    trees = list(reference_spanning_trees(m, n))
     assert len(trees) == m ** (n - 1) * n ** (m - 1)  # Scoins' formula for K_{m,n}
+    for uniform in (False, True):
+        rows, cols = ([1 if uniform else rng.randint(1, 9) for _ in range(k)] for k in (m, n))
+        mu = distribution({i: F(w, sum(rows)) for i, w in enumerate(rows)})
+        nu = distribution({j: F(w, sum(cols)) for j, w in enumerate(cols)})
+        # Trees are solved on the masses times sum(rows) * sum(cols).
+        need = [w * sum(cols) for w in rows] + [w * sum(rows) for w in cols]
+        expected = {}
+        for tree in trees:
+            flow = reference_tree_flow(tree, need, m)
+            if min(flow) >= 0:
+                plan = tuple((cell, F(w, sum(rows) * sum(cols))) for cell, w in zip(tree, flow) if w > 0)
+                expected.setdefault(plan, None)
+        assert [plan.flow for plan in fiber_vertices(mu, nu)] == list(expected)
 
 
 class TestSolverVsOracle:
