@@ -80,8 +80,8 @@ class Functor:
     instance's value form (see :meth:`ground_form`), where every comparison,
     :meth:`sum_bound` included, is exact and answers True or False.
     :meth:`fiber_minimum` ranks the fiber for :func:`extend_generic`; an
-    instance whose fiber walk can carry the rank as it goes overrides it, and
-    its :meth:`fiber` is that same walk.
+    instance that can rank its fiber without lifting each coupling overrides
+    it, from the same enumeration its :meth:`fiber` yields.
     """
 
     name = "abstract"
@@ -135,9 +135,11 @@ class Functor:
         ``stop_at_zero``; ``count`` is 0 for an empty fiber.
 
         ``rank`` is the table scaled to integers (see :func:`extend_generic`).
-        This version lifts every coupling :meth:`fiber` yields; overrides
-        carry the rank along their own walk, build only the witness, and
-        must agree with this version in all three parts.
+        This version lifts every coupling :meth:`fiber` yields.  Overrides
+        rank the same enumeration without building each coupling: the
+        hyperspace and transport walks carry the rank as they go, and words
+        fold the representation DAG once per state.  They build only the
+        witness and must agree with this version in all three parts.
         """
         lift = self.lift
         return first_minimum(((lift(rank, c), c) for c in self.fiber(a, b, ctx)), stop_at_zero)

@@ -27,15 +27,20 @@ pseudometric, a witness longer than the cap) go to
 capped value is an upper bound of the true infimum that is certified
 exhaustive within its cap, and is exact when it meets the bound.
 
-``enumerate_proper_representations`` streams every representation pair
-within the cap (the coupling fiber; its walk also ranks the fiber for the
-generic minimum), and ``search_word_distance`` expands
-representation prefixes in cost order with provably lossless pruning
-(prefix feasibility and state dominance) and returns the minimum over that
-stream.  Both walk one prefix model: per side, the reduced prefix (free) or
-net exponents (free-abelian), with a lazily built per-prefix transition
-table.  ``naive_word_distance`` reduces every candidate string from scratch
-and is the independent oracle for all three.
+The representations within the cap (the coupling fiber) form a DAG over
+states (left prefix, right prefix, depth).
+``enumerate_proper_representations`` streams them by a pre-order walk of
+it, and the generic minimum (:meth:`WordsFunctor.fiber_minimum`) folds it
+bottom-up instead, once per state (and per set of paid keys, for
+Swierczkowski), so it costs the DAG's size rather than the fiber's.
+``search_word_distance`` expands representation prefixes in cost order with
+provably lossless pruning (prefix feasibility and state dominance) and
+returns the minimum over that stream.  All three read one prefix model: per
+side, the reduced prefix (free) or net exponents (free-abelian), with a
+lazily built per-prefix transition table.  The DAG, the fold and the two
+searches stop at :data:`MAX_STATES` states.  ``naive_word_distance``
+reduces every candidate string from scratch and is the independent oracle
+for all of them.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ from .core import (
     FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, Value, scale_to_integers, set_field, validate_space,
 )
 from .extension import (
-    GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult, Functor,
-    WitnessError, first_minimum,
+    GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult,
+    FiberCapExceeded, Functor, WitnessError,
 )
 
 
@@ -299,31 +304,74 @@ def _prefix_tables(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[_
     )
 
 
-def _live_rows(key: tuple, left: _PrefixTables, right: _PrefixTables, cap: int, successors: dict) -> list:
-    """The live rows (x, y, s) of state ``key`` = (lkey, rkey, depth), in
-    sign, then x, then y order, each with the live rows of the state it
-    leads to and whether that completes a representation.  A row is live
-    when it completes one or has live rows below it; ``successors`` keeps
-    every state's list once it is built."""
-    lkey, rkey, depth = key
-    remaining = cap - depth - 1
-    ltable, rtable, ltarget, rtarget = left[lkey], right[rkey], left.target, right.target
-    out = []
-    for s in (1, -1):
-        neg = s == -1
-        ys = [(y, rnext, rnext == rtarget) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining]
-        for x, (lnext, lneed) in enumerate(ltable[neg::2]):
-            if lneed <= remaining:
-                ldone = lnext == ltarget
-                for y, rnext, rdone in ys:
-                    child = (lnext, rnext, depth + 1)
-                    below = successors.get(child)
-                    if below is None:
-                        below = _live_rows(child, left, right, cap, successors)
-                    if below or (ldone and rdone):
-                        out.append(((x, y, s), below, ldone and rdone))
-    successors[key] = out
-    return out
+# Above this many states, a representation DAG, a generic fold over it, or a
+# least-cost word search raises FiberCapExceeded, and the forest witness
+# search reports no witness: no word request runs unbounded.
+MAX_STATES = 25_000
+
+
+def _over_budget(counter: str, states: int) -> FiberCapExceeded:
+    return FiberCapExceeded(f"{counter} reached {states} states, over the budget of {MAX_STATES}")
+
+
+def _live_rows(a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None) -> list[list[tuple]]:
+    """The representation DAG of (a, b) within the cap: its states, each
+    after every state it leads to, the start state last.
+
+    A state is a left and a right prefix at one depth; its entry lists its
+    live rows (x, y, s) in sign, then x, then y order, each as ``(row,
+    child, done, k)``: ``child`` is the index of the state the row leads to
+    (None when that state has no live rows), ``done`` whether the row
+    completes a representation, and ``k = x * n + y`` the row's key.  A row
+    is live when it completes one or has live rows below it.  The states are
+    found one depth at a time and made live from the deepest up, so a large
+    cap costs states, not Python recursion; past :data:`MAX_STATES` states
+    the DAG raises.  The cap is checked first.
+    """
+    cap = _check_pair(a, b, cap)
+    left, right = _prefix_tables(a, b, pointed)
+    ltarget, rtarget = left.target, right.target
+    n = pointed.n
+    levels = []  # per depth, each state's rows (row, child's id one depth down, done, k)
+    level: dict = {((), ()): 0}  # the states at one depth -> their ids, in order
+    states = 1
+    while level:
+        remaining = cap - len(levels) - 1
+        below: dict = {}
+        rows = []
+        for lkey, rkey in level:
+            ltable, rtable = left[lkey], right[rkey]
+            out = []
+            for s in (1, -1):
+                neg = s == -1
+                ys = [
+                    (y, rnext, rnext == rtarget) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining
+                ]
+                for x, (lnext, lneed) in enumerate(ltable[neg::2]):
+                    if lneed <= remaining:
+                        ldone = lnext == ltarget
+                        for y, rnext, rdone in ys:
+                            child = below.setdefault((lnext, rnext), len(below))
+                            out.append(((x, y, s), child, ldone and rdone, x * n + y))
+            rows.append(out)
+        levels.append(rows)
+        states += len(below)
+        if states > MAX_STATES:
+            raise _over_budget("representation DAG", states)
+        level = below
+    nodes: list[list[tuple]] = []
+    index: list = []  # per state one depth down, its position in nodes or None
+    for rows in reversed(levels):
+        here = []
+        for out in rows:
+            live = [(row, index[c], done, k) for row, c, done, k in out if done or index[c] is not None]
+            here.append(len(nodes) if live else None)
+            if live:
+                nodes.append(live)
+        index = here
+    if index[0] is None:
+        nodes.append([])
+    return nodes
 
 
 def enumerate_proper_representations(
@@ -333,67 +381,93 @@ def enumerate_proper_representations(
 
     Pruning is feasibility-only (a side that can no longer reach its target
     within the remaining rows is cut), so the stream is exhaustive within
-    the cap.  It is the walk of :func:`_representation_walk`, which also
-    ranks the representations for :meth:`WordsFunctor.fiber_minimum`.
+    the cap.  It is the pre-order walk of :func:`_live_rows`, the DAG that
+    :meth:`WordsFunctor.fiber_minimum` folds instead; the two are tested
+    against each other.
     """
-    walk = _representation_walk(a, b, pointed, cap, [0] * pointed.n**2, False)
-    return (ProperRepresentationPair(rows) for _total, rows in walk)
+    nodes = _live_rows(a, b, pointed, cap)
 
-
-def _representation_walk(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None, weight: list, distinct: bool
-) -> Iterator[tuple[int, tuple]]:
-    """``(total, rows)`` for every representation pair of length <= cap, in
-    depth-first order, where ``total`` sums ``weight[x * n + y]`` over the
-    rows' (left, right) keys (x, y), over distinct keys only when
-    ``distinct``.
-
-    The walk keeps one explicit stack of successor iterators; a state's
-    successors depend only on its two prefixes and its depth, so each such
-    list is built once per walk, without the rows that lead to no
-    representation.  The total moves by one key's weight per step: ``seen``
-    counts each key's rows on the current path, and a key adds its weight
-    only on its first row when ``distinct``.  The cap is checked on the
-    call, before the walk starts.
-    """
-    cap = _check_pair(a, b, cap)
-    left, right = _prefix_tables(a, b, pointed)
-    n = pointed.n
-
-    def walk() -> Iterator[tuple[int, tuple]]:
-        if left.target == () and right.target == ():
-            yield 0, ()
+    def walk() -> Iterator[ProperRepresentationPair]:
+        if not a.letters and not b.letters:
+            yield ProperRepresentationPair(())
         rows: list[tuple[int, int, int]] = []
-        path: list[tuple[int, int]] = []  # (key, weight added) per row of rows
-        seen = [0] * (n * n)
-        total = 0
-        stack = [iter(_live_rows(((), (), 0), left, right, cap, {}))]  # stack[d] walks the rows at depth d
+        stack = [iter(nodes[-1])]  # stack[d] walks the rows at depth d
         while stack:
-            for row, below, done in stack[-1]:
-                k = row[0] * n + row[1]
-                c = seen[k]
-                seen[k] = c + 1
-                w = 0 if distinct and c else weight[k]
-                total += w
+            for row, child, done, _k in stack[-1]:
                 rows.append(row)
                 if done:
-                    yield total, tuple(rows)
-                if below:
-                    path.append((k, w))
-                    stack.append(iter(below))
+                    yield ProperRepresentationPair(tuple(rows))
+                if child is not None:
+                    stack.append(iter(nodes[child]))
                     break
                 rows.pop()
-                seen[k] = c
-                total -= w
             else:
                 stack.pop()
                 if rows:
                     rows.pop()
-                    k, w = path.pop()
-                    seen[k] -= 1
-                    total -= w
 
     return walk()
+
+
+def _fold(nodes: list[list[tuple]], weight: list, paid: list, empty: bool) -> tuple[int, int | None, list, int]:
+    """``(count, best, rows, position)`` over the representations of the
+    DAG ``nodes`` in stream order: how many there are, the least total of
+    ``weight[k]`` over their rows' keys, the rows of the first attaining it
+    and its 0-based position.  A key whose ``paid`` bit is set on the path
+    adds its weight once (Swierczkowski; ``paid[k]`` is 0 for zero weights
+    and for Graev).  ``empty`` puts the empty representation first.
+
+    Each (state, paid keys below it) is folded once, bottom-up through one
+    explicit stack, from its rows' four values: a completing row is one
+    representation, and a row into a folded state shifts that state's
+    positions by the representations before it.
+    """
+    size = len(nodes)
+    below = [0] * size  # the paid bits of the keys on rows below each state
+    if any(paid):
+        for i, rows in enumerate(nodes):
+            bits = 0
+            for _row, child, _done, k in rows:
+                bits |= paid[k] if child is None else paid[k] | below[child]
+            below[i] = bits
+    memo: dict[int, tuple] = {}  # mask * size + state -> (count, best, first rows as a linked list, position)
+    root = [size - 1, 0, 0, 1, 0, None, 0] if empty else [size - 1, 0, 0, 0, None, None, 0]
+    stack = [root]  # state, paid mask, next row, count, best, first, position
+    while stack:
+        frame = stack[-1]
+        state, mask, i, count, best, first, pos = frame
+        rows = nodes[state]
+        while i < len(rows):
+            row, child, done, k = rows[i]
+            bit = paid[k]
+            w = 0 if mask & bit else weight[k]
+            if child is not None:
+                cmask = (mask | bit) & below[child]
+                sub = memo.get(cmask * size + child)
+                if sub is None:
+                    frame[2:] = i, count, best, first, pos
+                    stack.append([child, cmask, 0, 0, None, None, 0])
+                    break
+            if done:
+                if best is None or w < best:
+                    best, first, pos = w, (row, None), count
+                count += 1
+            if child is not None:
+                scount, sbest, sfirst, spos = sub
+                if best is None or w + sbest < best:
+                    best, first, pos = w + sbest, (row, sfirst), count + spos
+                count += scount
+            i += 1
+        else:
+            stack.pop()
+            memo[mask * size + state] = count, best, first, pos
+            if len(memo) > MAX_STATES:
+                raise _over_budget("generic fold", len(memo))
+    rows = []
+    while first is not None:
+        row, first = first
+        rows.append(row)
+    return count, best, rows, pos
 
 
 def graev_distance(
@@ -625,7 +699,8 @@ def _swierczkowski_forest(
 ) -> tuple[int, list | None]:
     """``(bound, rows)``: a lower bound on the integer cost of every
     Swierczkowski representation of (a, b), and the fewest rows within the
-    cap that attain it (None when none fits).
+    cap that attain it (None when none fits, or when the partitions'
+    witness searches settle :data:`MAX_STATES` states between them first).
 
     Let T hold the points of a and b and the basepoint.  The keys of a
     representation join its letters into components, and mapping each
@@ -644,11 +719,15 @@ def _swierczkowski_forest(
     cost, tree_edges = _steiner_trees(terminals, idist)
     bound, partitions = _cheapest_partitions(a, b, pointed, terminals, cost)
     best = None
+    budget = MAX_STATES  # shared by the partitions' searches
     for blocks in partitions:
         edges = sorted({edge for block in blocks for edge in tree_edges(block)})
-        rows = _shortest_witness(a, b, pointed, edges, idist, cap if best is None else len(best) - 1)
+        rows, states = _shortest_witness(a, b, pointed, edges, idist, cap if best is None else len(best) - 1, budget)
         if rows is not None:
             best = rows
+        budget -= states
+        if not budget:
+            break
     return bound, best
 
 
@@ -754,9 +833,13 @@ def _cheapest_partitions(a: GroupWord, b: GroupWord, pointed: PointedSpace, term
     return best, found
 
 
-def _shortest_witness(a: GroupWord, b: GroupWord, pointed: PointedSpace, edges, idist, cap: int) -> list | None:
-    """The fewest rows, at most ``cap``, of a representation of (a, b) whose
-    keys are forest ``edges`` or diagonal; None when none fits.
+def _shortest_witness(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, edges, idist, cap: int, budget: int
+) -> tuple[list | None, int]:
+    """``(rows, states)``: the fewest rows, at most ``cap``, of a
+    representation of (a, b) whose keys are forest ``edges`` or diagonal
+    (None when none fits, or when none is found within ``budget`` settled
+    states), and how many states were settled.
 
     A* over (left prefix, right prefix, orientations) with the larger side's
     need as the heuristic, which no row lowers by more than one.  A
@@ -783,6 +866,8 @@ def _shortest_witness(a: GroupWord, b: GroupWord, pointed: PointedSpace, edges, 
         _f, minus_depth, _seq, state, parent, row = heapq.heappop(heap)
         if state in settled:
             continue
+        if len(settled) == budget:
+            return None, budget
         settled[state] = (parent, row)
         lkey, rkey, mask = state
         if lkey == ltarget and rkey == rtarget:
@@ -790,7 +875,7 @@ def _shortest_witness(a: GroupWord, b: GroupWord, pointed: PointedSpace, edges, 
             while row is not None:
                 rows.append(row)
                 parent, row = settled[parent]
-            return rows[::-1]
+            return rows[::-1], len(settled)
         depth = 1 - minus_depth
         ltable, rtable = left[lkey], right[rkey]
         for lcode, rcode, row, own, other in moves:
@@ -805,7 +890,7 @@ def _shortest_witness(a: GroupWord, b: GroupWord, pointed: PointedSpace, edges, 
             if nxt not in settled:
                 seq += 1
                 heapq.heappush(heap, (f, -depth, seq, nxt, state, row))
-    return None
+    return None, len(settled)
 
 
 def _check_witness(a, b, pointed, rows, value: Fraction, denom: int, idist, variant: str) -> None:
@@ -842,7 +927,9 @@ def search_word_distance(
     against the naive enumerator.
 
     ``cost_table`` (a nonnegative function on pairs) replaces the base
-    distance.  The result's ``fiber_size_enumerated`` counts settled states.
+    distance.  The result's ``fiber_size_enumerated`` counts settled states;
+    a search that would settle more than :data:`MAX_STATES` raises
+    ``FiberCapExceeded``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -888,6 +975,8 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
         entries[:] = [(m, d) for m, d in entries if not (mask & m == mask and depth <= d)]
         entries.append((mask, depth))
         me = len(parents)
+        if me == MAX_STATES:
+            raise _over_budget("word search", me + 1)
         parents.append((parent, row))
         if lkey == ltarget and rkey == rtarget:
             rows = []
@@ -1011,10 +1100,16 @@ class WordsFunctor(Functor):
         return enumerate_proper_representations(a, b, ctx, cap if cap is not None else self.cap)
 
     def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
+        """Folds :func:`_live_rows` instead of walking its stream: the first
+        zero in the stream, where the stream would stop, is its first minimum."""
         weight = [rank((x, y)) for x in range(ctx.n) for y in range(ctx.n)]
-        walk = _representation_walk(a, b, ctx, self.cap, weight, self.variant == SWIERCZKOWSKI)
-        best, rows, count = first_minimum(walk, stop_at_zero)
-        return best, None if rows is None else ProperRepresentationPair(rows), count
+        distinct = self.variant == SWIERCZKOWSKI
+        paid = [1 << k if distinct and w else 0 for k, w in enumerate(weight)]
+        empty = not a.letters and not b.letters
+        count, best, rows, pos = _fold(_live_rows(a, b, ctx, self.cap), weight, paid, empty)
+        if stop_at_zero and best == 0:
+            count = pos + 1
+        return best, None if best is None else ProperRepresentationPair(tuple(rows)), count
 
     def lift(self, fn, elem) -> Fraction:
         if elem.__class__ is ProperRepresentationPair:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,28 @@ WORDS_SPACE = {
     "basepoint": "e",
 }
 WORDS_SPACE["matrix"][2] = ["10", "1", "0"]  # keep the matrix symmetric
+
+EQUILATERAL_WORDS = {
+    "points": ["e", "x", "y"],
+    "matrix": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
+    "mode": "metric",
+    "basepoint": "e",
+}
+
+# fiberdist.sampling.random_metric_space(random.Random(4), 6), basepoint a.
+SIX_POINT_WORDS = {
+    "points": ["a", "b", "c", "d", "e", "f"],
+    "matrix": [
+        ["0", "3/2", "2", "5/4", "1", "2"],
+        ["3/2", "0", "1", "2", "5/3", "1"],
+        ["2", "1", "0", "4/3", "2", "4/3"],
+        ["5/4", "2", "4/3", "0", "3/2", "5/3"],
+        ["1", "5/3", "2", "3/2", "0", "2"],
+        ["2", "1", "4/3", "5/3", "2", "0"],
+    ],
+    "mode": "metric",
+    "basepoint": "a",
+}
 
 BAD_TRIANGLE = {
     "points": ["x", "y", "z"],
@@ -530,6 +553,53 @@ class TestOversizedInput:
                  "digits Python renders")
         assert payload[:3] == [{"error": error, "exit_code": 2}] * 3
         assert payload[3]["value"] == str(d)
+
+
+class TestWordStates:
+    """Word requests are bounded by ``fiberdist.words.MAX_STATES``: past it
+    they exit 2 with a message naming the counter, and large fibers within
+    it are folded, not walked."""
+
+    def test_swierczkowski_search_past_the_budget_exits_2(self, tmp_path):
+        from fiberdist.words import MAX_STATES
+
+        # No witness on a cheapest Steiner forest fits the default cap 14, so
+        # the forest's witness search and then the capped search run out.
+        path = write_space(tmp_path, SIX_POINT_WORDS)
+        a, b = ["b^-1", "d^-1", "d^-1", "b", "c^-1", "f^-1"], ["d^-1", "f^-1", "f^-1", "d^-1", "c", "b"]
+        args = ["dist", "words", "--variant", "swierczkowski", "--space", path]
+        args += ["--a", json.dumps(a), "--b", json.dumps(b)]
+        proc = subprocess.run(CMD + args, capture_output=True, text=True, timeout=5)
+        error = f"word search reached {MAX_STATES + 1} states, over the budget of {MAX_STATES}"
+        assert (proc.returncode, proc.stderr, json.loads(proc.stdout)) == (2, "", {"error": error})
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_huge_cap_exits_without_a_traceback(self, tmp_path, method):
+        from fiberdist.words import MAX_STATES
+
+        path = write_space(tmp_path, EQUILATERAL_WORDS)
+        args = ["dist", "words", "--method", method, "--cap", "1100", "--space", path, "--a", '["x"]', "--b", '["x"]']
+        proc = subprocess.run(CMD + args, capture_output=True, text=True, timeout=30)
+        payload = json.loads(proc.stdout)
+        assert proc.stderr == ""
+        if method == "specialized":  # the exact Graev path needs no fiber
+            assert (proc.returncode, payload["value"]) == (0, "0")
+        else:
+            assert proc.returncode == 2
+            error = rf"representation DAG reached \d+ states, over the budget of {MAX_STATES}"
+            assert re.fullmatch(error, payload["error"])
+
+    def test_large_generic_fiber(self, tmp_path):
+        path = write_space(tmp_path, EQUILATERAL_WORDS)
+        args = ["dist", "words", "--method", "generic", "--cap", "8", "--space", path]
+        code, out, err = run_cli(*args, "--a", '["x"]', "--b", '["x","y^-1"]')
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["value"] == "1"
+        assert payload["witness"] == [["e", "e", 1]] * 6 + [["x", "x", 1], ["e", "y", -1]]
+        assert payload["flags"] == {
+            "fiber_size": 6_153_850, "cap": 8, "cap_limited": True, "certified": "exhaustive_within_cap"
+        }
 
 
 def test_compute_errors_keep_their_builtin_base():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fiberdist.core import PairTable, scale_to_integers
+from fiberdist.core import PairTable, scale_to_integers, validate_space
 from fiberdist.extension import ElementDomainError, EmptyFiberError, ExtensionResult, extend_generic
 from fiberdist.hyperspace import HyperspaceFunctor, Subset
 from fiberdist.power import PNorm, PowerFunctor
@@ -26,7 +26,7 @@ from fiberdist.selftest import (
     check_pseudometric_axioms,
 )
 from fiberdist.transport import TransportFunctor, distribution
-from fiberdist.words import GroupWord, PointedSpace, WordsFunctor, reduce_letters
+from fiberdist.words import GroupWord, PointedSpace, WordsFunctor, enumerate_proper_representations, reduce_letters
 
 
 def functor_instances():
@@ -157,6 +157,27 @@ def wide_cases(rng, functor):
             for extra in (0, 1, 2):
                 capped = WordsFunctor(functor.variant, functor.commutative, cap=max(len(a), len(b)) + extra)
                 yield capped, ctx, a, b
+        # On a pseudometric with d(x, y) = 0: x y^-1 against the empty word,
+        # whose stream meets a zero of the space's own table in mid-stream;
+        # x x against y y, whose rows repeat keys (negative ones under the
+        # last sample table); the empty pair; and x against y^-1 at cap 1,
+        # an empty fiber.
+        ctx = zero_distance_pointed()
+        x, y, xy, xx, yy, y_inv, empty = zero_distance_words(ctx, functor.commutative)
+        for a, b, cap in ((xy, empty, 3), (xx, yy, 4), (empty, empty, 2), (x, y_inv, 1)):
+            yield WordsFunctor(functor.variant, functor.commutative, cap=cap), ctx, a, b
+
+
+def zero_distance_pointed():
+    """e, x, y with d(x, y) = 0 and the other distances 1, basepoint e."""
+    dist = [[F(int(i != j and {i, j} != {1, 2})) for j in range(3)] for i in range(3)]
+    return PointedSpace(validate_space(("e", "x", "y"), dist, "pseudometric"), 0)
+
+
+def zero_distance_words(ctx, commutative):
+    """x, y, x y^-1, x x, y y, y^-1 and the empty word."""
+    letters = ([(1, 1)], [(2, 1)], [(1, 1), (2, -1)], [(1, 1), (1, 1)], [(2, 1), (2, 1)], [(2, -1)], [])
+    return [reduce_letters(word, commutative, ctx) for word in letters]
 
 
 class TestIntegerMinimum:
@@ -227,6 +248,36 @@ class TestIntegerMinimum:
         first = extend_generic(functor, ctx, space.pair_table(), empty, empty)
         assert first.value == 0 and type(first.value) is F
         assert first.witness.rows == () and first.fiber_size_enumerated == 1
+
+    @pytest.mark.parametrize("variant", ["graev", "swierczkowski"])
+    def test_word_fold_against_the_stream(self, variant):
+        # The word fiber minimum folds the representation DAG instead of
+        # walking its stream; these pin the stream positions and key counts
+        # it must reproduce.
+        ctx = zero_distance_pointed()
+        x, y, xy, xx, yy, y_inv, empty = zero_distance_words(ctx, False)
+        functor = WordsFunctor(variant)
+        table = ctx.space.pair_table()
+        stream = list(enumerate_proper_representations(xy, empty, ctx))
+        zero = next(i for i, rep in enumerate(stream) if functor.lift(table, rep) == 0)
+        assert 0 < zero < len(stream) - 1  # in mid-stream
+        first = extend_generic(functor, ctx, table, xy, empty, early_exit=True)
+        assert (first.value, first.witness, first.fiber_size_enumerated) == (0, stream[zero], zero + 1)
+        assert extend_generic(functor, ctx, table, xy, empty, early_exit=False).fiber_size_enumerated == len(stream)
+        # A negative key repeated in every row: Swierczkowski pays it once,
+        # Graev once per row, up to the cap.
+        negative = PairTable(tuple(tuple(F(-3) if (i, j) == (1, 2) else F(1) for j in range(3)) for i in range(3)))
+        low = extend_generic(WordsFunctor(variant, cap=4), ctx, negative, xx, yy)
+        rows = low.witness.rows
+        assert {row[:2] for row in rows} == {(1, 2)}
+        assert (low.value, len(rows)) == ((-3, 2) if variant == "swierczkowski" else (-12, 4))
+        # The empty pair's first representation is the empty one.
+        for early_exit in (True, False):
+            got = extend_generic(functor, ctx, table, empty, empty, early_exit=early_exit)
+            count = 1 if early_exit else len(list(enumerate_proper_representations(empty, empty, ctx)))
+            assert (got.value, got.witness.rows, got.fiber_size_enumerated) == (0, (), count)
+        with pytest.raises(EmptyFiberError, match="empty fiber"):
+            extend_generic(WordsFunctor(variant, cap=1), ctx, table, x, y_inv)
 
     @pytest.mark.parametrize("k", [F(2), F(7, 3)])
     def test_lift_order_survives_positive_scaling(self, k):
