@@ -37,10 +37,14 @@ Swierczkowski), so it costs the DAG's size rather than the fiber's.
 provably lossless pruning (prefix feasibility and state dominance) and
 returns the minimum over that stream.  All three read one prefix model: per
 side, the reduced prefix (free) or net exponents (free-abelian), with a
-lazily built per-prefix transition table.  The DAG, the fold and the two
-searches stop at :data:`MAX_STATES` states.  ``naive_word_distance``
-reduces every candidate string from scratch and is the independent oracle
-for all of them.
+lazily built per-prefix transition table that gives, per letter, the next
+prefix and how many ``+`` and ``-`` letters it still needs.  A row puts one
+sign on both sides, so a prefix pair needs at least the larger side's count
+of each sign in rows; the DAG and both searches cut every pair that cannot
+finish within the cap, as no representation passes through it.  The DAG,
+the fold and the two searches stop at :data:`MAX_STATES` states.
+``naive_word_distance`` reduces every candidate string from scratch and is
+the independent oracle for all of them.
 """
 
 from __future__ import annotations
@@ -217,23 +221,33 @@ def _check_pair(a: GroupWord, b: GroupWord, cap: int | None) -> int:
     return cap
 
 
-def _free_push(stack: tuple, x: int, s: int, e: int) -> tuple:
-    if x == e:
-        return stack
-    if stack and stack[-1] == (x, -s):
-        return stack[:-1]
-    return stack + ((x, s),)
-
-
-def _free_need(stack: tuple, target: tuple) -> int:
-    # Each appended letter moves the reduced prefix by at most one step
-    # toward the target: pop down to the common prefix, then push the
-    # target's remainder.
+def _free_need(stack: tuple, target: tuple) -> tuple[int, int]:
+    """``(p, q)``: the fewest ``+`` and ``-`` letters that take the reduced
+    prefix to ``target``.  They pop its letters above the common prefix, a
+    letter of sign s with one of sign -s, then push the target's remainder,
+    each letter with its own sign; a longer string only adds letters."""
     c = 0
     limit = min(len(stack), len(target))
     while c < limit and stack[c] == target[c]:
         c += 1
-    return (len(stack) - c) + (len(target) - c)
+    p = sum(s == -1 for _x, s in stack[c:]) + sum(s == 1 for _x, s in target[c:])
+    return p, len(stack) + len(target) - 2 * c - p
+
+
+def _free_table(stack: tuple, target: tuple, letters: list, e: int) -> list[tuple[tuple, int, int]]:
+    p, q = _free_need(stack, target)
+    size = len(stack)
+    on_target = stack == target[:size]  # nothing above the common prefix to pop
+    following = target[size] if on_target and size < len(target) else None
+    table = []
+    for x, s in letters:
+        if x == e:
+            table.append((stack, p, q))
+        elif stack and stack[-1] == (x, -s):
+            table.append(_step(stack[:-1], p, q, s, not on_target))
+        else:
+            table.append(_step(stack + ((x, s),), p, q, s, following == (x, s)))
+    return table
 
 
 def _net_of(letters: tuple) -> tuple:
@@ -243,22 +257,42 @@ def _net_of(letters: tuple) -> tuple:
     return tuple(sorted((x, v) for x, v in net.items() if v))
 
 
-def _net_push(net: tuple, x: int, s: int, e: int) -> tuple:
-    if x == e:
-        return net
-    items = dict(net)
-    items[x] = items.get(x, 0) + s
-    return tuple(sorted((k, v) for k, v in items.items() if v))
-
-
-def _net_need(net: tuple, target: tuple) -> int:
-    # Each appended letter changes one net exponent by one.
+def _net_need(net: tuple, target: tuple) -> tuple[int, int]:
+    """``(p, q)``: the fewest ``+`` and ``-`` letters that take the net
+    exponents to ``target``, each letter changing one of them by one."""
     cur = dict(net)
-    total = 0
+    p = q = 0
     for x, v in target:
-        total += abs(cur.pop(x, 0) - v)
-    total += sum(abs(v) for v in cur.values())
-    return total
+        d = v - cur.pop(x, 0)
+        p, q = (p + d, q) if d > 0 else (p, q - d)
+    for v in cur.values():
+        p, q = (p - v, q) if v < 0 else (p, q + v)
+    return p, q
+
+
+def _net_table(net: tuple, target: tuple, letters: list, e: int) -> list[tuple[tuple, int, int]]:
+    p, q = _net_need(net, target)
+    cur, goal = dict(net), dict(target)
+    table = []
+    for x, s in letters:
+        if x == e:
+            table.append((net, p, q))
+            continue
+        have = cur.get(x, 0)
+        items = dict(cur)
+        items[x] = have + s
+        nxt = tuple(sorted((k, v) for k, v in items.items() if v))
+        table.append(_step(nxt, p, q, s, (goal.get(x, 0) - have) * s > 0))
+    return table
+
+
+def _step(nxt: tuple, p: int, q: int, s: int, spends: bool) -> tuple[tuple, int, int]:
+    """The entry of a letter of sign s that moves a prefix needing ``(p,
+    q)`` to ``nxt``: a letter the target still needs (``spends``) is one of
+    those of its sign, any other needs one more of the opposite sign to undo."""
+    if s == 1:
+        return (nxt, p - 1, q) if spends else (nxt, p, q + 1)
+    return (nxt, p, q - 1) if spends else (nxt, p + 1, q)
 
 
 class _PrefixTables(dict):
@@ -266,41 +300,36 @@ class _PrefixTables(dict):
 
     A prefix is the side's reduced letters so far (free words) or its sorted
     nonzero net exponents (free-abelian words); the empty prefix is ``()``.
-    ``tables[prefix][2*x + (s == -1)]`` is ``(next_prefix, need)``: the
-    prefix after appending letter ``(x, s)`` and the fewest further letters
-    that take it to ``target``.  Tables live for one stream or one search.
+    ``tables[prefix][2*x + (s == -1)]`` is ``(next_prefix, p, q)``: the
+    prefix after appending letter ``(x, s)``, and the fewest ``+`` and
+    ``-`` letters that take it to ``target``.  Only the prefix's own need is
+    computed from scratch; each letter changes one of its counts by one, so
+    its entry follows in O(1).  Every row puts one sign on both sides, so a
+    pair of prefixes needs at least max(p_L, p_R) + max(q_L, q_R) more rows.
+    Tables live for one stream or one search.
     """
 
-    __slots__ = ("target", "_push", "_need", "_letters", "_e")
+    __slots__ = ("target", "_table", "_letters", "_e")
 
-    def __init__(self, target: tuple, push, need, letters: list[tuple[int, int]], e: int):
+    def __init__(self, target: tuple, table, letters: list[tuple[int, int]], e: int):
         self.target = target
-        self._push = push
-        self._need = need
+        self._table = table
         self._letters = letters
         self._e = e
 
-    def __missing__(self, prefix: tuple) -> list[tuple[tuple, int]]:
-        push, need, target, e = self._push, self._need, self.target, self._e
-        table = []
-        for x, s in self._letters:
-            nxt = push(prefix, x, s, e)
-            table.append((nxt, need(nxt, target)))
-        self[prefix] = table
+    def __missing__(self, prefix: tuple) -> list[tuple[tuple, int, int]]:
+        table = self[prefix] = self._table(prefix, self.target, self._letters, self._e)
         return table
 
 
 def _prefix_tables(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[_PrefixTables, _PrefixTables]:
     """Left and right prefix tables for representations of ``(a, b)``."""
-    if a.commutative:
-        push, need, target = _net_push, _net_need, _net_of
-    else:
-        push, need, target = _free_push, _free_need, tuple
+    table, target = (_net_table, _net_of) if a.commutative else (_free_table, tuple)
     letters = [(x, s) for x in range(pointed.n) for s in (1, -1)]  # in letter-code order
     e = pointed.basepoint
     return (
-        _PrefixTables(target(a.letters), push, need, letters, e),
-        _PrefixTables(target(b.letters), push, need, letters, e),
+        _PrefixTables(target(a.letters), table, letters, e),
+        _PrefixTables(target(b.letters), table, letters, e),
     )
 
 
@@ -345,14 +374,17 @@ def _live_rows(a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | Non
             for s in (1, -1):
                 neg = s == -1
                 ys = [
-                    (y, rnext, rnext == rtarget) for y, (rnext, rneed) in enumerate(rtable[neg::2]) if rneed <= remaining
+                    (y, rnext, rp, rq, rnext == rtarget)
+                    for y, (rnext, rp, rq) in enumerate(rtable[neg::2])
+                    if rp + rq <= remaining
                 ]
-                for x, (lnext, lneed) in enumerate(ltable[neg::2]):
-                    if lneed <= remaining:
+                for x, (lnext, lp, lq) in enumerate(ltable[neg::2]):
+                    if lp + lq <= remaining:
                         ldone = lnext == ltarget
-                        for y, rnext, rdone in ys:
-                            child = below.setdefault((lnext, rnext), len(below))
-                            out.append(((x, y, s), child, ldone and rdone, x * n + y))
+                        for y, rnext, rp, rq, rdone in ys:
+                            if (lp if lp > rp else rp) + (lq if lq > rq else rq) <= remaining:
+                                child = below.setdefault((lnext, rnext), len(below))
+                                out.append(((x, y, s), child, ldone and rdone, x * n + y))
             rows.append(out)
         levels.append(rows)
         states += len(below)
@@ -379,9 +411,9 @@ def enumerate_proper_representations(
 ) -> Iterator[ProperRepresentationPair]:
     """Every representation pair of length <= cap, in depth-first order.
 
-    Pruning is feasibility-only (a side that can no longer reach its target
-    within the remaining rows is cut), so the stream is exhaustive within
-    the cap.  It is the pre-order walk of :func:`_live_rows`, the DAG that
+    Pruning is feasibility-only (a prefix pair that can no longer reach the
+    targets within the remaining rows is cut), so the stream is exhaustive
+    within the cap.  It is the pre-order walk of :func:`_live_rows`, the DAG that
     :meth:`WordsFunctor.fiber_minimum` folds instead; the two are tested
     against each other.
     """
@@ -842,7 +874,8 @@ def _shortest_witness(
     states), and how many states were settled.
 
     A* over (left prefix, right prefix, orientations) with the larger side's
-    need as the heuristic, which no row lowers by more than one.  A
+    need as the heuristic, which no row lowers by more than one; a state
+    whose pair needs more rows than the cap leaves is not pushed.  A
     positive-cost edge {u, v} appears as (u, v) or (v, u), never both, so
     the rows pay it once; zero-cost edges and diagonal rows are free.
     Points that no edge touches and neither word uses would only add rows.
@@ -881,11 +914,12 @@ def _shortest_witness(
         for lcode, rcode, row, own, other in moves:
             if mask & other:
                 continue
-            lnext, lneed = ltable[lcode]
-            rnext, rneed = rtable[rcode]
-            f = depth + (lneed if lneed > rneed else rneed)
-            if f > cap:
+            lnext, lp, lq = ltable[lcode]
+            rnext, rp, rq = rtable[rcode]
+            if depth + (lp if lp > rp else rp) + (lq if lq > rq else rq) > cap:
                 continue
+            lneed, rneed = lp + lq, rp + rq
+            f = depth + (lneed if lneed > rneed else rneed)
             nxt = (lnext, rnext, mask | own)
             if nxt not in settled:
                 seq += 1
@@ -988,15 +1022,19 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
             continue
         remaining = cap - depth - 1
         depth += 1
-        # Successor prefixes that can still reach their target, else None.
-        lnexts = [nxt if k <= remaining else None for nxt, k in left[lkey]]
-        rnexts = [nxt if k <= remaining else None for nxt, k in right[rkey]]
+        # Successor entries that can still reach their target, else None.
+        lnexts = [entry if entry[1] + entry[2] <= remaining else None for entry in left[lkey]]
+        rnexts = [entry if entry[1] + entry[2] <= remaining else None for entry in right[rkey]]
         for base, lcode, rcode, row, bit in rows_sorted:
-            lnext = lnexts[lcode]
-            if lnext is None:
+            lentry = lnexts[lcode]
+            if lentry is None:
                 continue
-            rnext = rnexts[rcode]
-            if rnext is None:
+            rentry = rnexts[rcode]
+            if rentry is None:
+                continue
+            lnext, lp, lq = lentry
+            rnext, rp, rq = rentry
+            if (lp if lp > rp else rp) + (lq if lq > rq else rq) > remaining:
                 continue
             if swier:
                 step = 0 if mask & bit else base

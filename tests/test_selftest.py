@@ -1,3 +1,5 @@
+import __future__
+import inspect
 import io
 
 from fiberdist import cli, selftest, words
@@ -22,11 +24,32 @@ def test_raising_suite_is_a_failure_and_the_rest_still_run(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL overall"
 
 
-def test_words_suite_catches_an_over_pruning_search(monkeypatch):
-    free_need, net_need = words._free_need, words._net_need
-    monkeypatch.setattr(words, "_free_need", lambda prefix, target: 2 * free_need(prefix, target))
-    monkeypatch.setattr(words, "_net_need", lambda prefix, target: 2 * net_need(prefix, target))
+def _assert_words_suite_fails() -> None:
     report = selftest.words_search_vs_naive(False, None)
     assert not report.ok
     assert any(failure.startswith("search_word_distance(") for failure in report.failures)
 
+
+def test_words_suite_catches_an_over_pruning_search(monkeypatch):
+    # Every side's need over-counts both signs.
+    free_need, net_need = words._free_need, words._net_need
+    double = lambda need: lambda prefix, target: tuple(2 * k for k in need(prefix, target))
+    monkeypatch.setattr(words, "_free_need", double(free_need))
+    monkeypatch.setattr(words, "_net_need", double(net_need))
+    _assert_words_suite_fails()
+
+
+def test_words_suite_catches_a_summed_joint_bound(monkeypatch):
+    # A row spends a letter on both sides, so a pair of prefixes needs the
+    # larger side's count per sign; this mutant adds the two sides' counts
+    # in the DAG, the forest A* and the search.
+    joint = "(lp if lp > rp else rp) + (lq if lq > rq else rq)"
+    for name in ("_live_rows", "_shortest_witness", "_search"):
+        source = inspect.getsource(getattr(words, name))
+        assert joint in source
+        mutated = source.replace(joint, "lp + rp + lq + rq")
+        code = compile(mutated, words.__file__, "exec", __future__.annotations.compiler_flag)
+        mutant: dict = {}
+        exec(code, vars(words), mutant)
+        monkeypatch.setattr(words, name, mutant[name])
+    _assert_words_suite_fails()

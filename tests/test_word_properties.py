@@ -112,3 +112,69 @@ def test_exact_swierczkowski_equals_the_search(case):
     bound = F(words._swierczkowski_forest(a, b, pointed, idist, default)[0], denom)
     for cap in (default, default + 1, default + 2):
         assert bound <= search_word_distance(a, b, pointed, "swierczkowski", cap).value
+
+
+def _direct_need(word, target_word, commutative):
+    """``(p, q)`` of one side, straight from the need functions."""
+    if commutative:
+        return words._net_need(words._net_of(word.letters), words._net_of(target_word.letters))
+    return words._free_need(word.letters, target_word.letters)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(pointed_words(max_points=5))
+def test_joint_bound_never_exceeds_the_rows_left(case):
+    # Words reduced from scratch: every prefix pair within 2 rows of the
+    # start, and the fewest rows that take it to (a, b) under a cap of 3,
+    # found backwards from (a, b) (appending (x, -s) undoes a letter (x, s)).
+    pointed, a, b = case
+    commutative, cap = a.commutative, 3
+    rows = [(x, y, s) for x in range(pointed.n) for y in range(pointed.n) for s in (1, -1)]
+    steps: dict = {}
+
+    def step(word, x, s):
+        if (word, x, s) not in steps:
+            steps[word, x, s] = reduce_letters(word.letters + ((x, s),), commutative, pointed)
+        return steps[word, x, s]
+
+    empty = reduce_letters((), commutative, pointed)
+    depth = {(empty, empty): 0}
+    level = [(empty, empty)]
+    for d in range(1, cap):
+        level = {nxt for l, r in level for x, y, s in rows if (nxt := (step(l, x, s), step(r, y, s))) not in depth}
+        depth.update(dict.fromkeys(level, d))
+    rows_left = {}
+    level, count = {(a, b)}, 0
+    while level:
+        rows_left.update(dict.fromkeys(level, count))
+        count += 1
+        level = {
+            prev
+            for l, r in level
+            for x, y, s in rows
+            if (prev := (step(l, x, -s), step(r, y, -s))) not in rows_left and depth.get(prev, cap) + count <= cap
+        }
+    for (left, right), fewest in rows_left.items():
+        lp, lq = _direct_need(left, a, commutative)
+        rp, rq = _direct_need(right, b, commutative)
+        assert max(lp, rp) + max(lq, rq) <= fewest
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(pointed_words(max_points=5), st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=4))
+def test_incremental_tables_match_the_direct_need(case, walk):
+    # At every prefix along a walk of letters, each entry of each side's
+    # table is the successor prefix and that prefix's own need.
+    pointed, a, b = case
+    commutative = a.commutative
+    tables = words._prefix_tables(a, b, pointed)
+    key = (lambda w: words._net_of(w.letters)) if commutative else (lambda w: w.letters)
+    for table, target in zip(tables, (a, b)):
+        prefix = reduce_letters((), commutative, pointed)
+        for letter in [(x % pointed.n, s) for x, s in walk] + [None]:
+            for code, (nxt, p, q) in enumerate(table[key(prefix)]):
+                successor = reduce_letters(prefix.letters + ((code // 2, -1 if code % 2 else 1),), commutative, pointed)
+                assert nxt == key(successor)
+                assert (p, q) == _direct_need(successor, target, commutative)
+            if letter is not None:
+                prefix = reduce_letters(prefix.letters + (letter,), commutative, pointed)

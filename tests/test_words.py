@@ -6,10 +6,11 @@ import pytest
 
 from fiberdist import cli, words
 from fiberdist.core import validate_space
-from fiberdist.extension import EmptyFiberError
+from fiberdist.extension import EmptyFiberError, FiberCapExceeded
 from fiberdist.sampling import labels, random_metric_space, random_word, random_word_of_length
 from fiberdist.selftest import check_word_pseudometric_axioms
 from fiberdist.words import (
+    MAX_STATES,
     CapTooSmallError,
     PointedSpace,
     ProperRepresentationPair,
@@ -302,16 +303,18 @@ class TestDistances:
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_long_words_on_eight_points_need_no_search(self, commutative):
-        # The search settles ~1.7 M states on such a pair; the exact path none.
         rng = random.Random(8)
         pointed = PointedSpace(random_metric_space(rng, 8), 0)
         functor = WordsFunctor(commutative=commutative)
-        for _ in range(5):
+        for i in range(5):
             a, b = (random_word_of_length(rng, pointed, 4, commutative=commutative) for _ in range(2))
             result = graev_distance(a, b, pointed)
             assert result.fiber_size_enumerated == 0 and not result.cap_limited
             assert len(result.witness.rows) <= 8
             assert functor.marginals(result.witness, pointed) == (a, b)
+            if i == 0:  # the search runs out of states on all five; each takes it 1-4 s
+                with pytest.raises(FiberCapExceeded, match=f"word search reached {MAX_STATES + 1} states"):
+                    search_word_distance(a, b, pointed)
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_a_broken_witness_is_a_named_error(self, ctx, monkeypatch, commutative):
@@ -462,110 +465,113 @@ GOLDEN_SEARCHES = [
     (0, 'graev', (), ((2, 1),), '2', ((0, 2, 1),), 12),
     (0, 'swierczkowski', (), ((2, -1),), '2', ((0, 2, -1),), 17),
     (0, 'abelian', (), ((1, -1),), '2', ((0, 1, -1),), 15),
-    (1, 'graev', (), ((1, -1),), '4', ((0, 1, -1),), 19),
+    (1, 'graev', (), ((1, -1),), '4', ((0, 1, -1),), 18),
     (1, 'swierczkowski', (), ((2, -1),), '3', ((0, 2, -1),), 14),
-    (1, 'abelian', (), ((1, -1),), '4', ((0, 1, -1),), 19),
-    (0, 'graev', (), ((2, 1), (1, 1)), '4', ((0, 2, 1), (0, 1, 1)), 52),
+    (1, 'abelian', (), ((1, -1),), '4', ((0, 1, -1),), 18),
+    (0, 'graev', (), ((2, 1), (1, 1)), '4', ((0, 2, 1), (0, 1, 1)), 34),
     (0, 'swierczkowski', (), ((2, -1), (1, 1)), '1', ((2, 2, -1), (2, 1, 1)), 17),
-    (0, 'abelian', (), ((1, 1), (2, 1)), '4', ((0, 1, 1), (0, 2, 1)), 60),
+    (0, 'abelian', (), ((1, 1), (2, 1)), '4', ((0, 1, 1), (0, 2, 1)), 38),
     (1, 'graev', (), ((2, 1), (1, -1)), '5/2', ((2, 2, 1), (2, 1, -1)), 17),
-    (1, 'swierczkowski', (), ((2, -1), (1, -1)), '11/2', ((2, 2, 1), (0, 2, -1), (0, 2, -1), (2, 1, -1)), 82),
-    (1, 'abelian', (), ((1, 1), (2, 1)), '7', ((0, 2, 1), (0, 1, 1)), 64),
-    (0, 'graev', (), ((2, -1), (1, 1), (2, 1)), '2', ((2, 2, -1), (0, 1, 1), (2, 2, 1)), 53),
-    (0, 'swierczkowski', (), ((1, 1), (2, 1), (1, 1)), '3', ((0, 1, 1), (2, 2, 1), (0, 1, 1), (0, 1, 1), (2, 1, -1)), 138),
-    (0, 'abelian', (), ((1, -1), (1, -1), (2, 1)), '3', ((2, 2, 1), (2, 1, -1), (0, 1, -1)), 71),
-    (1, 'graev', (), ((2, 1), (1, -1), (2, 1)), '11/2', ((2, 2, 1), (2, 1, -1), (0, 2, 1)), 61),
-    (1, 'swierczkowski', (), ((2, -1), (1, -1), (2, -1)), '11/2', ((0, 2, -1), (1, 1, -1), (0, 2, -1), (0, 2, -1), (1, 2, 1)), 119),
-    (1, 'abelian', (), ((2, -1), (2, -1), (2, -1)), '9', ((0, 2, -1), (0, 2, -1), (0, 2, -1)), 79),
+    (1, 'swierczkowski', (), ((2, -1), (1, -1)), '11/2', ((2, 2, 1), (0, 2, -1), (0, 2, -1), (2, 1, -1)), 52),
+    (1, 'abelian', (), ((1, 1), (2, 1)), '7', ((0, 2, 1), (0, 1, 1)), 41),
+    (0, 'graev', (), ((2, -1), (1, 1), (2, 1)), '2', ((2, 2, -1), (0, 1, 1), (2, 2, 1)), 52),
+    (0, 'swierczkowski', (), ((1, 1), (2, 1), (1, 1)), '3', ((0, 1, 1), (2, 2, 1), (0, 1, 1), (0, 1, 1), (2, 1, -1)), 71),
+    (0, 'abelian', (), ((1, -1), (1, -1), (2, 1)), '3', ((2, 2, 1), (2, 1, -1), (0, 1, -1)), 70),
+    (1, 'graev', (), ((2, 1), (1, -1), (2, 1)), '11/2', ((2, 2, 1), (2, 1, -1), (0, 2, 1)), 59),
+    (1, 'swierczkowski', (), ((2, -1), (1, -1), (2, -1)), '11/2', ((0, 2, -1), (1, 1, -1), (0, 2, -1), (0, 2, -1), (1, 2, 1)), 62),
+    (1, 'abelian', (), ((2, -1), (2, -1), (2, -1)), '9', ((0, 2, -1), (0, 2, -1), (0, 2, -1)), 52),
     (0, 'graev', ((2, 1),), (), '2', ((2, 0, 1),), 14),
     (0, 'swierczkowski', ((2, 1),), (), '2', ((2, 0, 1),), 15),
     (0, 'abelian', ((2, 1),), (), '2', ((2, 0, 1),), 14),
     (1, 'graev', ((2, -1),), (), '3', ((2, 0, -1),), 14),
-    (1, 'swierczkowski', ((1, 1),), (), '4', ((1, 0, 1),), 21),
+    (1, 'swierczkowski', ((1, 1),), (), '4', ((1, 0, 1),), 19),
     (1, 'abelian', ((2, 1),), (), '3', ((2, 0, 1),), 12),
     (0, 'graev', ((2, 1),), ((1, 1),), '1', ((2, 1, 1),), 7),
-    (0, 'swierczkowski', ((1, 1),), ((1, -1),), '2', ((1, 1, 1), (0, 1, -1), (0, 1, -1)), 42),
-    (0, 'abelian', ((1, -1),), ((1, 1),), '4', ((0, 1, 1), (1, 0, -1)), 39),
-    (1, 'graev', ((1, 1),), ((1, -1),), '8', ((1, 0, 1), (0, 1, -1)), 50),
+    (0, 'swierczkowski', ((1, 1),), ((1, -1),), '2', ((1, 1, 1), (0, 1, -1), (0, 1, -1)), 36),
+    (0, 'abelian', ((1, -1),), ((1, 1),), '4', ((0, 1, 1), (1, 0, -1)), 35),
+    (1, 'graev', ((1, 1),), ((1, -1),), '8', ((1, 0, 1), (0, 1, -1)), 42),
     (1, 'swierczkowski', ((1, -1),), ((2, -1),), '5/2', ((1, 2, -1),), 8),
-    (1, 'abelian', ((2, -1),), ((2, 1),), '6', ((0, 2, 1), (2, 0, -1)), 36),
-    (0, 'graev', ((2, -1),), ((2, 1), (2, 1)), '6', ((0, 2, 1), (0, 2, 1), (2, 0, -1)), 131),
-    (0, 'swierczkowski', ((1, 1),), ((2, 1), (2, 1)), '3', ((1, 2, 1), (0, 2, 1)), 117),
-    (0, 'abelian', ((1, -1),), ((1, -1), (2, 1)), '2', ((1, 1, -1), (0, 2, 1)), 48),
-    (1, 'graev', ((1, -1),), ((2, -1), (2, -1)), '11/2', ((1, 2, -1), (0, 2, -1)), 78),
+    (1, 'abelian', ((2, -1),), ((2, 1),), '6', ((0, 2, 1), (2, 0, -1)), 34),
+    (0, 'graev', ((2, -1),), ((2, 1), (2, 1)), '6', ((0, 2, 1), (0, 2, 1), (2, 0, -1)), 74),
+    (0, 'swierczkowski', ((1, 1),), ((2, 1), (2, 1)), '3', ((1, 2, 1), (0, 2, 1)), 105),
+    (0, 'abelian', ((1, -1),), ((1, -1), (2, 1)), '2', ((1, 1, -1), (0, 2, 1)), 46),
+    (1, 'graev', ((1, -1),), ((2, -1), (2, -1)), '11/2', ((1, 2, -1), (0, 2, -1)), 70),
     (1, 'swierczkowski', ((1, 1),), ((1, 1), (2, -1)), '3', ((1, 1, 1), (0, 2, -1)), 55),
-    (1, 'abelian', ((1, -1),), ((1, -1), (2, 1)), '3', ((1, 1, -1), (0, 2, 1)), 39),
-    (0, 'graev', ((2, -1),), ((2, 1), (1, 1), (2, 1)), '8', ((0, 2, 1), (0, 1, 1), (0, 2, 1), (2, 0, -1)), 202),
-    (0, 'swierczkowski', ((1, -1),), ((2, 1), (2, 1), (1, -1)), '2', ((0, 2, 1), (0, 2, 1), (1, 1, -1)), 110),
+    (1, 'abelian', ((1, -1),), ((1, -1), (2, 1)), '3', ((1, 1, -1), (0, 2, 1)), 38),
+    (0, 'graev', ((2, -1),), ((2, 1), (1, 1), (2, 1)), '8', ((0, 2, 1), (0, 1, 1), (0, 2, 1), (2, 0, -1)), 111),
+    (0, 'swierczkowski', ((1, -1),), ((2, 1), (2, 1), (1, -1)), '2', ((0, 2, 1), (0, 2, 1), (1, 1, -1)), 96),
     (0, 'abelian', ((2, 1),), ((1, -1), (2, 1), (2, 1)), '1', ((2, 2, 1), (2, 2, 1), (2, 1, -1)), 32),
-    (1, 'graev', ((2, 1),), ((2, 1), (1, -1), (2, -1)), '7', ((2, 2, 1), (1, 1, -1), (0, 2, -1), (1, 0, 1)), 182),
-    (1, 'swierczkowski', ((2, 1),), ((1, 1), (2, -1), (1, -1)), '3', ((1, 1, 1), (2, 2, -1), (2, 0, 1), (1, 1, -1), (2, 0, 1)), 93),
-    (1, 'abelian', ((1, 1),), ((1, -1), (2, -1), (2, -1)), '14', ((0, 2, -1), (0, 2, -1), (1, 0, 1), (0, 1, -1)), 187),
-    (0, 'graev', ((2, -1), (2, -1)), (), '4', ((2, 0, -1), (2, 0, -1)), 63),
-    (0, 'swierczkowski', ((1, 1), (2, 1)), (), '3', ((1, 1, 1), (2, 0, 1), (2, 0, 1), (2, 1, -1)), 92),
-    (0, 'abelian', ((1, 1), (2, 1)), (), '4', ((1, 0, 1), (2, 0, 1)), 63),
-    (1, 'graev', ((1, -1), (2, -1)), (), '7', ((1, 1, -1), (2, 0, -1), (0, 1, 1)), 58),
-    (1, 'swierczkowski', ((2, 1), (2, 1)), (), '3', ((2, 0, 1), (2, 0, 1)), 45),
-    (1, 'abelian', ((1, -1), (2, -1)), (), '7', ((2, 0, -1), (1, 0, -1)), 68),
-    (0, 'graev', ((2, 1), (1, -1)), ((2, 1),), '2', ((2, 2, 1), (1, 0, -1)), 49),
-    (0, 'swierczkowski', ((1, -1), (2, -1)), ((2, 1),), '3', ((0, 2, 1), (0, 2, 1), (0, 2, 1), (1, 2, -1), (2, 2, -1)), 197),
+    (1, 'graev', ((2, 1),), ((2, 1), (1, -1), (2, -1)), '7', ((2, 2, 1), (1, 1, -1), (0, 2, -1), (1, 0, 1)), 141),
+    (1, 'swierczkowski', ((2, 1),), ((1, 1), (2, -1), (1, -1)), '3', ((1, 1, 1), (2, 2, -1), (2, 0, 1), (1, 1, -1), (2, 0, 1)), 86),
+    (1, 'abelian', ((1, 1),), ((1, -1), (2, -1), (2, -1)), '14', ((0, 2, -1), (0, 2, -1), (1, 0, 1), (0, 1, -1)), 124),
+    (0, 'graev', ((2, -1), (2, -1)), (), '4', ((2, 0, -1), (2, 0, -1)), 41),
+    (0, 'swierczkowski', ((1, 1), (2, 1)), (), '3', ((1, 1, 1), (2, 0, 1), (2, 0, 1), (2, 1, -1)), 59),
+    (0, 'abelian', ((1, 1), (2, 1)), (), '4', ((1, 0, 1), (2, 0, 1)), 38),
+    (1, 'graev', ((1, -1), (2, -1)), (), '7', ((1, 1, -1), (2, 0, -1), (0, 1, 1)), 38),
+    (1, 'swierczkowski', ((2, 1), (2, 1)), (), '3', ((2, 0, 1), (2, 0, 1)), 26),
+    (1, 'abelian', ((1, -1), (2, -1)), (), '7', ((2, 0, -1), (1, 0, -1)), 44),
+    (0, 'graev', ((2, 1), (1, -1)), ((2, 1),), '2', ((2, 2, 1), (1, 0, -1)), 48),
+    (0, 'swierczkowski', ((1, -1), (2, -1)), ((2, 1),), '3', ((0, 2, 1), (0, 2, 1), (0, 2, 1), (1, 2, -1), (2, 2, -1)), 95),
     (0, 'abelian', ((1, 1), (1, 1)), ((1, 1),), '2', ((1, 1, 1), (1, 0, 1)), 37),
-    (1, 'graev', ((1, -1), (2, 1)), ((2, -1),), '11/2', ((1, 2, -1), (2, 0, 1)), 77),
-    (1, 'swierczkowski', ((2, -1), (2, -1)), ((2, -1),), '3', ((2, 2, -1), (2, 0, -1)), 61),
-    (1, 'abelian', ((1, 1), (1, 1)), ((1, 1),), '4', ((1, 1, 1), (1, 0, 1)), 50),
-    (0, 'graev', ((2, 1), (2, 1)), ((2, -1), (1, -1)), '8', ((2, 0, 1), (2, 0, 1), (0, 2, -1), (0, 1, -1)), 310),
-    (0, 'swierczkowski', ((2, 1), (1, 1)), ((2, -1), (1, -1)), '4', ((2, 2, 1), (0, 2, -1), (0, 2, -1), (1, 1, 1), (0, 1, -1), (0, 1, -1)), 573),
-    (0, 'abelian', ((1, 1), (1, 1)), ((1, -1), (1, -1)), '8', ((1, 0, 1), (1, 0, 1), (0, 1, -1), (0, 1, -1)), 197),
-    (1, 'graev', ((1, -1), (1, -1)), ((2, -1), (1, 1)), '21/2', ((1, 2, -1), (0, 1, 1), (1, 0, -1)), 349),
-    (1, 'swierczkowski', ((2, 1), (1, 1)), ((1, -1), (2, -1)), '7', ((2, 2, 1), (0, 2, -1), (1, 1, -1), (0, 2, -1), (1, 0, 1), (1, 0, 1)), 556),
-    (1, 'abelian', ((1, -1), (2, -1)), ((1, 1), (2, -1)), '8', ((2, 2, -1), (0, 1, 1), (1, 0, -1)), 203),
-    (0, 'graev', ((1, 1), (1, 1)), ((2, 1), (1, 1), (2, -1)), '3', ((1, 2, 1), (1, 1, 1), (0, 2, -1)), 258),
-    (0, 'swierczkowski', ((1, 1), (2, -1)), ((2, 1), (2, 1), (2, 1)), '3', ((0, 2, 1), (0, 2, 1), (0, 2, 1), (1, 1, 1), (2, 1, -1)), 737),
-    (0, 'abelian', ((2, -1), (2, -1)), ((1, 1), (1, 1), (2, -1)), '6', ((2, 2, -1), (0, 1, 1), (0, 1, 1), (2, 0, -1)), 322),
-    (1, 'graev', ((2, 1), (2, 1)), ((2, 1), (1, 1), (2, 1)), '4', ((2, 2, 1), (0, 1, 1), (2, 2, 1)), 187),
-    (1, 'swierczkowski', ((1, -1), (1, -1)), ((1, 1), (1, 1), (1, 1)), '4', ((1, 1, -1), (1, 1, -1), (0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 1, 1)), 273),
-    (1, 'abelian', ((1, 1), (2, -1)), ((1, -1), (1, -1), (2, 1)), '9', ((1, 2, 1), (2, 1, -1), (0, 1, -1)), 262),
-    (0, 'graev', ((1, 1), (2, 1), (2, 1)), (), '6', ((1, 0, 1), (2, 0, 1), (2, 0, 1)), 93),
-    (0, 'swierczkowski', ((2, -1), (1, 1), (2, -1)), (), '3', ((2, 2, -1), (1, 2, 1), (2, 0, -1)), 114),
-    (0, 'abelian', ((1, 1), (2, 1), (2, 1)), (), '6', ((1, 0, 1), (2, 0, 1), (2, 0, 1)), 102),
+    (1, 'graev', ((1, -1), (2, 1)), ((2, -1),), '11/2', ((1, 2, -1), (2, 0, 1)), 68),
+    (1, 'swierczkowski', ((2, -1), (2, -1)), ((2, -1),), '3', ((2, 2, -1), (2, 0, -1)), 59),
+    (1, 'abelian', ((1, 1), (1, 1)), ((1, 1),), '4', ((1, 1, 1), (1, 0, 1)), 47),
+    (0, 'graev', ((2, 1), (2, 1)), ((2, -1), (1, -1)), '8', ((2, 0, 1), (2, 0, 1), (0, 2, -1), (0, 1, -1)), 132),
+    (0, 'swierczkowski', ((2, 1), (1, 1)), ((2, -1), (1, -1)), '4', ((2, 2, 1), (0, 2, -1), (0, 2, -1), (1, 1, 1), (0, 1, -1), (0, 1, -1)), 195),
+    (0, 'abelian', ((1, 1), (1, 1)), ((1, -1), (1, -1)), '8', ((1, 0, 1), (1, 0, 1), (0, 1, -1), (0, 1, -1)), 105),
+    (1, 'graev', ((1, -1), (1, -1)), ((2, -1), (1, 1)), '21/2', ((1, 2, -1), (0, 1, 1), (1, 0, -1)), 214),
+    (1, 'swierczkowski', ((2, 1), (1, 1)), ((1, -1), (2, -1)), '7', ((2, 2, 1), (0, 2, -1), (1, 1, -1), (0, 2, -1), (1, 0, 1), (1, 0, 1)), 186),
+    (1, 'abelian', ((1, -1), (2, -1)), ((1, 1), (2, -1)), '8', ((2, 2, -1), (0, 1, 1), (1, 0, -1)), 154),
+    (0, 'graev', ((1, 1), (1, 1)), ((2, 1), (1, 1), (2, -1)), '3', ((1, 2, 1), (1, 1, 1), (0, 2, -1)), 242),
+    (0, 'swierczkowski', ((1, 1), (2, -1)), ((2, 1), (2, 1), (2, 1)), '3', ((0, 2, 1), (0, 2, 1), (0, 2, 1), (1, 1, 1), (2, 1, -1)), 386),
+    (0, 'abelian', ((2, -1), (2, -1)), ((1, 1), (1, 1), (2, -1)), '6', ((2, 2, -1), (0, 1, 1), (0, 1, 1), (2, 0, -1)), 229),
+    (1, 'graev', ((2, 1), (2, 1)), ((2, 1), (1, 1), (2, 1)), '4', ((2, 2, 1), (0, 1, 1), (2, 2, 1)), 183),
+    (1, 'swierczkowski', ((1, -1), (1, -1)), ((1, 1), (1, 1), (1, 1)), '4', ((1, 1, -1), (1, 1, -1), (0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 1, 1)), 80),
+    (1, 'abelian', ((1, 1), (2, -1)), ((1, -1), (1, -1), (2, 1)), '9', ((1, 2, 1), (2, 1, -1), (0, 1, -1)), 245),
+    (0, 'graev', ((1, 1), (2, 1), (2, 1)), (), '6', ((1, 0, 1), (2, 0, 1), (2, 0, 1)), 58),
+    (0, 'swierczkowski', ((2, -1), (1, 1), (2, -1)), (), '3', ((2, 2, -1), (1, 2, 1), (2, 0, -1)), 105),
+    (0, 'abelian', ((1, 1), (2, 1), (2, 1)), (), '6', ((1, 0, 1), (2, 0, 1), (2, 0, 1)), 67),
     (1, 'graev', ((1, 1), (2, 1), (1, -1)), (), '3', ((1, 1, 1), (2, 0, 1), (1, 1, -1)), 36),
-    (1, 'swierczkowski', ((2, 1), (1, 1), (1, 1)), (), '13/2', ((2, 2, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 2, -1)), 148),
-    (1, 'abelian', ((1, 1), (1, 1), (2, 1)), (), '11', ((2, 0, 1), (1, 0, 1), (1, 0, 1)), 107),
-    (0, 'graev', ((1, -1), (2, 1), (2, 1)), ((1, -1),), '4', ((1, 1, -1), (2, 0, 1), (2, 0, 1)), 170),
-    (0, 'swierczkowski', ((1, -1), (1, -1), (2, -1)), ((2, -1),), '2', ((1, 0, -1), (1, 0, -1), (2, 2, -1)), 126),
+    (1, 'swierczkowski', ((2, 1), (1, 1), (1, 1)), (), '13/2', ((2, 2, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 2, -1)), 78),
+    (1, 'abelian', ((1, 1), (1, 1), (2, 1)), (), '11', ((2, 0, 1), (1, 0, 1), (1, 0, 1)), 72),
+    (0, 'graev', ((1, -1), (2, 1), (2, 1)), ((1, -1),), '4', ((1, 1, -1), (2, 0, 1), (2, 0, 1)), 133),
+    (0, 'swierczkowski', ((1, -1), (1, -1), (2, -1)), ((2, -1),), '2', ((1, 0, -1), (1, 0, -1), (2, 2, -1)), 111),
     (0, 'abelian', ((1, -1), (2, 1), (2, 1)), ((2, 1),), '1', ((2, 2, 1), (2, 2, 1), (1, 2, -1)), 31),
-    (1, 'graev', ((1, 1), (1, 1), (2, 1)), ((2, 1),), '8', ((1, 0, 1), (1, 0, 1), (2, 2, 1)), 180),
+    (1, 'graev', ((1, 1), (1, 1), (2, 1)), ((2, 1),), '8', ((1, 0, 1), (1, 0, 1), (2, 2, 1)), 146),
     (1, 'swierczkowski', ((2, -1), (2, -1), (1, 1)), ((2, -1),), '5/2', ((2, 2, -1), (2, 2, -1), (1, 2, 1)), 25),
     (1, 'abelian', ((1, -1), (2, 1), (2, 1)), ((1, 1),), '5', ((2, 2, 1), (2, 1, 1), (1, 2, -1)), 74),
-    (0, 'graev', ((2, -1), (1, 1), (2, -1)), ((1, 1), (2, -1)), '2', ((2, 0, -1), (1, 1, 1), (2, 2, -1)), 174),
-    (0, 'swierczkowski', ((2, 1), (1, -1), (1, -1)), ((1, -1), (2, 1)), '2', ((1, 1, -1), (1, 0, 1), (2, 2, 1), (1, 0, -1), (1, 0, -1)), 391),
-    (0, 'abelian', ((1, 1), (2, -1), (2, -1)), ((1, -1), (2, 1)), '4', ((1, 2, 1), (2, 1, -1), (2, 0, -1)), 242),
-    (1, 'graev', ((1, 1), (1, 1), (2, -1)), ((2, -1), (1, -1)), '12', ((1, 0, 1), (1, 0, 1), (2, 2, -1), (0, 1, -1)), 458),
-    (1, 'swierczkowski', ((2, 1), (2, 1), (1, -1)), ((1, 1), (1, 1)), '11/2', ((2, 1, 1), (2, 1, 1), (1, 1, -1), (2, 1, 1), (2, 0, -1)), 545),
-    (1, 'abelian', ((1, 1), (2, -1), (2, -1)), ((1, -1), (2, 1)), '8', ((1, 2, 1), (2, 1, -1), (2, 0, -1)), 238),
-    (0, 'graev', ((2, 1), (1, -1), (2, -1)), ((1, 1), (2, -1), (1, 1)), '5', ((2, 2, 1), (1, 0, -1), (2, 2, -1), (1, 1, 1), (1, 2, -1), (0, 1, 1)), 749),
-    (0, 'swierczkowski', ((1, 1), (2, 1), (1, -1)), ((1, 1), (2, -1), (1, -1)), '2', ((1, 1, 1), (2, 2, 1), (0, 2, -1), (0, 2, -1), (1, 1, -1)), 475),
-    (0, 'abelian', ((1, 1), (1, 1), (2, -1)), ((1, 1), (2, 1), (2, 1)), '5', ((1, 1, 1), (1, 2, 1), (0, 2, 1), (2, 0, -1)), 376),
-    (1, 'graev', ((2, 1), (1, -1), (2, -1)), ((2, -1), (1, -1), (2, -1)), '6', ((2, 0, 1), (0, 2, -1), (1, 1, -1), (2, 2, -1)), 332),
+    (0, 'graev', ((2, -1), (1, 1), (2, -1)), ((1, 1), (2, -1)), '2', ((2, 0, -1), (1, 1, 1), (2, 2, -1)), 171),
+    (0, 'swierczkowski', ((2, 1), (1, -1), (1, -1)), ((1, -1), (2, 1)), '2', ((1, 1, -1), (1, 0, 1), (2, 2, 1), (1, 0, -1), (1, 0, -1)), 345),
+    (0, 'abelian', ((1, 1), (2, -1), (2, -1)), ((1, -1), (2, 1)), '4', ((1, 2, 1), (2, 1, -1), (2, 0, -1)), 230),
+    (1, 'graev', ((1, 1), (1, 1), (2, -1)), ((2, -1), (1, -1)), '12', ((1, 0, 1), (1, 0, 1), (2, 2, -1), (0, 1, -1)), 299),
+    (1, 'swierczkowski', ((2, 1), (2, 1), (1, -1)), ((1, 1), (1, 1)), '11/2', ((2, 1, 1), (2, 1, 1), (1, 1, -1), (2, 1, 1), (2, 0, -1)), 480),
+    (1, 'abelian', ((1, 1), (2, -1), (2, -1)), ((1, -1), (2, 1)), '8', ((1, 2, 1), (2, 1, -1), (2, 0, -1)), 226),
+    (0, 'graev', ((2, 1), (1, -1), (2, -1)), ((1, 1), (2, -1), (1, 1)), '5', ((2, 2, 1), (1, 0, -1), (2, 2, -1), (1, 1, 1), (1, 2, -1), (0, 1, 1)), 635),
+    (0, 'swierczkowski', ((1, 1), (2, 1), (1, -1)), ((1, 1), (2, -1), (1, -1)), '2', ((1, 1, 1), (2, 2, 1), (0, 2, -1), (0, 2, -1), (1, 1, -1)), 431),
+    (0, 'abelian', ((1, 1), (1, 1), (2, -1)), ((1, 1), (2, 1), (2, 1)), '5', ((1, 1, 1), (1, 2, 1), (0, 2, 1), (2, 0, -1)), 352),
+    (1, 'graev', ((2, 1), (1, -1), (2, -1)), ((2, -1), (1, -1), (2, -1)), '6', ((2, 0, 1), (0, 2, -1), (1, 1, -1), (2, 2, -1)), 304),
     (1, 'swierczkowski', ((2, -1), (1, 1), (2, 1)), ((2, 1), (1, 1), (2, -1)), '5/2', ((2, 2, -1), (1, 2, 1), (2, 2, 1), (1, 1, 1), (1, 2, -1)), 125),
     (1, 'abelian', ((1, 1), (1, 1), (1, 1)), ((1, 1), (2, 1), (2, 1)), '5', ((1, 1, 1), (1, 2, 1), (1, 2, 1)), 138),
-    (2, 'graev', (), ((3, 1), (4, 1)), '7/2', ((0, 3, 1), (0, 4, 1)), 468),
+    (2, 'graev', (), ((3, 1), (4, 1)), '7/2', ((0, 3, 1), (0, 4, 1)), 198),
     (2, 'swierczkowski', (), ((3, 1), (1, -1)), '1', ((3, 3, 1), (3, 1, -1)), 41),
-    (2, 'abelian', (), ((1, -1), (4, -1)), '4', ((0, 1, -1), (0, 4, -1)), 647),
+    (2, 'abelian', (), ((1, -1), (4, -1)), '4', ((0, 1, -1), (0, 4, -1)), 258),
     (2, 'graev', ((3, -1),), ((4, -1),), '1', ((3, 4, -1),), 20),
     (2, 'swierczkowski', ((4, -1),), ((4, -1),), '0', ((4, 4, -1),), 10),
-    (2, 'abelian', ((4, -1),), ((5, 1),), '10/3', ((0, 5, 1), (4, 0, -1)), 220),
+    (2, 'abelian', ((4, -1),), ((5, 1),), '10/3', ((0, 5, 1), (4, 0, -1)), 183),
     (2, 'graev', ((4, -1), (2, 1)), (), '7/4', ((4, 4, -1), (2, 4, 1)), 129),
-    (2, 'swierczkowski', ((5, -1), (5, -1)), (), '4/3', ((5, 0, -1), (5, 0, -1)), 102),
-    (2, 'abelian', ((1, -1), (5, -1)), (), '10/3', ((5, 0, -1), (1, 0, -1)), 497),
+    (2, 'swierczkowski', ((5, -1), (5, -1)), (), '4/3', ((5, 0, -1), (5, 0, -1)), 47),
+    (2, 'abelian', ((1, -1), (5, -1)), (), '10/3', ((5, 0, -1), (1, 0, -1)), 205),
 ]
 
 
 class TestSearchGolden:
     """The search breaks cost ties by push order, so a change to the order in
     which it expands states shows in the witness and the settled-state count
-    even when the value stays; these were recorded from the search as it was
-    before its per-prefix transition tables."""
+    even when the value stays.  The values and witnesses were recorded from
+    the search as it was before its per-prefix transition tables.  The
+    settled states were recorded again once the search cut prefix pairs that
+    cannot finish within the cap: those pairs lead to no representation, so
+    only the counts fell (15,131 to 10,607 in all)."""
 
     @pytest.mark.parametrize("kind", ["graev", "swierczkowski", "abelian"])
     def test_values_witnesses_and_states(self, kind):
