@@ -12,20 +12,22 @@ over distinct letter pairs only for the "swierczkowski" variant.  Every
 distance is taken within a cap on the string length (default: combined
 reduced length plus two).
 
-``graev_distance`` answers both variants exactly under a pseudometric cost
-whenever a witness attaining a cap-free lower bound fits the cap.  For
-Graev, the bound is the value itself: an interval program over
-non-crossing matchings for free words, and a padded ``kantorovich``
-transport (the Arens-Eells norm) for free-abelian words, each with a
-witness of at most |a|+|b| rows.  For Swierczkowski, the bound is the least
-summed Steiner-tree cost over the partitions of the words' points that make
-the two words equal once each block is one letter, and the witness is the
-shortest representation on one cheapest forest's edges.  Every such witness
-is checked by re-lifting and reducing.  The other calls (a cost that is no
-pseudometric, a witness longer than the cap) go to
-``search_word_distance``, whose results carry a ``cap_limited`` flag: a
-capped value is an upper bound of the true infimum that is certified
-exhaustive within its cap, and is exact when it meets the bound.
+``graev_distance`` answers both variants exactly whenever a witness
+attaining a cap-free lower bound fits the cap.  For Graev, the bound is the
+value itself: an interval program over non-crossing matchings for free
+words, and a padded ``kantorovich`` transport (the Arens-Eells norm) for
+free-abelian words, each with a witness of at most |a|+|b| rows.  For
+Swierczkowski, the bound is the least summed Steiner-tree cost over the
+partitions of the words' points that make the two words equal once each
+block is one letter, and the witness is the shortest representation on one
+cheapest forest's edges.  Every such witness is checked by re-lifting and
+reducing.  The other calls (a witness longer than the cap, or none found)
+go to ``search_word_distance``, whose results carry a ``cap_limited`` flag:
+a capped value is an upper bound of the true infimum that is certified
+exhaustive within its cap, and is exact when it meets the bound.  The costs
+are the pointed space's own distances, which
+:func:`~fiberdist.core.validate_space` made a (pseudo)metric;
+:meth:`WordsFunctor.distance` sends any other table to the generic minimum.
 
 The representations within the cap (the coupling fiber) form a DAG over
 states (left prefix, right prefix, depth).
@@ -56,12 +58,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import transport  # by module, so a tracer that patches kantorovich sees these calls
-from .core import (
-    FiniteMetricSpace, PairTable, ParseError, SpaceValidationError, Value, scale_to_integers, set_field, validate_space,
-)
+from .core import FiniteMetricSpace, ParseError, Value, scale_to_integers, set_field
 from .extension import (
     GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult,
-    FiberCapExceeded, Functor, WitnessError,
+    FiberCapExceeded, Functor, WitnessError, extend_generic,
 )
 
 
@@ -354,8 +354,10 @@ def _live_rows(a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | Non
     completes a representation, and ``k = x * n + y`` the row's key.  A row
     is live when it completes one or has live rows below it.  The states are
     found one depth at a time and made live from the deepest up, so a large
-    cap costs states, not Python recursion; past :data:`MAX_STATES` states
-    the DAG raises.  The cap is checked first.
+    cap costs states, not Python recursion.  The budget is checked after
+    each state's rows, so the DAG raises once it holds more than
+    :data:`MAX_STATES` states, at most ``2 n^2`` (one per row) past it.  The
+    cap is checked first.
     """
     cap = _check_pair(a, b, cap)
     left, right = _prefix_tables(a, b, pointed)
@@ -386,10 +388,10 @@ def _live_rows(a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | Non
                                 child = below.setdefault((lnext, rnext), len(below))
                                 out.append(((x, y, s), child, ldone and rdone, x * n + y))
             rows.append(out)
+            if states + len(below) > MAX_STATES:
+                raise _over_budget("representation DAG", states + len(below))
         levels.append(rows)
         states += len(below)
-        if states > MAX_STATES:
-            raise _over_budget("representation DAG", states)
         level = below
     nodes: list[list[tuple]] = []
     index: list = []  # per state one depth down, its position in nodes or None
@@ -503,47 +505,37 @@ def _fold(nodes: list[list[tuple]], weight: list, paid: list, empty: bool) -> tu
 
 
 def graev_distance(
-    a: GroupWord,
-    b: GroupWord,
-    pointed: PointedSpace,
-    variant: str = GRAEV,
-    cap: int | None = None,
-    *,
-    cost_table=None,
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, variant: str = GRAEV, cap: int | None = None
 ) -> ExtensionResult:
-    """Distance between two words, free or free-abelian, within the cap.
+    """Distance between two words, free or free-abelian, within the cap,
+    on the pointed space's own distances.
 
-    Under a pseudometric cost, both variants have a cap-free lower bound
-    with a witness that attains it.  For Graev, the bound is the value's
-    closed form: the non-crossing matching program for free words
-    (:func:`_free_graev`) and the Arens-Eells transport for free-abelian
-    words (:func:`_abelian_graev`), each witnessed by at most ``|a| + |b|``
-    rows.  For Swierczkowski, it is the Steiner-forest bound of
-    :func:`_swierczkowski_forest`, witnessed by the fewest rows on the
-    forest's edges.  The witness is checked by re-lifting and reducing, and
-    answers whenever it fits the cap: the minimum within a cap is at least
-    the bound, which the witness attains.  Such answers are exact, so
-    ``cap_limited`` is false and ``fiber_size_enumerated`` is 0.  Every
-    other call (a cost that is no pseudometric, a cap below the witness) is
-    answered by :func:`search_word_distance`; a Swierczkowski search value
-    that meets the bound is not ``cap_limited`` either.
-
-    ``cost_table`` (a nonnegative function on pairs) replaces the base
-    distance.
+    Both variants have a cap-free lower bound with a witness that attains
+    it.  For Graev, the bound is the value's closed form: the non-crossing
+    matching program for free words (:func:`_free_graev`) and the
+    Arens-Eells transport for free-abelian words (:func:`_abelian_graev`),
+    each witnessed by at most ``|a| + |b|`` rows.  For Swierczkowski, it is
+    the Steiner-forest bound of :func:`_swierczkowski_forest`, witnessed by
+    the fewest rows on the forest's edges.  The witness is checked by
+    re-lifting and reducing, and answers whenever it fits the cap: the
+    minimum within a cap is at least the bound, which the witness attains.
+    Such answers are exact, so ``cap_limited`` is false and
+    ``fiber_size_enumerated`` is 0.  Every other call (a cap below the
+    witness, or no witness found) is answered by
+    :func:`search_word_distance`; a Swierczkowski search value that meets
+    the bound is not ``cap_limited`` either.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    dist, denom, idist = _integer_costs(pointed, cost_table)
+    denom, idist = scale_to_integers(pointed.space.dist)
     swier = variant == SWIERCZKOWSKI
-    if not (dist == pointed.space.dist or _is_pseudometric(pointed.space.points, dist)):
-        return _search(a, b, pointed, swier, cap, denom, idist)
     bound = 0
     if swier:
         bound, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
         value = Fraction(bound, denom)
     elif a.commutative:
-        value, rows = _abelian_graev(a, b, pointed, dist)
+        value, rows = _abelian_graev(a, b, pointed)
     else:
         cost, rows = _free_graev(a, b, pointed, idist)
         value = Fraction(cost, denom)
@@ -552,26 +544,6 @@ def graev_distance(
         if len(rows) <= cap:
             return _word_result(value, rows, 0, False)
     return _search(a, b, pointed, swier, cap, denom, idist, bound)
-
-
-def _integer_costs(pointed: PointedSpace, cost_table) -> tuple[tuple, int, list[list[int]]]:
-    """``(dist, den, idist)``: the cost matrix and its integer scaling."""
-    n = pointed.n
-    if cost_table is None:
-        dist = pointed.space.dist
-    else:
-        dist = tuple(tuple(cost_table((x, y)) for y in range(n)) for x in range(n))
-        if any(v < 0 for row in dist for v in row):
-            raise ValueError("word distances require a nonnegative cost table")
-    return (dist, *scale_to_integers(dist))
-
-
-def _is_pseudometric(points: tuple[str, ...], dist: tuple) -> bool:
-    try:
-        validate_space(points, dist, "pseudometric")
-    except SpaceValidationError:
-        return False
-    return True
 
 
 def _free_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: list[list[int]]) -> tuple[int, list]:
@@ -653,7 +625,7 @@ def _free_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: list[l
     return best[0][m], rows
 
 
-def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, dist: tuple) -> tuple[Fraction, list]:
+def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[Fraction, list]:
     """Least cost of a representation of free-abelian words, and its rows.
 
     Shared exponents pair at no cost.  What is left, c = net(b) - net(a),
@@ -690,7 +662,9 @@ def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, dist: tupl
     demand = {x: Fraction(len(units), total) for x, units in minus.items()}
     supply[e] = 1 - sum(supply.values())
     demand[e] = 1 - sum(demand.values())
-    solved = transport.kantorovich(PairTable(dist), transport.distribution(supply), transport.distribution(demand))
+    solved = transport.kantorovich(
+        pointed.space.pair_table(), transport.distribution(supply), transport.distribution(demand)
+    )
     for (x, y), mass in solved.plan.items():
         if x == y == e:
             continue
@@ -940,13 +914,7 @@ def _check_witness(a, b, pointed, rows, value: Fraction, denom: int, idist, vari
 
 
 def search_word_distance(
-    a: GroupWord,
-    b: GroupWord,
-    pointed: PointedSpace,
-    variant: str = GRAEV,
-    cap: int | None = None,
-    *,
-    cost_table=None,
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, variant: str = GRAEV, cap: int | None = None
 ) -> ExtensionResult:
     """Least-cost search over representation prefixes, free or free-abelian.
 
@@ -960,15 +928,14 @@ def search_word_distance(
     stream, just with provably lossless pruning; the agreement is tested
     against the naive enumerator.
 
-    ``cost_table`` (a nonnegative function on pairs) replaces the base
-    distance.  The result's ``fiber_size_enumerated`` counts settled states;
-    a search that would settle more than :data:`MAX_STATES` raises
-    ``FiberCapExceeded``.
+    The costs are the pointed space's distances.  The result's
+    ``fiber_size_enumerated`` counts settled states; a search that would
+    settle more than :data:`MAX_STATES` raises ``FiberCapExceeded``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    _dist, denom, idist = _integer_costs(pointed, cost_table)
+    denom, idist = scale_to_integers(pointed.space.dist)
     return _search(a, b, pointed, variant == SWIERCZKOWSKI, cap, denom, idist)
 
 
@@ -993,16 +960,16 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
         )
     ]
 
-    # Heap entries: cost, push order, depth, state (lkey, rkey, mask), and the
-    # settled state and row it was pushed from; a state's parent is recorded
-    # only when it settles.
-    heap = [(0, 0, 0, ((), (), 0), -1, None)]
+    # Heap entries: cost, push order, depth, the state's lkey, rkey and mask
+    # (flat, so a push builds one tuple), and the settled state and row it
+    # was pushed from; a state's parent is recorded only when it settles.
+    heap = [(0, 0, 0, (), (), 0, -1, None)]
     parents: list[tuple[int, tuple | None]] = []  # settled state -> (its parent, its row)
     seq = 0
     settled: dict[tuple, list[tuple[int, int]]] = {}  # (l, r) -> [(mask, depth)]
 
     while heap:
-        cost, _seq, depth, (lkey, rkey, mask), parent, row = heapq.heappop(heap)
+        cost, _seq, depth, lkey, rkey, mask, parent, row = heapq.heappop(heap)
         entries = settled.setdefault((lkey, rkey), [])
         if any(m & mask == m and d <= depth for m, d in entries):
             continue
@@ -1045,7 +1012,7 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
             if seen and any(m & nmask == m and d <= depth for m, d in seen):
                 continue
             seq += 1
-            heapq.heappush(heap, (cost + step, seq, depth, (lnext, rnext, nmask), me, row))
+            heapq.heappush(heap, (cost + step, seq, depth, lnext, rnext, nmask, me, row))
 
     raise EmptyFiberError(f"no proper representation of ({a!r}, {b!r}) within cap {cap}")
 
@@ -1191,9 +1158,13 @@ class WordsFunctor(Functor):
         return walk([])
 
     def distance(self, ctx, table, a, b, cap: int | None = None):
+        """:func:`graev_distance` on the space's own distances; a table of
+        other values gets the generic minimum within the same cap."""
         if cap is None:
             cap = self.cap
-        return graev_distance(a, b, ctx, self.variant, cap, cost_table=table)
+        if table.values != ctx.space.dist:
+            return extend_generic(WordsFunctor(self.variant, self.commutative, cap), ctx, table, a, b)
+        return graev_distance(a, b, ctx, self.variant, cap)
 
     @staticmethod
     def is_exact(result: ExtensionResult) -> bool:

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from fiberdist import words
-from fiberdist.core import validate_space
+from fiberdist.core import scale_to_integers, validate_space
 from fiberdist.extension import EmptyFiberError
 from fiberdist.sampling import labels
 from fiberdist.words import (
@@ -91,7 +91,7 @@ def test_exact_graev_equals_the_search(case):
 @given(pointed_words(max_points=4))
 def test_exact_swierczkowski_equals_the_search(case):
     pointed, a, b = case
-    _dist, denom, idist = words._integer_costs(pointed, None)
+    denom, idist = scale_to_integers(pointed.space.dist)
     default = len(a) + len(b) + 2
     for cap in (max(len(a), len(b)), default):
         try:

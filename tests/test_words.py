@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from fiberdist import cli, words
-from fiberdist.core import validate_space
-from fiberdist.extension import EmptyFiberError, FiberCapExceeded
+from fiberdist.core import PairTable, validate_space
+from fiberdist.extension import EmptyFiberError, FiberCapExceeded, extend_generic
 from fiberdist.sampling import labels, random_metric_space, random_word, random_word_of_length
 from fiberdist.selftest import check_word_pseudometric_axioms
 from fiberdist.words import (
@@ -234,15 +234,58 @@ class TestDistances:
         assert result == search_word_distance(a, b, pointed, "swierczkowski", 4)
         assert result.fiber_size_enumerated > 0
 
-    def test_non_pseudometric_cost_goes_to_the_search(self, ctx):
-        # d(x, y) = 5 breaks the triangle through e; the Steiner bound needs
-        # costs that are their own shortest paths, so the search answers.
-        costs = [[F(0), F(1), F(1)], [F(1), F(0), F(5)], [F(1), F(5), F(0)]]
-        table = lambda pair: costs[pair[0]][pair[1]]
+    def test_non_pseudometric_table_goes_to_the_generic_minimum(self, ctx):
+        # d(x, y) = 5 breaks the triangle through e.  The exact paths and the
+        # search read the space's own distances, so any other table takes
+        # the generic minimum, at the instance's cap or at the call's.
+        table = PairTable([[F(0), F(1), F(1)], [F(1), F(0), F(5)], [F(1), F(5), F(0)]])
         a, b = word(ctx, [(1, 1), (1, 1)]), word(ctx, [(2, 1), (2, 1)])
-        result = graev_distance(a, b, ctx, "swierczkowski", cost_table=table)
-        assert result == search_word_distance(a, b, ctx, "swierczkowski", cost_table=table)
+        functor = WordsFunctor("swierczkowski")
+        result = functor.distance(ctx, table, a, b)
+        assert result == extend_generic(functor, ctx, table, a, b)
         assert result.fiber_size_enumerated > 0 and result.value == F(2)
+        capped = WordsFunctor("swierczkowski", cap=5)
+        assert functor.distance(ctx, table, a, b, cap=5) == extend_generic(capped, ctx, table, a, b)
+
+    @pytest.mark.parametrize(
+        "matrix, a, b, commutative, value",
+        [
+            (
+                [
+                    ["0", "2", "5/4", "3/2", "4/3", "2"],
+                    ["2", "0", "4/3", "5/3", "1", "2"],
+                    ["5/4", "4/3", "0", "2", "1", "1"],
+                    ["3/2", "5/3", "2", "0", "1", "5/3"],
+                    ["4/3", "1", "1", "1", "0", "3/2"],
+                    ["2", "2", "1", "5/3", "3/2", "0"],
+                ],
+                [(5, -1), (3, -1), (2, -1)], [(5, 1), (2, -1), (5, -1)], False, F(7, 2),
+            ),
+            (
+                [
+                    ["0", "2", "1", "2", "3/2"],
+                    ["2", "0", "2", "1", "7/4"],
+                    ["1", "2", "0", "3/2", "1"],
+                    ["2", "1", "3/2", "0", "1"],
+                    ["3/2", "7/4", "1", "1", "0"],
+                ],
+                [(1, -1), (2, 1), (4, 1)], [(1, -1), (1, -1), (2, -1)], True, F(4),
+            ),
+        ],
+        ids=["free", "abelian"],
+    )
+    def test_searched_pairs_with_a_large_representation_dag(self, matrix, a, b, commutative, value):
+        # No forest witness fits the default cap 8, so the search answers.
+        # The generic minimum over the same fiber runs out of states here
+        # (the free pair's DAG, the abelian pair's fold); the search's cost
+        # order and dominance settle fewer than MAX_STATES.
+        space = validate_space(labels(len(matrix)), [[F(v) for v in row] for row in matrix], "metric")
+        pointed = PointedSpace(space, 0)
+        a, b = word(pointed, a, commutative), word(pointed, b, commutative)
+        result = graev_distance(a, b, pointed, "swierczkowski")
+        assert (result.value, result.cap_limited) == (value, True)
+        assert 0 < result.fiber_size_enumerated <= MAX_STATES
+        assert WordsFunctor("swierczkowski", commutative).marginals(result.witness, pointed) == (a, b)
 
     def test_witness_reevaluates_to_value(self, ctx):
         rng = random.Random(44)
@@ -315,6 +358,12 @@ class TestDistances:
             if i == 0:  # the search runs out of states on all five; each takes it 1-4 s
                 with pytest.raises(FiberCapExceeded, match=f"word search reached {MAX_STATES + 1} states"):
                     search_word_distance(a, b, pointed)
+                # The representation DAG checks its budget after each state's
+                # rows, so it stops at most 2 n^2 states past it.
+                with pytest.raises(FiberCapExceeded, match="representation DAG reached") as info:
+                    extend_generic(functor, pointed, pointed.space.pair_table(), a, b)
+                states = int(str(info.value).split()[3])
+                assert MAX_STATES < states <= MAX_STATES + 2 * pointed.n**2
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_a_broken_witness_is_a_named_error(self, ctx, monkeypatch, commutative):
