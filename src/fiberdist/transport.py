@@ -21,7 +21,10 @@ The independent oracle lists the vertices of the transportation polytope,
 which is exhaustive for minimizing any linear lift.  They are the
 nonnegative flows of the support grid's spanning trees, and the oracle
 reaches them by simplex pivots between feasible bases, not by solving every
-tree.
+tree.  A pivot whose reverse can only lead back is made once, not from both
+ends; a theta = 0 pivot of a degenerate basis that might lead elsewhere is
+always made.  The vertex stream is ordered by each vertex's first spanning
+tree, and the generic minimum orders only the vertices tied at it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
 from .extension import (
-    ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, WitnessError, first_minimum,
+    ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, WitnessError,
 )
 
 # fiber_vertices visits every feasible basis of the support grid, and
@@ -317,24 +320,28 @@ def fiber_vertices(mu: Distribution, nu: Distribution) -> Iterator[TransportPlan
 
     The vertices are the nonnegative flows a spanning tree of the complete
     bipartite support grid determines; they come in the order of the first
-    such tree, its row-major cells compared lexicographically.  They are
-    found by :func:`_vertex_flows`, which pivots between feasible bases, on
-    the masses scaled to integers by their common denominator D.
+    such tree (:func:`_first_tree`), its row-major cells compared
+    lexicographically.  They are found by :func:`_vertex_flows`, which
+    pivots between feasible bases, on the masses scaled to integers by their
+    common denominator D.
     """
-    den, flows = _vertex_flows(mu, nu)
-    for flow in flows:
-        yield _plan(flow, den)
+    den, cells, flows = _vertex_flows(mu, nu)
+    m, n = len(mu.support), len(nu.support)
+    for flow in sorted(flows, key=lambda flow: _first_tree(flow, m, n)):
+        yield _plan(flow, den, cells)
 
 
-def _plan(flow: tuple, den: int) -> TransportPlan:
-    """The plan of a vertex flow whose masses are scaled by ``den``."""
-    return TransportPlan(tuple((cell, Fraction(w, den)) for cell, w in flow))
+def _plan(flow: tuple, den: int, cells: list[tuple[int, int]]) -> TransportPlan:
+    """The plan of a vertex flow over row-major ``cells`` whose masses are
+    scaled by ``den``."""
+    return TransportPlan(tuple((cells[cell], Fraction(w, den)) for cell, w in flow))
 
 
-def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple]]:
-    """``(D, flows)``: every vertex of the transportation polytope as its
-    positive cells ``((i, j), w)`` in row-major order, w the mass times D,
-    in the order of :func:`fiber_vertices`.
+def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple[int, int]], set[tuple]]:
+    """``(D, cells, flows)``: the support grid's cells ``(i, j)`` in row-major
+    order, and every vertex of the transportation polytope, unordered, as
+    its positive cells ``(k, w)``, k a row-major cell index in increasing
+    order and w the mass times D.
 
     The vertices are the basic feasible solutions, and simplex pivots
     connect every feasible basis of the polytope (Klee & Witzgall, 1968;
@@ -342,12 +349,15 @@ def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple]]
     So the walk starts from the north-west-corner basis and, from each basis
     and each cell outside it, pushes the largest theta >= 0 around the
     cycle the cell closes, following every cell that theta empties to a new
-    basis; visited bases are kept as bitmasks of the row-major cells.
-    Degenerate vertices have several bases and are kept once.  The first
-    spanning tree of a vertex, in lexicographic order of row-major cells,
-    is the one that completes its support greedily in row-major order (a
-    matroid's greedy basis is least cell by cell), and the vertices are
-    sorted by it.
+    basis; bases are kept as bitmasks of the row-major cells.  Degenerate
+    vertices have several bases and are kept once.
+    Each basis-graph edge is pivoted once where that loses nothing.  A
+    pivot from basis B that enters e and empties l reaches B2 = B + e - l,
+    and entering l at B2 pushes round the same cycle the other way: it can
+    only empty e, back to B, or a cell that gained theta from B and was
+    empty at B.  Only when there is no such cell is l recorded as done at
+    B2.  Degenerate bases so keep every theta = 0 pivot that could lead
+    elsewhere: no proof yet says such a pivot never finds a new vertex.
     """
     rows = mu.support
     cols = nu.support
@@ -355,36 +365,47 @@ def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple]]
     if m * n > MAX_VERTEX_CELLS:
         raise FiberCapExceeded(f"{m}x{n} support exceeds the vertex enumeration cap {MAX_VERTEX_CELLS}")
     den, (supply, demand) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
-    ends = [(a, m + b) for a in range(m) for b in range(n)]  # a cell's row and column nodes
     todo = [_north_west_corner(supply, demand)]
-    seen = {todo[0][0]}
+    done = {todo[0][0]: 0}  # per basis reached, the cells whose pivot only leads back
     vertices = set()
+    grid = (1 << m * n) - 1
     while todo:
         mask, flow = todo.pop()
-        vertices.add(tuple([(cell, w) for cell, w in enumerate(flow) if w]))
-        tree = _rooted_tree([cell for cell in range(m * n) if mask >> cell & 1], ends, m + n)
-        for enter in range(m * n):
-            if mask >> enter & 1:
-                continue
-            cycle = _tree_path(tree, *ends[enter])
-            # Pushing theta into ``enter`` takes it from the path's even
-            # cells and adds it to its odd ones.
-            losing = cycle[::2]
-            theta = min([flow[cell] for cell in losing])
-            for leave in losing:
-                moved = mask ^ (1 << enter) ^ (1 << leave)
-                if flow[leave] != theta or moved in seen:
+        basis = _cells(mask)
+        vertices.add(tuple([(cell, flow[cell]) for cell in basis if flow[cell]]))
+        path, lose_row = _root_paths(basis, m, n)
+        empty = sum([1 << cell for cell in basis if not flow[cell]])
+        for enter in _cells(grid & ~(mask | done[mask])):
+            u, v = divmod(enter, n)
+            v += m
+            # Pushing theta into ``enter`` takes it from the path cells
+            # crossed from a row to a column on the way from u to v.
+            losing = (lose_row[u] & ~path[v]) | ((path[v] ^ lose_row[v]) & ~path[u])
+            gaining = (path[u] ^ path[v]) ^ losing
+            if losing & empty:
+                theta, leaving = 0, _cells(losing & empty)
+            else:
+                leaving = _cells(losing)
+                theta = min([flow[cell] for cell in leaving])
+            back = 0 if gaining & empty else 1
+            for leave in leaving:
+                if flow[leave] != theta:
                     continue
-                seen.add(moved)
-                nxt = flow[:]
-                nxt[enter] = theta
-                for cell in losing:
-                    nxt[cell] -= theta
-                for cell in cycle[1::2]:
-                    nxt[cell] += theta
+                moved = mask ^ (1 << enter) ^ (1 << leave)
+                if moved in done:
+                    done[moved] |= back << leave
+                    continue
+                done[moved] = back << leave
+                nxt = flow
+                if theta:
+                    nxt = flow[:]
+                    nxt[enter] = theta
+                    for cell in leaving:  # every losing cell, as theta > 0
+                        nxt[cell] -= theta
+                    for cell in _cells(gaining):
+                        nxt[cell] += theta
                 todo.append((moved, nxt))
-    ordered = sorted((_first_tree(support, ends, m + n), support) for support in vertices)
-    return den, [tuple(((rows[cell // n], cols[cell % n]), w) for cell, w in flow) for _key, flow in ordered]
+    return den, [(i, j) for i in rows for j in cols], vertices
 
 
 def _north_west_corner(supply: list[int], demand: list[int]) -> tuple[int, list[int]]:
@@ -409,55 +430,52 @@ def _north_west_corner(supply: list[int], demand: list[int]) -> tuple[int, list[
             b += 1
 
 
-def _rooted_tree(cells: list[int], ends: list[tuple[int, int]], nodes: int) -> tuple[list[int], list[int], list[int]]:
-    """``(parent, up_cell, depth)`` of the spanning tree on ``cells`` rooted
-    at node 0, where ``up_cell[v]`` is the cell joining v to its parent."""
-    adjacent = [[] for _ in range(nodes)]
-    for cell in cells:
-        a, b = ends[cell]
-        adjacent[a].append((b, cell))
-        adjacent[b].append((a, cell))
-    parent = [-1] * nodes
-    up_cell = [-1] * nodes
-    depth = [0] * nodes
+def _cells(mask: int) -> list[int]:
+    """The row-major cell indices of a bitmask, in increasing order."""
+    cells = []
+    while mask:
+        low = mask & -mask
+        cells.append(low.bit_length() - 1)
+        mask ^= low
+    return cells
+
+
+def _root_paths(basis: list[int], m: int, n: int) -> tuple[list[int], list[int]]:
+    """``(path, lose_row)`` per node of the spanning tree on the ``basis``
+    cells, rooted at row 0, nodes numbered rows then columns: ``path[v]`` is
+    the bitmask of the cells from the root to v, and ``lose_row[v]`` those
+    of them whose lower end is a row."""
+    adjacent = [[] for _ in range(m + n)]
+    for cell in basis:
+        a, b = divmod(cell, n)
+        adjacent[a].append((m + b, cell))
+        adjacent[m + b].append((a, cell))
+    path = [0] * (m + n)
+    lose_row = [0] * (m + n)
     order = [0]
-    parent[0] = 0
     for v in order:
         for u, cell in adjacent[v]:
-            if parent[u] < 0:
-                parent[u], up_cell[u], depth[u] = v, cell, depth[v] + 1
+            if not path[v] >> cell & 1:
+                bit = 1 << cell
+                path[u] = path[v] | bit
+                lose_row[u] = lose_row[v] | (bit if u < m else 0)
                 order.append(u)
-    return parent, up_cell, depth
+    return path, lose_row
 
 
-def _tree_path(tree, u: int, v: int) -> list[int]:
-    """The cells of the tree path from node u to node v, in order."""
-    parent, up_cell, depth = tree
-    head, tail = [], []
-    while depth[u] > depth[v]:
-        head.append(up_cell[u])
-        u = parent[u]
-    while depth[v] > depth[u]:
-        tail.append(up_cell[v])
-        v = parent[v]
-    while u != v:
-        head.append(up_cell[u])
-        tail.append(up_cell[v])
-        u, v = parent[u], parent[v]
-    return head + tail[::-1]
-
-
-def _first_tree(support: tuple, ends: list[tuple[int, int]], nodes: int) -> list[int]:
+def _first_tree(support: tuple, m: int, n: int) -> list[int]:
     """The lexicographically least spanning tree, as sorted row-major
     cells, that contains a vertex's support: the support, then every other
-    cell in row-major order that closes no cycle.  ``label`` names each
-    node's component."""
-    label = list(range(nodes))
+    cell in row-major order that closes no cycle.  A support of m + n - 1
+    cells is its own tree.  ``label`` names each node's component."""
     tree = [cell for cell, _w in support]
+    if len(tree) == m + n - 1:
+        return tree
+    label = list(range(m + n))
     chosen = set(tree)
-    for cell in tree + [cell for cell in range(len(ends)) if cell not in chosen]:
-        a, b = ends[cell]
-        keep, gone = label[a], label[b]
+    for cell in tree + [cell for cell in range(m * n) if cell not in chosen]:
+        a, b = divmod(cell, n)
+        keep, gone = label[a], label[m + b]
         if keep != gone:
             label = [keep if c == gone else c for c in label]
             if cell not in chosen:
@@ -521,10 +539,20 @@ class TransportFunctor(Functor):
         return integrate(fn, elem)
 
     def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
-        den, flows = _vertex_flows(a, b)
-        ranked = ((sum([w * rank(cell) for cell, w in flow]), flow) for flow in flows)
-        best, flow, count = first_minimum(ranked, stop_at_zero)
-        return best, _plan(flow, den), count
+        """Ranks every vertex, each cell weighed once, and orders by
+        :func:`_first_tree` only the vertices tied at the minimum, or all of
+        them to place the stream's first zero when ``stop_at_zero``."""
+        den, cells, flows = _vertex_flows(a, b)
+        m, n = len(a.support), len(b.support)
+        weight = [rank(cell) for cell in cells]
+        ranked = [(sum([w * weight[cell] for cell, w in flow]), flow) for flow in flows]
+        best = min([r for r, _flow in ranked])
+        flow = min([flow for r, flow in ranked if r == best], key=lambda flow: _first_tree(flow, m, n))
+        count = len(ranked)
+        if stop_at_zero and best == 0:
+            first = _first_tree(flow, m, n)
+            count = 1 + sum([_first_tree(other, m, n) < first for _r, other in ranked])
+        return best, _plan(flow, den, cells), count
 
     def enumerate_elements(self, ctx, cap: int) -> Iterator[Distribution]:
         """All distributions whose weights share a denominator <= cap."""

@@ -15,8 +15,10 @@ reduced length plus two).
 ``graev_distance`` answers both variants exactly whenever a witness
 attaining a cap-free lower bound fits the cap.  For Graev, the bound is the
 value itself: an interval program over non-crossing matchings for free
-words, and a padded ``kantorovich`` transport (the Arens-Eells norm) for
-free-abelian words, each with a witness of at most |a|+|b| rows.  For
+words, and the Arens-Eells norm for free-abelian words (a padded
+``kantorovich`` transport, or the forced plan to or from the basepoint when
+the residual exponents share a sign), each with a witness of at most
+|a|+|b| rows.  For
 Swierczkowski, the bound is the least summed Steiner-tree cost over the
 partitions of the words' points that make the two words equal once each
 block is one letter, and the witness is the shortest representation on one
@@ -631,10 +633,12 @@ def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[F
     Shared exponents pair at no cost.  What is left, c = net(b) - net(a),
     has the Arens-Eells norm: the least cost of moving c+ onto c-, with the
     basepoint able to give or take any amount (Weaver, *Lipschitz
-    Algebras*).  With K = |c+| + |c-|, padding each side with basepoint mass
-    up to K makes that a balanced transport problem, solved by
-    ``kantorovich`` on masses divided by K.  Each unit of the integral plan
-    K*pi spends one residual letter at each end that is not the basepoint.
+    Algebras*).  When c is one-signed, every unit goes to or from the
+    basepoint, and the rows are written directly.  Otherwise, with
+    K = |c+| + |c-|, padding each side with basepoint mass up to K makes that
+    a balanced transport problem, solved by ``kantorovich`` on masses divided
+    by K.  Each unit of the integral plan K*pi spends one residual letter at
+    each end that is not the basepoint.
     """
     e = pointed.basepoint
     net_a, net_b = dict(_net_of(a.letters)), dict(_net_of(b.letters))
@@ -655,9 +659,16 @@ def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[F
                 plus.setdefault(x, []).extend([(is_right, x, sign)] * count)
             elif count < 0:
                 minus.setdefault(x, []).extend([(is_right, x, -sign)] * -count)
+    if not plus or not minus:
+        # One side is the basepoint alone, so the padded plan is forced: its
+        # cells are (x, e) or (e, y), in sorted order.
+        value = Fraction(0)
+        for x, units in sorted((plus or minus).items()):
+            while units:
+                rows += _unit_rows([units.pop()], e)
+                value += pointed.space.dist[x][e]
+        return value, rows
     total = sum(map(len, plus.values())) + sum(map(len, minus.values()))
-    if total == 0:
-        return Fraction(0), rows
     supply = {x: Fraction(len(units), total) for x, units in plus.items()}
     demand = {x: Fraction(len(units), total) for x, units in minus.items()}
     supply[e] = 1 - sum(supply.values())

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from fiberdist.core import PairTable, validate_space
-from fiberdist.extension import WitnessError, extend_generic
+from fiberdist.extension import WitnessError, extend_generic, first_minimum
 from fiberdist.sampling import random_distribution, random_metric_space, random_pseudometric_table
 from fiberdist.transport import (
     Distribution,
@@ -320,16 +321,20 @@ def reference_tree_flow(tree, need, m):
     return flow
 
 
-@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 21) for n in range(1, 21) if m * n <= 20])
+GRID_SHAPES = [(m, n) for m in range(1, 21) for n in range(1, 21) if m * n <= 20]
+
+
+@pytest.mark.parametrize("m,n", GRID_SHAPES)
 def test_spanning_tree_walk_matches_filtered_combinations(m, n):
     # The vertices are the nonnegative flows of spanning trees, each in the
-    # place of the first tree that carries it, for random and for uniform
-    # (degenerate) masses.
+    # place of the first tree that carries it, for random masses and for
+    # uniform and small-integer (degenerate) ones; on the latter a pivot
+    # back to a basis can have several leaving cells.
     rng = random.Random(m * 100 + n)
     trees = list(reference_spanning_trees(m, n))
     assert len(trees) == m ** (n - 1) * n ** (m - 1)  # Scoins' formula for K_{m,n}
-    for uniform in (False, True):
-        rows, cols = ([1 if uniform else rng.randint(1, 9) for _ in range(k)] for k in (m, n))
+    for top in (9, 1, 3):
+        rows, cols = ([rng.randint(1, top) for _ in range(k)] for k in (m, n))
         mu = distribution({i: F(w, sum(rows)) for i, w in enumerate(rows)})
         nu = distribution({j: F(w, sum(cols)) for j, w in enumerate(cols)})
         # Trees are solved on the masses times sum(rows) * sum(cols).
@@ -341,6 +346,30 @@ def test_spanning_tree_walk_matches_filtered_combinations(m, n):
                 plan = tuple((cell, F(w, sum(rows) * sum(cols))) for cell, w in zip(tree, flow) if w > 0)
                 expected.setdefault(plan, None)
         assert [plan.flow for plan in fiber_vertices(mu, nu)] == list(expected)
+
+
+@pytest.mark.parametrize("m,n", GRID_SHAPES)
+def test_fiber_minimum_matches_the_ranked_stream(m, n):
+    # TransportFunctor.fiber_minimum orders only the vertices tied at the
+    # minimum, and all of them when it stops at a zero; it must pick the
+    # stream's first minimum and count as the stream does.  Its rank is on
+    # the masses scaled by their common denominator.  Zero and constant
+    # ranks tie every vertex; stop_at_zero is only asked with nonnegative
+    # ranks.
+    rng = random.Random(m * 100 + n)
+    functor = TransportFunctor()
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    for top in (9, 1, 3):
+        rows, cols = ([rng.randint(1, top) for _ in range(k)] for k in (m, n))
+        mu = distribution({i: F(w, sum(rows)) for i, w in enumerate(rows)})
+        nu = distribution({j: F(w, sum(cols)) for j, w in enumerate(cols)})
+        den = math.lcm(*(w.denominator for _, w in mu.items() + nu.items()))
+        plans = list(fiber_vertices(mu, nu))
+        for ranks in ([0] * len(cells), [2] * len(cells), [rng.randint(0, 4) for _ in cells]):
+            rank = dict(zip(cells, ranks)).__getitem__
+            for stop_at_zero in (False, True):
+                best, plan, count = first_minimum(((integrate(rank, p), p) for p in plans), stop_at_zero)
+                assert functor.fiber_minimum(mu, nu, None, rank, stop_at_zero) == (best * den, plan, count)
 
 
 class TestSolverVsOracle:

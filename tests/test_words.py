@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from fiberdist import cli, words
+from fiberdist import cli, transport, words
 from fiberdist.core import PairTable, validate_space
 from fiberdist.extension import EmptyFiberError, FiberCapExceeded, extend_generic
 from fiberdist.sampling import labels, random_metric_space, random_word, random_word_of_length
 from fiberdist.selftest import check_word_pseudometric_axioms
+from fiberdist.transport import distribution, kantorovich
 from fiberdist.words import (
     MAX_STATES,
     CapTooSmallError,
@@ -369,21 +370,58 @@ class TestDistances:
     def test_a_broken_witness_is_a_named_error(self, ctx, monkeypatch, commutative):
         # Drop one row from every unit of the transport plan and from the
         # matching's witness: the re-lift and reduce check must refuse it.
+        # x against y leaves a two-signed abelian residual, x against the
+        # empty word a one-signed one, whose plan is forced.
         free_graev, unit_rows = words._free_graev, words._unit_rows
         monkeypatch.setattr(words, "_free_graev", lambda *args: (free_graev(*args)[0], free_graev(*args)[1][1:]))
         monkeypatch.setattr(words, "_unit_rows", lambda *args: unit_rows(*args)[1:])
-        a, b = word(ctx, [(1, 1)], commutative), word(ctx, [(2, 1)], commutative)
-        with pytest.raises(WitnessError):
-            graev_distance(a, b, ctx)
-        request = {"command": "dist", "functor": "words", "space": "s", "a": ["x"], "b": ["y"], "abelian": commutative}
-        response, code = cli.handle_request(request, lambda _path: (ctx.space, "e"))
-        assert code == 2 and "witness" in response["error"]
+        for other in (["y"], []):
+            a, b = word(ctx, [(1, 1)], commutative), word(ctx, [(2, 1)] if other else [], commutative)
+            with pytest.raises(WitnessError):
+                graev_distance(a, b, ctx)
+            request = {"command": "dist", "functor": "words", "space": "s", "a": ["x"], "b": other, "abelian": commutative}
+            response, code = cli.handle_request(request, lambda _path: (ctx.space, "e"))
+            assert code == 2 and "witness" in response["error"]
 
     def test_mixed_flag_rejected(self, ctx):
         a = word(ctx, [(1, 1)])
         b = word(ctx, [(1, 1)], commutative=True)
         with pytest.raises(ValueError):
             graev_distance(a, b, ctx)
+
+
+def padded_abelian_graev(a, b, pointed):
+    """Value and rows of the padded ``kantorovich`` plan of free-abelian
+    words: residual units (side, x, sign) per point, basepoint mass padding
+    each side to K units, and one or two residual letters spent per unit."""
+    e = pointed.basepoint
+    net_a, net_b = ({x: sum(s for y, s in w.letters if y == x) for x, _s in w.letters} for w in (a, b))
+    rows, plus, minus = [], {}, {}
+    for x in sorted(net_a.keys() | net_b.keys()):
+        u, v = net_a.get(x, 0), net_b.get(x, 0)
+        if u * v > 0:
+            s, shared = (1 if u > 0 else -1), min(abs(u), abs(v))
+            rows += [(x, x, s)] * shared
+            u, v = u - s * shared, v - s * shared
+        for is_right, sign, count in ((True, 1, v), (False, -1, -u)):
+            if count > 0:
+                plus.setdefault(x, []).extend([(is_right, x, sign)] * count)
+            elif count < 0:
+                minus.setdefault(x, []).extend([(is_right, x, -sign)] * -count)
+    total = sum(map(len, plus.values())) + sum(map(len, minus.values()))
+    if total == 0:
+        return F(0), rows
+    supply = {x: F(len(units), total) for x, units in plus.items()}
+    demand = {x: F(len(units), total) for x, units in minus.items()}
+    supply[e], demand[e] = 1 - sum(supply.values()), 1 - sum(demand.values())
+    solved = kantorovich(pointed.space.pair_table(), distribution(supply), distribution(demand))
+    for (x, y), mass in solved.plan.items():
+        if not x == y == e:
+            assert (mass * total).denominator == 1
+            for _ in range(int(mass * total)):
+                ends = ([plus[x].pop()] if x != e else []) + ([minus[y].pop()] if y != e else [])
+                rows += words._unit_rows(ends, e)
+    return solved.value * total, rows
 
 
 class TestAbelian:
@@ -412,6 +450,30 @@ class TestAbelian:
             naive, _ = naive_word_distance(a, b, ctx, cap)
             for variant in ("graev", "swierczkowski"):
                 assert graev_distance(a, b, ctx, variant, cap).value == naive[variant]
+
+    def test_one_signed_residuals_take_the_padded_plan(self, monkeypatch):
+        # When net(b) - net(a) has one sign, the padded transport plan is
+        # forced and written without a solve; value and rows must be those
+        # the padded plan gives.
+        rng = random.Random(43)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            pointed = PointedSpace(random_metric_space(rng, n, den_max=5), rng.randrange(n))
+            points = list(range(n))
+            shared = [(x, s) for x in points for s in (1, -1) for _ in range(rng.randint(0, 1))]
+            sign = rng.choice((1, -1))
+            residual = [(x, sign) for x in rng.sample(points, rng.randint(1, n)) for _ in range(rng.randint(1, 2))]
+            letters_a = [(x, s) for x, s in shared if rng.random() < 0.5]
+            letters_b = letters_a + residual + [(pointed.basepoint, rng.choice((1, -1)))]
+            rng.shuffle(letters_b)
+            a, b = (reduce_letters(letters, True, pointed) for letters in (letters_a, letters_b))
+            if rng.random() < 0.5:
+                a, b = b, a
+            value, rows = padded_abelian_graev(a, b, pointed)
+            with monkeypatch.context() as patched:
+                patched.setattr(transport, "kantorovich", None)  # a solve would fail
+                result = graev_distance(a, b, pointed)
+            assert (result.value, result.witness.rows) == (value, tuple(rows))
 
     def test_abelian_at_most_free(self, ctx):
         # Extra cancellations can only shrink the minimum.
