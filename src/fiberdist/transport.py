@@ -21,10 +21,10 @@ The independent oracle lists the vertices of the transportation polytope,
 which is exhaustive for minimizing any linear lift.  They are the
 nonnegative flows of the support grid's spanning trees, and the oracle
 reaches them by simplex pivots between feasible bases, not by solving every
-tree.  A pivot whose reverse can only lead back is made once, not from both
-ends; a theta = 0 pivot of a degenerate basis that might lead elsewhere is
-always made.  The vertex stream is ordered by each vertex's first spanning
-tree, and the generic minimum orders only the vertices tied at it.
+tree.  Orden's perturbation makes every basis nondegenerate, so each pivot
+has one leaving cell and is made once, not from both ends.  The vertex
+stream is ordered by each vertex's first spanning tree, and the generic
+minimum orders only the vertices tied at it.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .extension import (
     ComputeError, ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, WitnessError,
 )
 
-# fiber_vertices visits every feasible basis of the support grid, and
-# degenerate masses make most spanning trees feasible bases (3,072 of the
-# 4,096 for uniform 4x4 masses; a grid has m^(n-1) * n^(m-1) trees), so it
+# fiber_vertices visits every feasible basis of the perturbed masses, and
+# degenerate masses make many spanning trees such bases (384 of the 4,096
+# for uniform 4x4 masses; a grid has m^(n-1) * n^(m-1) trees), so it
 # refuses grids of more cells before it pivots.
 MAX_VERTEX_CELLS = 20
 
@@ -323,7 +323,7 @@ def fiber_vertices(mu: Distribution, nu: Distribution) -> Iterator[TransportPlan
     such tree (:func:`_first_tree`), its row-major cells compared
     lexicographically.  They are found by :func:`_vertex_flows`, which
     pivots between feasible bases, on the masses scaled to integers by their
-    common denominator D.
+    common denominator D and perturbed after Orden (1956).
     """
     den, cells, flows = _vertex_flows(mu, nu)
     m, n = len(mu.support), len(nu.support)
@@ -343,21 +343,25 @@ def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple[i
     its positive cells ``(k, w)``, k a row-major cell index in increasing
     order and w the mass times D.
 
-    The vertices are the basic feasible solutions, and simplex pivots
-    connect every feasible basis of the polytope (Klee & Witzgall, 1968;
-    Avis & Fukuda, 1992).
-    So the walk starts from the north-west-corner basis and, from each basis
-    and each cell outside it, pushes the largest theta >= 0 around the
-    cycle the cell closes, following every cell that theta empties to a new
-    basis; bases are kept as bitmasks of the row-major cells.  Degenerate
-    vertices have several bases and are kept once.
-    Each basis-graph edge is pivoted once where that loses nothing.  A
-    pivot from basis B that enters e and empties l reaches B2 = B + e - l,
-    and entering l at B2 pushes round the same cycle the other way: it can
-    only empty e, back to B, or a cell that gained theta from B and was
-    empty at B.  Only when there is no such cell is l recorded as done at
-    B2.  Degenerate bases so keep every theta = 0 pivot that could lead
-    elsewhere: no proof yet says such a pivot never finds a new vertex.
+    The vertices are the basic feasible solutions.  The walk pivots from the
+    north-west corner on the masses times D, scaled by W = 2m + 2 and perturbed
+    after Orden ("The transhipment problem", Management Science 2, 1956): each
+    supply gets +1 and the last demand +m.  A basic cell carries the net mass
+    of the side of its tree without the last column, W x + k with x the real
+    flow times D and |k| <= m the rows on that side; if k = 0, that side is one
+    column, of positive demand.  So no basic flow is 0: each pivot moves a
+    positive theta, has one leaving cell (a tie would leave a zero flow) and
+    its reverse leads back, so the leaving cell is done at the new basis.  A
+    vertex is (flow + m + 1) // W on the cells of flow > m.  None is missed:
+
+    1. A perturbed-feasible basis is feasible for the real masses: W x + k > 0
+       and |k| < W / 2 give x >= 0.
+    2. The perturbed polytope is simple, so its feasible bases are its
+       vertices; its graph is connected (Balinski), so the walk reaches all.
+    3. Take a cost that only the real vertex v minimizes (1 off its support).
+       The simplex method on the perturbed masses ends at a feasible basis
+       whose reduced costs, which do not depend on the masses, are
+       nonnegative; by step 1 its real flow is optimal, so it is v.
     """
     rows = mu.support
     cols = nu.support
@@ -365,53 +369,46 @@ def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple[i
     if m * n > MAX_VERTEX_CELLS:
         raise FiberCapExceeded(f"{m}x{n} support exceeds the vertex enumeration cap {MAX_VERTEX_CELLS}")
     den, (supply, demand) = scale_to_integers(([w for _, w in mu.items()], [w for _, w in nu.items()]))
+    wide = 2 * m + 2
+    supply = [w * wide + 1 for w in supply]
+    demand = [w * wide for w in demand[:-1]] + [demand[-1] * wide + m]
     todo = [_north_west_corner(supply, demand)]
-    done = {todo[0][0]: 0}  # per basis reached, the cells whose pivot only leads back
+    done = {todo[0][0]: 0}  # per basis reached, the cells whose pivot leads back
     vertices = set()
     grid = (1 << m * n) - 1
     while todo:
         mask, flow = todo.pop()
         basis = _cells(mask)
-        vertices.add(tuple([(cell, flow[cell]) for cell in basis if flow[cell]]))
+        vertices.add(tuple([(cell, (flow[cell] + m + 1) // wide) for cell in basis if flow[cell] > m]))
         path, lose_row = _root_paths(basis, m, n)
-        empty = sum([1 << cell for cell in basis if not flow[cell]])
         for enter in _cells(grid & ~(mask | done[mask])):
             u, v = divmod(enter, n)
             v += m
             # Pushing theta into ``enter`` takes it from the path cells
             # crossed from a row to a column on the way from u to v.
             losing = (lose_row[u] & ~path[v]) | ((path[v] ^ lose_row[v]) & ~path[u])
-            gaining = (path[u] ^ path[v]) ^ losing
-            if losing & empty:
-                theta, leaving = 0, _cells(losing & empty)
-            else:
-                leaving = _cells(losing)
-                theta = min([flow[cell] for cell in leaving])
-            back = 0 if gaining & empty else 1
-            for leave in leaving:
-                if flow[leave] != theta:
-                    continue
-                moved = mask ^ (1 << enter) ^ (1 << leave)
-                if moved in done:
-                    done[moved] |= back << leave
-                    continue
-                done[moved] = back << leave
-                nxt = flow
-                if theta:
-                    nxt = flow[:]
-                    nxt[enter] = theta
-                    for cell in leaving:  # every losing cell, as theta > 0
-                        nxt[cell] -= theta
-                    for cell in _cells(gaining):
-                        nxt[cell] += theta
-                todo.append((moved, nxt))
+            leaving = _cells(losing)
+            leave = min(leaving, key=flow.__getitem__)
+            moved = mask ^ (1 << enter) ^ (1 << leave)
+            if moved in done:
+                done[moved] |= 1 << leave
+                continue
+            done[moved] = 1 << leave
+            nxt = flow[:]
+            nxt[enter] = theta = flow[leave]
+            for cell in leaving:
+                nxt[cell] -= theta
+            for cell in _cells((path[u] ^ path[v]) ^ losing):
+                nxt[cell] += theta
+            todo.append((moved, nxt))
     return den, [(i, j) for i in rows for j in cols], vertices
 
 
 def _north_west_corner(supply: list[int], demand: list[int]) -> tuple[int, list[int]]:
     """A feasible basis as ``(mask, flow)`` over the row-major cells: m + n - 1
-    cells on a staircase, stepping down when a row is used up (and rows
-    remain), else right, so that a degenerate step keeps a zero cell."""
+    cells on a staircase, stepping down when a row is used up, else right.
+    On Orden's perturbed masses (:func:`_vertex_flows`) no row and column
+    run out together before the last cell, so every step's flow is positive."""
     m, n = len(supply), len(demand)
     supply, demand = list(supply), list(demand)
     mask = 0
@@ -424,7 +421,7 @@ def _north_west_corner(supply: list[int], demand: list[int]) -> tuple[int, list[
         demand[b] -= w
         if a == m - 1 and b == n - 1:
             return mask, flow
-        if supply[a] == 0 and a < m - 1:
+        if supply[a] == 0:
             a += 1
         else:
             b += 1
@@ -552,7 +549,7 @@ class TransportFunctor(Functor):
         if stop_at_zero and best == 0:
             first = _first_tree(flow, m, n)
             count = 1 + sum([_first_tree(other, m, n) < first for _r, other in ranked])
-        return best, _plan(flow, den, cells), count
+        return Fraction(best, den), _plan(flow, den, cells), count
 
     def enumerate_elements(self, ctx, cap: int) -> Iterator[Distribution]:
         """All distributions whose weights share a denominator <= cap."""

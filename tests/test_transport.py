@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import math
 import random
 from fractions import Fraction as F
 
@@ -270,6 +269,25 @@ def test_vertex_stream_is_pinned(seed):
     assert (len(plans), hashlib.sha256(text.encode()).hexdigest()[:16]) == VERTEX_STREAMS[seed]
 
 
+def test_walk_visits_each_perturbed_basis_once(monkeypatch):
+    # Orden's perturbation leaves uniform 4x4 masses 384 feasible bases for
+    # their 24 vertices, and the walk roots each basis's tree once.  A walk
+    # that also follows the theta = 0 pivots of the unperturbed masses
+    # visits 3,072 bases.
+    from fiberdist import transport
+
+    bases = []
+    root_paths = transport._root_paths
+
+    def counted(basis, m, n):
+        bases.append(tuple(basis))
+        return root_paths(basis, m, n)
+
+    monkeypatch.setattr(transport, "_root_paths", counted)
+    assert len(list(fiber_vertices(*vertex_pair(7)))) == 24
+    assert (len(bases), len(set(bases))) == (384, 384)
+
+
 def reference_spanning_trees(m, n):
     """Every (m+n-1)-subset of the row-major cells that union-find finds
     acyclic, in ``itertools.combinations`` order."""
@@ -328,13 +346,13 @@ GRID_SHAPES = [(m, n) for m in range(1, 21) for n in range(1, 21) if m * n <= 20
 def test_spanning_tree_walk_matches_filtered_combinations(m, n):
     # The vertices are the nonnegative flows of spanning trees, each in the
     # place of the first tree that carries it, for random masses and for
-    # uniform and small-integer (degenerate) ones; on the latter a pivot
-    # back to a basis can have several leaving cells.
+    # degenerate ones: uniform, small-integer and powers of two, whose
+    # subset sums collide the most.
     rng = random.Random(m * 100 + n)
     trees = list(reference_spanning_trees(m, n))
     assert len(trees) == m ** (n - 1) * n ** (m - 1)  # Scoins' formula for K_{m,n}
-    for top in (9, 1, 3):
-        rows, cols = ([rng.randint(1, top) for _ in range(k)] for k in (m, n))
+    for weights in (range(1, 10), [1], range(1, 4), [1, 2, 4]):
+        rows, cols = ([rng.choice(weights) for _ in range(k)] for k in (m, n))
         mu = distribution({i: F(w, sum(rows)) for i, w in enumerate(rows)})
         nu = distribution({j: F(w, sum(cols)) for j, w in enumerate(cols)})
         # Trees are solved on the masses times sum(rows) * sum(cols).
@@ -352,10 +370,9 @@ def test_spanning_tree_walk_matches_filtered_combinations(m, n):
 def test_fiber_minimum_matches_the_ranked_stream(m, n):
     # TransportFunctor.fiber_minimum orders only the vertices tied at the
     # minimum, and all of them when it stops at a zero; it must pick the
-    # stream's first minimum and count as the stream does.  Its rank is on
-    # the masses scaled by their common denominator.  Zero and constant
-    # ranks tie every vertex; stop_at_zero is only asked with nonnegative
-    # ranks.
+    # stream's first minimum and count as the stream does.  Zero and
+    # constant ranks tie every vertex; stop_at_zero is only asked with
+    # nonnegative ranks.
     rng = random.Random(m * 100 + n)
     functor = TransportFunctor()
     cells = [(i, j) for i in range(m) for j in range(n)]
@@ -363,13 +380,12 @@ def test_fiber_minimum_matches_the_ranked_stream(m, n):
         rows, cols = ([rng.randint(1, top) for _ in range(k)] for k in (m, n))
         mu = distribution({i: F(w, sum(rows)) for i, w in enumerate(rows)})
         nu = distribution({j: F(w, sum(cols)) for j, w in enumerate(cols)})
-        den = math.lcm(*(w.denominator for _, w in mu.items() + nu.items()))
         plans = list(fiber_vertices(mu, nu))
         for ranks in ([0] * len(cells), [2] * len(cells), [rng.randint(0, 4) for _ in cells]):
             rank = dict(zip(cells, ranks)).__getitem__
             for stop_at_zero in (False, True):
                 best, plan, count = first_minimum(((integrate(rank, p), p) for p in plans), stop_at_zero)
-                assert functor.fiber_minimum(mu, nu, None, rank, stop_at_zero) == (best * den, plan, count)
+                assert functor.fiber_minimum(mu, nu, None, rank, stop_at_zero) == (best, plan, count)
 
 
 class TestSolverVsOracle:
