@@ -32,11 +32,13 @@ are the pointed space's own distances, which
 :meth:`WordsFunctor.distance` sends any other table to the generic minimum.
 
 The representations within the cap (the coupling fiber) form a DAG over
-states (left prefix, right prefix, depth).
+states (left prefix, right prefix, depth), built once per call a depth at
+a time, with one live flag per state set from the deepest depth up.
 ``enumerate_proper_representations`` streams them by a pre-order walk of
-it, and the generic minimum (:meth:`WordsFunctor.fiber_minimum`) folds it
-bottom-up instead, once per state (and per set of paid keys, for
-Swierczkowski), so it costs the DAG's size rather than the fiber's.
+its live states, and the generic minimum
+(:meth:`WordsFunctor.fiber_minimum`) folds the same DAG bottom-up instead,
+once per live state (and per set of paid keys, for Swierczkowski), so it
+costs the DAG's size rather than the fiber's.
 ``search_word_distance`` expands representation prefixes in cost order with
 provably lossless pruning (prefix feasibility and state dominance) and
 returns the minimum over that stream.  All three read one prefix model: per
@@ -345,69 +347,78 @@ def _over_budget(counter: str, states: int) -> FiberCapExceeded:
     return FiberCapExceeded(f"{counter} reached {states} states, over the budget of {MAX_STATES}")
 
 
-def _live_rows(a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None) -> list[list[tuple]]:
-    """The representation DAG of (a, b) within the cap: its states, each
-    after every state it leads to, the start state last.
+def _letters_within(tables: _PrefixTables, prefix: tuple, remaining: int, scale: int) -> list[list[tuple]]:
+    """Per sign (``+`` then ``-``), ``(x * scale, next, p, q, next is the
+    target)`` for each letter x that takes ``prefix`` to a prefix needing at
+    most ``remaining`` more letters, in x order."""
+    target = tables.target
+    table = tables[prefix]
+    return [
+        [(x * scale, nxt, p, q, nxt == target) for x, (nxt, p, q) in enumerate(table[neg::2]) if p + q <= remaining]
+        for neg in (0, 1)
+    ]
 
-    A state is a left and a right prefix at one depth; its entry lists its
-    live rows (x, y, s) in sign, then x, then y order, each as ``(row,
-    child, done, k)``: ``child`` is the index of the state the row leads to
-    (None when that state has no live rows), ``done`` whether the row
-    completes a representation, and ``k = x * n + y`` the row's key.  A row
-    is live when it completes one or has live rows below it.  The states are
-    found one depth at a time and made live from the deepest up, so a large
-    cap costs states, not Python recursion.  The budget is checked after
-    each state's rows, so the DAG raises once it holds more than
-    :data:`MAX_STATES` states, at most ``2 n^2`` (one per row) past it.  The
-    cap is checked first.
+
+def _live_rows(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, cap: int | None
+) -> tuple[list[list[tuple]], list[bool]]:
+    """The representation DAG of (a, b) within the cap, as ``(nodes,
+    live)``: per state, its rows and whether it is live.
+
+    A state is a left and a right prefix at one depth.  Its id indexes both
+    lists: the start state is 0, and each depth's states follow those of the
+    depth above in the order they are found, so every row leads to a larger
+    id.  ``nodes[i]`` lists state i's rows (x, y, s) in sign, then x, then y
+    order, each as ``(row, child, done, k)``: ``child`` is the id of the
+    state the row leads to, ``done`` whether the row completes a
+    representation, and ``k = x * n + y`` the row's key.  A row is live when
+    it completes one or leads to a live state, and a state is live when one
+    of its rows is.  Readers skip the other rows: no representation passes
+    through them, as the joint need that admits a row is a bound, not exact,
+    for free words.  The states are found one depth at a time, each distinct
+    prefix's letters filtered once per depth, and made live from the
+    deepest up, so a large cap costs states, not Python recursion.  The
+    budget is checked after each state's rows, so the DAG raises once it
+    holds more than :data:`MAX_STATES` states, at most ``2 n^2`` (one per
+    row) past it.  The cap is checked first.
     """
     cap = _check_pair(a, b, cap)
     left, right = _prefix_tables(a, b, pointed)
-    ltarget, rtarget = left.target, right.target
     n = pointed.n
-    levels = []  # per depth, each state's rows (row, child's id one depth down, done, k)
-    level: dict = {((), ()): 0}  # the states at one depth -> their ids, in order
-    states = 1
-    while level:
-        remaining = cap - len(levels) - 1
-        below: dict = {}
-        rows = []
-        for lkey, rkey in level:
-            ltable, rtable = left[lkey], right[rkey]
-            out = []
-            for s in (1, -1):
-                neg = s == -1
-                ys = [
-                    (y, rnext, rp, rq, rnext == rtarget)
-                    for y, (rnext, rp, rq) in enumerate(rtable[neg::2])
-                    if rp + rq <= remaining
-                ]
-                for x, (lnext, lp, lq) in enumerate(ltable[neg::2]):
-                    if lp + lq <= remaining:
-                        ldone = lnext == ltarget
-                        for y, rnext, rp, rq, rdone in ys:
-                            if (lp if lp > rp else rp) + (lq if lq > rq else rq) <= remaining:
-                                child = below.setdefault((lnext, rnext), len(below))
-                                out.append(((x, y, s), child, ldone and rdone, x * n + y))
-            rows.append(out)
-            if states + len(below) > MAX_STATES:
-                raise _over_budget("representation DAG", states + len(below))
-        levels.append(rows)
-        states += len(below)
-        level = below
+    cells = [[(x, y, s) for x in range(n) for y in range(n)] for s in (1, -1)]  # per sign, the row of key k
     nodes: list[list[tuple]] = []
-    index: list = []  # per state one depth down, its position in nodes or None
-    for rows in reversed(levels):
-        here = []
-        for out in rows:
-            live = [(row, index[c], done, k) for row, c, done, k in out if done or index[c] is not None]
-            here.append(len(nodes) if live else None)
-            if live:
-                nodes.append(live)
-        index = here
-    if index[0] is None:
-        nodes.append([])
-    return nodes
+    level: dict = {((), ()): 0}  # the states at one depth -> their ids, in order
+    remaining = cap - 1  # the rows left after the row at this depth
+    while level:
+        found = len(nodes) + len(level)  # the id of this depth's first child
+        below: dict = {}
+        lsides: dict = {}  # prefix -> _letters_within it, at this depth
+        rsides: dict = {}
+        for lkey, rkey in level:
+            if lkey not in lsides:
+                lsides[lkey] = _letters_within(left, lkey, remaining, n)
+            if rkey not in rsides:
+                rsides[rkey] = _letters_within(right, rkey, remaining, 1)
+            out = []
+            for row_of, xs, ys in zip(cells, lsides[lkey], rsides[rkey]):
+                for xn, lnext, lp, lq, ldone in xs:
+                    for y, rnext, rp, rq, rdone in ys:
+                        if (lp if lp > rp else rp) + (lq if lq > rq else rq) <= remaining:
+                            k = xn + y
+                            child = below.setdefault((lnext, rnext), found + len(below))
+                            out.append((row_of[k], child, ldone and rdone, k))
+            nodes.append(out)
+            if found + len(below) > MAX_STATES:
+                raise _over_budget("representation DAG", found + len(below))
+        remaining -= 1
+        level = below
+    live = [False] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        for _row, child, done, _k in nodes[i]:
+            if done or live[child]:
+                live[i] = True
+                break
+    return nodes, live
 
 
 def enumerate_proper_representations(
@@ -417,23 +428,23 @@ def enumerate_proper_representations(
 
     Pruning is feasibility-only (a prefix pair that can no longer reach the
     targets within the remaining rows is cut), so the stream is exhaustive
-    within the cap.  It is the pre-order walk of :func:`_live_rows`, the DAG that
-    :meth:`WordsFunctor.fiber_minimum` folds instead; the two are tested
-    against each other.
+    within the cap.  It is the pre-order walk of :func:`_live_rows`, the DAG
+    that :meth:`WordsFunctor.fiber_minimum` folds instead, from the start
+    state through live states only; the two are tested against each other.
     """
-    nodes = _live_rows(a, b, pointed, cap)
+    nodes, live = _live_rows(a, b, pointed, cap)
 
     def walk() -> Iterator[ProperRepresentationPair]:
         if not a.letters and not b.letters:
             yield ProperRepresentationPair(())
         rows: list[tuple[int, int, int]] = []
-        stack = [iter(nodes[-1])]  # stack[d] walks the rows at depth d
+        stack = [iter(nodes[0])]  # stack[d] walks the rows at depth d
         while stack:
             for row, child, done, _k in stack[-1]:
                 rows.append(row)
                 if done:
                     yield ProperRepresentationPair(tuple(rows))
-                if child is not None:
+                if live[child]:
                     stack.append(iter(nodes[child]))
                     break
                 rows.pop()
@@ -445,29 +456,39 @@ def enumerate_proper_representations(
     return walk()
 
 
-def _fold(nodes: list[list[tuple]], weight: list, paid: list, empty: bool) -> tuple[int, int | None, list, int]:
+def _fold(
+    nodes: list[list[tuple]], live: list[bool], weight: list, paid: list, empty: bool
+) -> tuple[int, int | None, list, int]:
     """``(count, best, rows, position)`` over the representations of the
-    DAG ``nodes`` in stream order: how many there are, the least total of
-    ``weight[k]`` over their rows' keys, the rows of the first attaining it
-    and its 0-based position.  A key whose ``paid`` bit is set on the path
-    adds its weight once (Swierczkowski; ``paid[k]`` is 0 for zero weights
-    and for Graev).  ``empty`` puts the empty representation first.
+    DAG ``(nodes, live)`` of :func:`_live_rows` in stream order: how many
+    there are, the least total of ``weight[k]`` over their rows' keys, the
+    rows of the first attaining it and its 0-based position.  A key whose
+    ``paid`` bit is set on the path adds its weight once (Swierczkowski;
+    ``paid[k]`` is 0 for zero weights and for Graev).  ``empty`` puts the
+    empty representation first.
 
     Each (state, paid keys below it) is folded once, bottom-up through one
     explicit stack, from its rows' four values: a completing row is one
-    representation, and a row into a folded state shifts that state's
-    positions by the representations before it.
+    representation, and a row into a live state shifts that state's
+    positions by the representations before it.  Rows into dead states add
+    only what they complete, and the paid keys below a state are taken over
+    its live rows only: a key that no representation through the state can
+    pay must not split its memo entries, and the fold, which stops at
+    :data:`MAX_STATES` entries, counts only (state, mask) pairs that some
+    representation reaches.
     """
     size = len(nodes)
-    below = [0] * size  # the paid bits of the keys on rows below each state
+    below = [0] * size  # the paid bits of the keys on live rows below each live state
     if any(paid):
-        for i, rows in enumerate(nodes):
-            bits = 0
-            for _row, child, _done, k in rows:
-                bits |= paid[k] if child is None else paid[k] | below[child]
-            below[i] = bits
+        for i in range(size - 1, -1, -1):
+            if live[i]:
+                bits = 0
+                for _row, child, done, k in nodes[i]:
+                    if done or live[child]:
+                        bits |= paid[k] | below[child]
+                below[i] = bits
     memo: dict[int, tuple] = {}  # mask * size + state -> (count, best, first rows as a linked list, position)
-    root = [size - 1, 0, 0, 1, 0, None, 0] if empty else [size - 1, 0, 0, 0, None, None, 0]
+    root = [0, 0, 0, 1, 0, None, 0] if empty else [0, 0, 0, 0, None, None, 0]
     stack = [root]  # state, paid mask, next row, count, best, first, position
     while stack:
         frame = stack[-1]
@@ -477,7 +498,8 @@ def _fold(nodes: list[list[tuple]], weight: list, paid: list, empty: bool) -> tu
             row, child, done, k = rows[i]
             bit = paid[k]
             w = 0 if mask & bit else weight[k]
-            if child is not None:
+            sub = None
+            if live[child]:
                 cmask = (mask | bit) & below[child]
                 sub = memo.get(cmask * size + child)
                 if sub is None:
@@ -488,7 +510,7 @@ def _fold(nodes: list[list[tuple]], weight: list, paid: list, empty: bool) -> tu
                 if best is None or w < best:
                     best, first, pos = w, (row, None), count
                 count += 1
-            if child is not None:
+            if sub is not None:
                 scount, sbest, sfirst, spos = sub
                 if best is None or w + sbest < best:
                     best, first, pos = w + sbest, (row, sfirst), count + spos
@@ -1122,7 +1144,7 @@ class WordsFunctor(Functor):
         distinct = self.variant == SWIERCZKOWSKI
         paid = [1 << k if distinct and w else 0 for k, w in enumerate(weight)]
         empty = not a.letters and not b.letters
-        count, best, rows, pos = _fold(_live_rows(a, b, ctx, self.cap), weight, paid, empty)
+        count, best, rows, pos = _fold(*_live_rows(a, b, ctx, self.cap), weight, paid, empty)
         if stop_at_zero and best == 0:
             count = pos + 1
         return best, None if best is None else ProperRepresentationPair(tuple(rows)), count

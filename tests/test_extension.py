@@ -137,8 +137,9 @@ def masses_on(rng, points):
 
 def wide_cases(rng, functor):
     """(functor, ctx, a, b) beyond the small random draws: the largest
-    grids each fiber walk accepts, degenerate transport vertices, and word
-    pairs at the least allowed cap and just above it."""
+    grids each fiber walk accepts, degenerate transport vertices, word
+    pairs at the least allowed cap and just above it, and a word pair whose
+    representation DAG holds dead states."""
     if isinstance(functor, HyperspaceFunctor):
         space = random_metric_space(rng, 5, den_max=7)
         yield functor, space, Subset((0, 1, 2, 3)), Subset((1, 2, 3, 4))  # 16 cells
@@ -166,6 +167,12 @@ def wide_cases(rng, functor):
         x, y, xy, xx, yy, y_inv, empty = zero_distance_words(ctx, functor.commutative)
         for a, b, cap in ((xy, empty, 3), (xx, yy, 4), (empty, empty, 2), (x, y_inv, 1)):
             yield WordsFunctor(functor.variant, functor.commutative, cap=cap), ctx, a, b
+        # x y^-1 against x^-1 y at cap 4, whose free DAG holds states with
+        # rows but none live (test_words.TestStreamGolden.test_dead_states).
+        ctx = PointedSpace(random_metric_space(rng, 3, den_max=7), 0)
+        a = reduce_letters(((1, 1), (2, -1)), functor.commutative, ctx)
+        b = reduce_letters(((1, -1), (2, 1)), functor.commutative, ctx)
+        yield WordsFunctor(functor.variant, functor.commutative, cap=4), ctx, a, b
 
 
 def zero_distance_pointed():

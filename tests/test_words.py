@@ -6,7 +6,7 @@ import pytest
 
 from fiberdist import cli, transport, words
 from fiberdist.core import PairTable, validate_space
-from fiberdist.extension import EmptyFiberError, FiberCapExceeded, extend_generic
+from fiberdist.extension import VARIANTS, EmptyFiberError, FiberCapExceeded, extend_generic
 from fiberdist.sampling import labels, random_metric_space, random_word, random_word_of_length
 from fiberdist.selftest import check_word_pseudometric_axioms
 from fiberdist.transport import distribution, kantorovich
@@ -249,7 +249,7 @@ class TestDistances:
         assert functor.distance(ctx, table, a, b, cap=5) == extend_generic(capped, ctx, table, a, b)
 
     @pytest.mark.parametrize(
-        "matrix, a, b, commutative, value",
+        "matrix, a, b, commutative, value, generic",
         [
             (
                 [
@@ -261,6 +261,7 @@ class TestDistances:
                     ["2", "2", "1", "5/3", "3/2", "0"],
                 ],
                 [(5, -1), (3, -1), (2, -1)], [(5, 1), (2, -1), (5, -1)], False, F(7, 2),
+                {variant: "representation DAG reached 25025 states, over the budget of 25000" for variant in VARIANTS},
             ),
             (
                 [
@@ -271,15 +272,20 @@ class TestDistances:
                     ["3/2", "7/4", "1", "1", "0"],
                 ],
                 [(1, -1), (2, 1), (4, 1)], [(1, -1), (1, -1), (2, -1)], True, F(4),
+                {
+                    "graev": (F(11, 2), 60_125_190),
+                    "swierczkowski": "generic fold reached 25001 states, over the budget of 25000",
+                },
             ),
         ],
         ids=["free", "abelian"],
     )
-    def test_searched_pairs_with_a_large_representation_dag(self, matrix, a, b, commutative, value):
+    def test_searched_pairs_with_a_large_representation_dag(self, matrix, a, b, commutative, value, generic):
         # No forest witness fits the default cap 8, so the search answers.
         # The generic minimum over the same fiber runs out of states here
-        # (the free pair's DAG, the abelian pair's fold); the search's cost
-        # order and dominance settle fewer than MAX_STATES.
+        # (the free pair's DAG, the abelian pair's Swierczkowski fold); the
+        # search's cost order and dominance settle fewer than MAX_STATES.
+        # The generic outcomes pin where the DAG and fold budgets bite.
         space = validate_space(labels(len(matrix)), [[F(v) for v in row] for row in matrix], "metric")
         pointed = PointedSpace(space, 0)
         a, b = word(pointed, a, commutative), word(pointed, b, commutative)
@@ -287,6 +293,15 @@ class TestDistances:
         assert (result.value, result.cap_limited) == (value, True)
         assert 0 < result.fiber_size_enumerated <= MAX_STATES
         assert WordsFunctor("swierczkowski", commutative).marginals(result.witness, pointed) == (a, b)
+        for variant, outcome in generic.items():
+            functor = WordsFunctor(variant, commutative)
+            if isinstance(outcome, str):
+                with pytest.raises(FiberCapExceeded) as info:
+                    extend_generic(functor, pointed, space.pair_table(), a, b)
+                assert str(info.value) == outcome
+            else:
+                found = extend_generic(functor, pointed, space.pair_table(), a, b)
+                assert (found.value, found.fiber_size_enumerated) == outcome
 
     def test_witness_reevaluates_to_value(self, ctx):
         rng = random.Random(44)
@@ -753,6 +768,9 @@ GOLDEN_STREAM_DIGESTS = [
     (True, ((1, 1),), (), 3, 102, "871c96c955936664"),
     (True, (), ((1, -1),), 3, 102, "f87457dc85ef3a07"),
     (True, ((2, 1), (2, 1)), (), 4, 311, "5a00131c580ef321"),
+    # x y^-1 against x^-1 y: the free DAG holds dead states (see below).
+    (False, ((1, 1), (2, -1)), ((1, -1), (2, 1)), 4, 56, "643c7be2e772e5f6"),
+    (True, ((1, 1), (2, -1)), ((1, -1), (2, 1)), 4, 482, "83dd84435682dfdd"),
 ]
 
 
@@ -781,3 +799,16 @@ class TestStreamGolden:
         for commutative, la, lb, cap, count, digest in GOLDEN_STREAM_DIGESTS:
             rows = self.stream(pointed, commutative, la, lb, cap)
             assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == (count, digest)
+
+    def test_dead_states(self):
+        # The joint need of a free prefix pair is a bound, not exact: x y^-1
+        # against x^-1 y at cap 4 reaches states whose rows all lead nowhere,
+        # which the stream and the fold must skip.  Free-abelian states are
+        # all live, as basepoint letters pad either side in any order.
+        pointed = self.pointed()
+        for commutative in (False, True):
+            a = reduce_letters(((1, 1), (2, -1)), commutative, pointed)
+            b = reduce_letters(((1, -1), (2, 1)), commutative, pointed)
+            nodes, live = words._live_rows(a, b, pointed, 4)
+            dead = [i for i, rows in enumerate(nodes) if rows and not live[i]]
+            assert live[0] and bool(dead) == (not commutative)
