@@ -8,9 +8,9 @@ Commands:
 
 Exit codes: 0 success, 1 parse/validation error, 2 computation error (an
 ``extension.ComputeError``: enumeration cap exceeded, unbalanced masses, no
-representation within cap, a word witness or transport certificate
-failing its check, a value too large to print), 3 specialized/generic
-mismatch under ``--method both``.
+representation within cap, a word, transport or Hausdorff witness or a
+transport dual certificate failing its check, a value too large to print),
+3 specialized/generic mismatch under ``--method both``.
 
 Functors are known only through one table, CLI name -> (module, class);
 a functor's module is imported when a request first names it, and the
@@ -202,7 +202,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # With indent 2 the response prints as canonical_space_json.
+    # With indent 2 the response is the canonical space file: loading and
+    # validating it again prints the same bytes.
     return _print_response({"command": "validate", "space": args.space}, indent=2)
 
 

@@ -11,7 +11,6 @@ decimal renderings.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import re
@@ -140,12 +139,6 @@ class FiniteMetricSpace(Value):
     def pair_table(self) -> "PairTable":
         return PairTable(self.dist)
 
-    def permuted(self, perm: Sequence[int]) -> "FiniteMetricSpace":
-        """Relabeled copy: new position k holds old point perm[k]."""
-        pts = tuple(self.points[p] for p in perm)
-        mat = tuple(tuple(self.dist[pi][pj] for pj in perm) for pi in perm)
-        return FiniteMetricSpace(pts, mat, self.mode)
-
     def to_obj(self) -> dict:
         return {
             "points": list(self.points),
@@ -272,14 +265,6 @@ def space_from_obj(obj: dict) -> FiniteMetricSpace:
     return validate_space(points, matrix, mode)
 
 
-def space_from_json(text: str) -> FiniteMetricSpace:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    return space_from_obj(obj)
-
-
 def space_document_from_obj(obj: dict) -> tuple[FiniteMetricSpace, str | None]:
     """A space plus the optional basepoint label word distances need."""
     space = space_from_obj(obj)
@@ -298,11 +283,6 @@ def canonical_space_obj(space: FiniteMetricSpace, basepoint: str | None = None) 
     return obj
 
 
-def canonical_space_json(space: FiniteMetricSpace, basepoint: str | None = None) -> str:
-    """Canonical serialization; loading and re-emitting it is byte-identical."""
-    return json.dumps(canonical_space_obj(space, basepoint), indent=2) + "\n"
-
-
 class PairTable(Value):
     """A function on X x X with exact rational values, callable on (i, j)."""
 
@@ -317,13 +297,3 @@ class PairTable(Value):
 
     def __call__(self, pair: tuple[int, int]) -> Fraction:
         return self.values[pair[0]][pair[1]]
-
-    def transposed(self) -> "PairTable":
-        n = self.n
-        return PairTable(tuple(tuple(self.values[j][i] for j in range(n)) for i in range(n)))
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self.values for v in row)
-
-    def scale(self, k: Fraction) -> "PairTable":
-        return PairTable(tuple(tuple(v * k for v in row) for row in self.values))

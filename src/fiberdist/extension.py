@@ -60,10 +60,11 @@ class FiberCapExceeded(ComputeError, RuntimeError):
 
 
 class WitnessError(ComputeError, RuntimeError):
-    """A specialized answer fails its own check: a word representation does
-    not re-lift to its value or reduce to the two words, or a transport plan
-    and its dual potentials do not certify each other.  An invariant of the
-    solver broke."""
+    """A specialized answer fails its own check: its witness (a word
+    representation, a transport plan or a Hausdorff coupling) does not lift
+    to its value or has other marginals than the two elements (see
+    :meth:`Functor.check_witness`), or a transport plan's dual potentials do
+    not certify it.  An invariant of the solver broke."""
 
 
 class ValueTooLargeError(ComputeError, ValueError):
@@ -152,11 +153,18 @@ class Functor:
         b = self.apply_map(lambda p: p[1], coupling, ctx)
         return a, b
 
-    def swap_coupling(self, coupling, ctx):
-        return self.apply_map(lambda p: (p[1], p[0]), coupling, ctx)
-
-    def diagonal_coupling(self, elem, ctx):
-        return self.apply_map(lambda i: (i, i), elem, ctx)
+    def check_witness(self, ctx, fn: PointFn, a, b, witness, value) -> None:
+        """Raise :class:`WitnessError` unless ``witness`` certifies ``value``
+        as an upper bound of the distance between ``a`` and ``b``: it lifts
+        ``fn`` to ``value`` and its marginals are ``(a, b)``, so it lies in
+        the fiber the distance minimizes over.  ``fn`` may be the table
+        scaled to integers, with ``value`` scaled alike."""
+        lifted = self.lift(fn, witness)
+        if lifted != value:
+            raise WitnessError(f"{self.name}: witness lifts to {lifted}, so it does not re-integrate to {value}")
+        left, right = self.marginals(witness, ctx)
+        if left != a or right != b:
+            raise WitnessError(f"{self.name}: witness marginals ({left!r}, {right!r}) differ from ({a!r}, {b!r})")
 
     def distance(self, ctx, table: PairTable, a, b):
         """The instance's preferred exact path; defaults to the generic one."""

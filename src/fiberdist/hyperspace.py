@@ -146,12 +146,6 @@ class HyperspaceFunctor(Functor):
             return Subset(tuple(fn(p) for p in elem.pairs))
         return Subset(tuple(fn(i) for i in elem.members))
 
-    def swap_coupling(self, coupling, ctx):
-        return SubsetCoupling(tuple((y, x) for (x, y) in coupling.pairs))
-
-    def diagonal_coupling(self, elem, ctx):
-        return SubsetCoupling(tuple((i, i) for i in elem.members))
-
     def fiber(self, a, b, ctx) -> Iterator[SubsetCoupling]:
         return fiber_subsets(a, b)
 
@@ -170,8 +164,11 @@ class HyperspaceFunctor(Functor):
             yield Subset(tuple(i for i in range(n) if mask >> i & 1))
 
     def distance(self, ctx, table, a, b):
+        """:func:`hausdorff`, witnessed by :func:`optimal_coupling`, which
+        :meth:`~Functor.check_witness` checks."""
         value = hausdorff(table, a, b)
         witness = optimal_coupling(table, a, b)
+        self.check_witness(ctx, table, a, b, witness, value)
         return ExtensionResult(value, witness, 1)
 
     def parse_element(self, obj, ctx) -> Subset:
@@ -181,6 +178,3 @@ class HyperspaceFunctor(Functor):
 
     def format_coupling(self, coupling: SubsetCoupling, ctx) -> list:
         return [[ctx.points[x], ctx.points[y]] for (x, y) in coupling.pairs]
-
-    def parse_coupling(self, obj, ctx) -> SubsetCoupling:
-        return SubsetCoupling(tuple((ctx.index(p[0]), ctx.index(p[1])) for p in obj))

@@ -226,6 +226,10 @@ class PowerFunctor(Functor):
         return itertools.product(range(ctx.n), repeat=self.n)
 
     def distance(self, ctx, table, a, b):
+        """The closed form :func:`power_distance`.  Its witness, the one
+        coupling, gets no :meth:`~Functor.check_witness`: the value is that
+        coupling's lift, so the check would compare a number with itself,
+        and for a large p it would take every p-th power twice."""
         self._check_renderable([table(pair) for pair in zip(a, b)])
         value = power_distance(table, a, b, self.norm)
         return ExtensionResult(value, tuple(zip(a, b)), 1)
@@ -257,6 +261,3 @@ class PowerFunctor(Functor):
 
     def format_coupling(self, coupling, ctx) -> list:
         return [[ctx.points[x], ctx.points[y]] for (x, y) in coupling]
-
-    def parse_coupling(self, obj, ctx):
-        return tuple((ctx.index(p[0]), ctx.index(p[1])) for p in obj)

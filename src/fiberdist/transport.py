@@ -14,8 +14,9 @@ deterministic.
 The last round's shortest distances are the dual potentials: every node is
 reachable in that round, and pushing along a shortest path keeps every
 residual reduced cost nonnegative, so they certify the final plan.
-``dual_certificate`` checks that certificate in O(mn) and raises
-``WitnessError`` when it fails, as every broken solver invariant does.
+``Functor.check_witness`` checks the plan (its marginals and its value) and
+``dual_certificate`` the potentials, in O(mn); both raise ``WitnessError``
+when they fail, as every broken solver invariant does.
 
 The independent oracle lists the vertices of the transportation polytope,
 which is exhaustive for minimizing any linear lift.  They are the
@@ -46,10 +47,6 @@ MAX_VERTEX_CELLS = 20
 
 class UnbalancedMassError(ComputeError, ValueError):
     """Weights do not sum to exactly 1; never silently normalized."""
-
-
-class MiddleMarginalError(ComputeError, ValueError):
-    """Two plans cannot be glued: the shared marginal differs."""
 
 
 class Distribution(Value):
@@ -105,18 +102,6 @@ class TransportPlan(Value):
     def support(self) -> tuple[tuple[int, int], ...]:
         return tuple(c for c, _ in self.flow)
 
-    def row_marginal(self) -> Distribution:
-        acc: dict[int, Fraction] = {}
-        for (i, _j), w in self.flow:
-            acc[i] = acc.get(i, Fraction(0)) + w
-        return distribution(acc)
-
-    def col_marginal(self) -> Distribution:
-        acc: dict[int, Fraction] = {}
-        for (_i, j), w in self.flow:
-            acc[j] = acc.get(j, Fraction(0)) + w
-        return distribution(acc)
-
 
 def transport_plan(flow: Mapping[tuple[int, int], Fraction] | Iterable) -> TransportPlan:
     pairs = flow.items() if isinstance(flow, Mapping) else flow
@@ -157,14 +142,13 @@ def dual_certificate(
 ) -> None:
     """Check that the potentials certify ``plan`` as optimal with ``value``.
 
-    The plan's marginals must be mu and nu, the potentials feasible
-    (v_j - u_i <= d(i, j) on every support pair), tight on the plan's
-    support, and the dual value sum v_j nu_j - sum u_i mu_i must equal
-    ``value``; by weak duality no plan then costs less.  Raises
-    ``WitnessError`` naming the first check that fails.
+    The potentials must be feasible (v_j - u_i <= d(i, j) on every support
+    pair) and tight on the plan's support, and the dual value
+    sum v_j nu_j - sum u_i mu_i must equal ``value``; by weak duality no plan
+    then costs less.  That the plan lies over (mu, nu) and costs ``value``
+    is :meth:`Functor.check_witness`'s part.  Raises ``WitnessError`` naming
+    the first check that fails.
     """
-    if plan.row_marginal() != mu or plan.col_marginal() != nu:
-        raise WitnessError("transport plan marginals differ from mu and nu")
     for i in mu.support:
         for j in nu.support:
             if dual_col[j] - dual_row[i] > table((i, j)):
@@ -251,8 +235,7 @@ def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> Kantoro
 
     flow = _cancel_support_cycles(flow, table)
     plan = transport_plan(flow)
-    if integrate(table, plan) != value:
-        raise WitnessError("plan does not re-integrate to the optimal value")
+    TransportFunctor().check_witness(None, table, mu, nu, plan, value)
     dual_row = {i: dist[1 + a] for a, i in enumerate(rows)}
     dual_col = {j: dist[m + 1 + b] for b, j in enumerate(cols)}
     dual_certificate(table, mu, nu, plan, value, dual_row, dual_col)
@@ -480,29 +463,6 @@ def _first_tree(support: tuple, m: int, n: int) -> list[int]:
     return sorted(tree)
 
 
-def glue_plans(plan_ab: TransportPlan, plan_bc: TransportPlan) -> TransportPlan:
-    """Compose two plans through their shared middle marginal.
-
-    The three-way weights eta1[i,k] * eta2[k,j] / nu[k] are summed over the
-    middle index; when the cost table satisfies the triangle inequality the
-    glued cost is at most the sum of the two costs.
-    """
-    middle_out = plan_ab.col_marginal()
-    middle_in = plan_bc.row_marginal()
-    if middle_out != middle_in:
-        raise MiddleMarginalError(
-            f"middle marginals differ: {middle_out.mass} vs {middle_in.mass}"
-        )
-    nu = dict(middle_out.items())
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (i, k), w1 in plan_ab.items():
-        for (k2, j), w2 in plan_bc.items():
-            if k2 != k:
-                continue
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + w1 * w2 / nu[k]
-    return transport_plan(acc)
-
-
 class TransportFunctor(Functor):
     name = "transport"
     fault = "transport-solver"
@@ -522,12 +482,6 @@ class TransportFunctor(Functor):
             image = fn(point)
             acc[image] = acc.get(image, Fraction(0)) + w
         return distribution(acc)
-
-    def swap_coupling(self, coupling: TransportPlan, ctx) -> TransportPlan:
-        return TransportPlan(tuple(((j, i), w) for (i, j), w in coupling.items()))
-
-    def diagonal_coupling(self, elem: Distribution, ctx) -> TransportPlan:
-        return TransportPlan(tuple(((i, i), w) for i, w in elem.items()))
 
     def fiber(self, a, b, ctx) -> Iterator[TransportPlan]:
         return fiber_vertices(a, b)
@@ -576,11 +530,6 @@ class TransportFunctor(Functor):
 
     def format_coupling(self, coupling: TransportPlan, ctx) -> list:
         return [[ctx.points[i], ctx.points[j], format_scalar(w)] for (i, j), w in coupling.items()]
-
-    def parse_coupling(self, obj, ctx) -> TransportPlan:
-        return transport_plan(
-            {(ctx.index(row[0]), ctx.index(row[1])): parse_scalar(row[2]) for row in obj}
-        )
 
 
 def _compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:

@@ -22,9 +22,11 @@ the residual exponents share a sign), each with a witness of at most
 Swierczkowski, the bound is the least summed Steiner-tree cost over the
 partitions of the words' points that make the two words equal once each
 block is one letter, and the witness is the shortest representation on one
-cheapest forest's edges.  Every such witness is checked by re-lifting and
-reducing.  The other calls (a witness longer than the cap, or none found)
-go to ``search_word_distance``, whose results carry a ``cap_limited`` flag:
+cheapest forest's edges.  Every such witness is checked by
+:meth:`~fiberdist.extension.Functor.check_witness`: it must lift to the value
+on the integer costs and its two sides must reduce to the two words.  The
+other calls (a witness longer than the cap, or none found) go to
+``search_word_distance``, whose results carry a ``cap_limited`` flag:
 a capped value is an upper bound of the true infimum that is certified
 exhaustive within its cap, and is exact when it meets the bound.  The costs
 are the pointed space's own distances, which
@@ -160,11 +162,6 @@ def parse_word(obj, pointed: PointedSpace, commutative: bool) -> GroupWord:
             label, sign = item, 1
         letters.append((pointed.space.index(label), sign))
     return reduce_letters(letters, commutative, pointed)
-
-
-def format_word(word: GroupWord, pointed: PointedSpace) -> list[str]:
-    pts = pointed.space.points
-    return [pts[x] if s == 1 else f"{pts[x]}^-1" for x, s in word.letters]
 
 
 class ProperRepresentationPair(Value):
@@ -541,8 +538,9 @@ def graev_distance(
     each witnessed by at most ``|a| + |b|`` rows.  For Swierczkowski, it is
     the Steiner-forest bound of :func:`_swierczkowski_forest`, witnessed by
     the fewest rows on the forest's edges.  The witness is checked by
-    re-lifting and reducing, and answers whenever it fits the cap: the
-    minimum within a cap is at least the bound, which the witness attains.
+    :meth:`~fiberdist.extension.Functor.check_witness` on the integer
+    costs, and answers whenever it fits the cap: the minimum within a cap
+    is at least the bound, which the witness attains.
     Such answers are exact, so ``cap_limited`` is false and
     ``fiber_size_enumerated`` is 0.  Every other call (a cap below the
     witness, or no witness found) is answered by
@@ -557,16 +555,17 @@ def graev_distance(
     bound = 0
     if swier:
         bound, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
-        value = Fraction(bound, denom)
+        cost = bound
     elif a.commutative:
-        value, rows = _abelian_graev(a, b, pointed)
+        cost, rows = _abelian_graev(a, b, pointed, denom, idist)
     else:
         cost, rows = _free_graev(a, b, pointed, idist)
-        value = Fraction(cost, denom)
     if rows is not None:
-        _check_witness(a, b, pointed, rows, value, denom, idist, variant)
+        witness = ProperRepresentationPair(tuple(rows))
+        functor = WordsFunctor(variant, a.commutative)
+        functor.check_witness(pointed, lambda key: idist[key[0]][key[1]], a, b, witness, cost)
         if len(rows) <= cap:
-            return _word_result(value, rows, 0, False)
+            return _word_result(Fraction(cost, denom), rows, 0, False)
     return _search(a, b, pointed, swier, cap, denom, idist, bound)
 
 
@@ -649,8 +648,11 @@ def _free_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: list[l
     return best[0][m], rows
 
 
-def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[Fraction, list]:
-    """Least cost of a representation of free-abelian words, and its rows.
+def _abelian_graev(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, denom: int, idist: list[list[int]]
+) -> tuple[int | Fraction, list]:
+    """Least cost of a representation of free-abelian words on the integer
+    costs ``idist`` (the distances times ``denom``), and its rows.
 
     Shared exponents pair at no cost.  What is left, c = net(b) - net(a),
     has the Arens-Eells norm: the least cost of moving c+ onto c-, with the
@@ -684,12 +686,12 @@ def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[F
     if not plus or not minus:
         # One side is the basepoint alone, so the padded plan is forced: its
         # cells are (x, e) or (e, y), in sorted order.
-        value = Fraction(0)
+        cost = 0
         for x, units in sorted((plus or minus).items()):
             while units:
                 rows += _unit_rows([units.pop()], e)
-                value += pointed.space.dist[x][e]
-        return value, rows
+                cost += idist[x][e]
+        return cost, rows
     total = sum(map(len, plus.values())) + sum(map(len, minus.values()))
     supply = {x: Fraction(len(units), total) for x, units in plus.items()}
     demand = {x: Fraction(len(units), total) for x, units in minus.items()}
@@ -707,7 +709,8 @@ def _abelian_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[F
         for _ in range(units.numerator):
             ends = [plus[x].pop() for _ in range(x != e)] + [minus[y].pop() for _ in range(y != e)]
             rows += _unit_rows(ends, e)
-    return solved.value * total, rows
+    # Whole units (checked above) at integer costs: an integral Fraction.
+    return solved.value * total * denom, rows
 
 
 def _unit_rows(ends: list, e: int) -> list[tuple[int, int, int]]:
@@ -934,18 +937,6 @@ def _shortest_witness(
     return None, len(settled)
 
 
-def _check_witness(a, b, pointed, rows, value: Fraction, denom: int, idist, variant: str) -> None:
-    """Raise unless the rows re-lift to ``value`` under the variant and reduce to (a, b)."""
-    keys = [(x, y) for x, y, _s in rows]
-    lifted = Fraction(sum(idist[x][y] for x, y in (dict.fromkeys(keys) if variant == SWIERCZKOWSKI else keys)), denom)
-    left = reduce_letters([(x, s) for x, _y, s in rows], a.commutative, pointed)
-    right = reduce_letters([(y, s) for _x, y, s in rows], a.commutative, pointed)
-    if lifted != value or left != a or right != b:
-        raise WitnessError(
-            f"witness {rows!r} lifts to {lifted} against {value} and reduces to ({left!r}, {right!r})"
-        )
-
-
 def search_word_distance(
     a: GroupWord, b: GroupWord, pointed: PointedSpace, variant: str = GRAEV, cap: int | None = None
 ) -> ExtensionResult:
@@ -1128,12 +1119,6 @@ class WordsFunctor(Functor):
         right = reduce_letters(coupling.right_letters(), self.commutative, ctx)
         return left, right
 
-    def swap_coupling(self, coupling: ProperRepresentationPair, ctx):
-        return ProperRepresentationPair(tuple((b, a, s) for a, b, s in coupling.rows))
-
-    def diagonal_coupling(self, elem: GroupWord, ctx):
-        return ProperRepresentationPair(tuple((x, x, s) for x, s in elem.letters))
-
     def fiber(self, a, b, ctx, cap: int | None = None) -> Iterator[ProperRepresentationPair]:
         return enumerate_proper_representations(a, b, ctx, cap if cap is not None else self.cap)
 
@@ -1231,11 +1216,3 @@ class WordsFunctor(Functor):
     def format_coupling(self, coupling: ProperRepresentationPair, ctx) -> list:
         pts = ctx.space.points
         return [[pts[x1], pts[x2], s] for x1, x2, s in coupling.rows]
-
-    def parse_coupling(self, obj, ctx) -> ProperRepresentationPair:
-        rows = []
-        for row in obj:
-            if len(row) != 3 or row[2] not in (1, -1):
-                raise ParseError(f"bad representation row {row!r}")
-            rows.append((ctx.space.index(row[0]), ctx.space.index(row[1]), row[2]))
-        return ProperRepresentationPair(tuple(rows))

@@ -329,8 +329,11 @@ class TestWitnessRoundTrip:
         instance = _functor_class(functor).from_request(request)
         space, basepoint = space_document_from_obj(space_obj)
         ctx = instance.context(space, basepoint)
-        witness = instance.parse_coupling(payload["witness"], ctx)
-        assert instance.lift(space.pair_table(), witness) == Fraction(payload["value"])
+        table = space.pair_table()
+        elements = [instance.parse_element(json.loads(side), ctx) for side in (a, b)]
+        result = instance.distance(ctx, table, *elements)
+        assert payload["witness"] == instance.format_coupling(result.witness, ctx)
+        assert instance.lift(table, result.witness) == Fraction(payload["value"])
 
 
 class TestBatch:
@@ -613,7 +616,6 @@ def test_compute_errors_keep_their_builtin_base():
         FiberCapExceeded: RuntimeError,
         ValueTooLargeError: ValueError,
         transport.UnbalancedMassError: ValueError,
-        transport.MiddleMarginalError: ValueError,
         words.CapTooSmallError: ValueError,
         words.WitnessError: RuntimeError,
     }

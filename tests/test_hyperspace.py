@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from fiberdist import cli, hyperspace
 from fiberdist.core import validate_space
-from fiberdist.extension import extend_generic
+from fiberdist.extension import WitnessError, extend_generic
 from fiberdist.hyperspace import (
     FiberCapExceeded,
     HyperspaceFunctor,
@@ -95,6 +96,35 @@ class TestOptimalCoupling:
                     assert direct == hausdorff(t, a, b)
                     oracle = min(sup_lift(t, c2.pairs) for c2 in fiber_subsets(a, b))
                     assert direct == oracle
+
+    @pytest.mark.parametrize(
+        "break_coupling, a, b, message",
+        [
+            # {x, y} against {y}: (y, y) alone covers y in A, and dropping
+            # it keeps the sup d(x, y).
+            (lambda pairs: pairs - {(1, 1)}, (0, 1), (1,), "marginals"),
+            # {x, y} against itself: (x, y) costs 5 against the value 0.
+            (lambda pairs: pairs | {(0, 1)}, (0, 1), (0, 1), "re-integrate"),
+        ],
+        ids=["dropped-pair", "added-pair"],
+    )
+    def test_a_broken_witness_is_a_named_error(self, monkeypatch, break_coupling, a, b, message):
+        sp = two_point()
+        nearest = hyperspace.optimal_coupling
+
+        def broken(*args):
+            return SubsetCoupling(tuple(break_coupling(set(nearest(*args).pairs))))
+
+        monkeypatch.setattr(hyperspace, "optimal_coupling", broken)
+        with pytest.raises(WitnessError, match=message):
+            HyperspaceFunctor().distance(sp, sp.pair_table(), Subset(a), Subset(b))
+        labels = {0: "x", 1: "y"}
+        request = {
+            "command": "dist", "functor": "hyperspace", "space": "s",
+            "a": [labels[i] for i in a], "b": [labels[i] for i in b],
+        }
+        response, code = cli.handle_request(request, lambda _path: (sp, None))
+        assert code == 2 and "witness" in response["error"]
 
 
 class TestFiberSubsets:

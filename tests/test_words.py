@@ -18,7 +18,6 @@ from fiberdist.words import (
     WitnessError,
     WordsFunctor,
     enumerate_proper_representations,
-    format_word,
     graev_distance,
     letter_sum_lift,
     naive_word_distance,
@@ -27,6 +26,11 @@ from fiberdist.words import (
     reduce_letters,
     search_word_distance,
 )
+
+
+def format_word(word, pointed):
+    points = pointed.space.points
+    return [points[x] if s == 1 else f"{points[x]}^-1" for x, s in word.letters]
 
 
 def wide_space():
