@@ -136,11 +136,11 @@ class Functor:
         ``stop_at_zero``; ``count`` is 0 for an empty fiber.
 
         ``rank`` is the table scaled to integers (see :func:`extend_generic`).
-        This version lifts every coupling :meth:`fiber` yields.  Overrides
-        rank the same enumeration without building each coupling: the
-        hyperspace and transport walks carry the rank as they go, and words
-        fold the representation DAG once per state.  They build only the
-        witness and must agree with this version in all three parts.
+        This version lifts every coupling :meth:`fiber` yields with
+        :meth:`lift`, as power tuples do their one coupling.  Overrides rank
+        the same enumeration without building each coupling (hyperspace and
+        transport walks carry the rank, words fold the representation DAG
+        once per state), build only the witness and agree with this version.
         """
         lift = self.lift
         return first_minimum(((lift(rank, c), c) for c in self.fiber(a, b, ctx)), stop_at_zero)

@@ -4,13 +4,14 @@ Couplings over a pair of subsets (A, B) are restricted to subsets of A x B
 with full projections.  This loses nothing: intersecting any coupling with
 A x B keeps both projections intact and can only shrink the sup of a
 nonnegative table, so the minimum over the restricted fiber equals the
-minimum over all couplings.
+minimum over all couplings.  The specialized answer, :func:`hausdorff`,
+reads the table once for both the value and its nearest-point witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import PairTable, ParseError, Value, set_field
 from .extension import ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, first_minimum
@@ -40,32 +41,19 @@ class SubsetCoupling(Value):
         set_field(self, "pairs", tuple(sorted(set(pairs))))
 
 
-def sup_lift(fn, members: Iterable) -> Fraction:
-    """Finite sup of fn over a nonempty collection of points or pairs."""
-    return max(map(fn, members))
-
-
-def hausdorff(table: PairTable, a: Subset, b: Subset) -> Fraction:
-    """Two-sided max-min evaluation of the envelope definition."""
-    forward = max(min(table((x, y)) for y in b.members) for x in a.members)
-    backward = max(min(table((x, y)) for x in a.members) for y in b.members)
-    return max(forward, backward)
-
-
-def optimal_coupling(table: PairTable, a: Subset, b: Subset) -> SubsetCoupling:
-    """Pairs (x, y) where y is nearest to x in B or x is nearest to y in A.
-
-    Always a valid coupling, and its sup equals the Hausdorff distance.
-    """
-    near_b = {x: min(table((x, y)) for y in b.members) for x in a.members}
-    near_a = {y: min(table((x, y)) for x in a.members) for y in b.members}
+def hausdorff(table: PairTable, a: Subset, b: Subset) -> tuple[Fraction, SubsetCoupling]:
+    """The Hausdorff distance and its witness, from one read of A x B: the
+    largest distance from a point to its nearest point across, and the pairs
+    (x, y) where y is nearest to x in B or x is nearest to y in A, which
+    cover A and B and whose sup is that value."""
+    rows = [[table((x, y)) for y in b.members] for x in a.members]
+    near_b = list(map(min, rows))
+    near_a = list(map(min, zip(*rows)))
     pairs = tuple(
-        (x, y)
-        for x in a.members
-        for y in b.members
-        if table((x, y)) == near_b[x] or table((x, y)) == near_a[y]
+        (x, y) for x, row, nx in zip(a.members, rows, near_b)
+        for y, d, ny in zip(b.members, row, near_a) if d in (nx, ny)
     )
-    return SubsetCoupling(pairs)
+    return max(near_b + near_a), SubsetCoupling(pairs)
 
 
 def fiber_subsets(a: Subset, b: Subset) -> Iterator[SubsetCoupling]:
@@ -150,8 +138,8 @@ class HyperspaceFunctor(Functor):
         return fiber_subsets(a, b)
 
     def lift(self, fn, elem) -> Fraction:
-        members = elem.pairs if isinstance(elem, SubsetCoupling) else elem.members
-        return sup_lift(fn, members)
+        """The finite sup of fn over a subset's points or a coupling's pairs."""
+        return max(map(fn, elem.pairs if isinstance(elem, SubsetCoupling) else elem.members))
 
     def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
         cells = _grid(a, b)
@@ -164,10 +152,8 @@ class HyperspaceFunctor(Functor):
             yield Subset(tuple(i for i in range(n) if mask >> i & 1))
 
     def distance(self, ctx, table, a, b):
-        """:func:`hausdorff`, witnessed by :func:`optimal_coupling`, which
-        :meth:`~Functor.check_witness` checks."""
-        value = hausdorff(table, a, b)
-        witness = optimal_coupling(table, a, b)
+        """:func:`hausdorff`, its coupling checked by :meth:`~Functor.check_witness`."""
+        value, witness = hausdorff(table, a, b)
         self.check_witness(ctx, table, a, b, witness, value)
         return ExtensionResult(value, witness, 1)
 

@@ -6,6 +6,8 @@ display.  Every comparison the package makes between two p-power values is
 therefore exact, because the root is strictly monotone on nonnegative
 reals.  Inequalities that mix rooted sums (the triangle inequality and
 semiadditivity of the lift) are decided exactly by :func:`rooted_le`.
+
+The lift, the one-coupling fiber and the closed form are :class:`PowerFunctor` methods.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import PairTable, ParseError, Value, decimal_str
+from .core import ParseError, Value, decimal_str
 from .extension import ElementDomainError, ExtensionResult, Functor, ValueTooLargeError
 
 
@@ -57,30 +59,11 @@ class PNorm(Value):
         return "max" if self.is_max else f"p:{self.p}"
 
 
-def power_lift(fn, coords: Sequence, norm: PNorm) -> Fraction:
-    """max of fn over coordinates, or the exact sum of its p-th powers."""
-    values = list(map(fn, coords))
-    if min(values, default=0) < 0:
-        # Named by coordinate: fn may be a table scaled to integers.
-        c = next(c for c, v in zip(coords, values) if v < 0)
-        raise ValueError(f"power lifts require nonnegative values, negative at {c!r}")
-    if norm.is_max:
-        return max(values)
-    return sum((v**norm.p for v in values), Fraction(0))
-
-
-def power_distance(table: PairTable, s: Sequence[int], t: Sequence[int], norm: PNorm) -> Fraction:
-    """Closed form: coordinatewise distances combined by the norm."""
+def _coordinate_pairs(s: Sequence[int], t: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The coupling of two tuples, refused when their lengths differ."""
     if len(s) != len(t):
         raise ValueError(f"tuple length mismatch: {len(s)} vs {len(t)}")
-    return power_lift(table, list(zip(s, t)), norm)
-
-
-def fiber_tuples(s: Sequence[int], t: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The one and only coupling: coordinatewise pairs."""
-    if len(s) != len(t):
-        raise ValueError(f"tuple length mismatch: {len(s)} vs {len(t)}")
-    yield tuple(zip(s, t))
+    return tuple(zip(s, t))
 
 
 def int_nth_root(m: int, p: int) -> int:
@@ -216,23 +199,34 @@ class PowerFunctor(Functor):
                                      f"more than the {limit} Python renders")
 
     def fiber(self, a, b, ctx) -> Iterator:
-        self._check_renderable([ctx.d(x, y) for x, y in zip(a, b)])
-        return fiber_tuples(a, b)
+        """The one and only coupling: coordinatewise pairs."""
+        coupling = _coordinate_pairs(a, b)
+        self._check_renderable([ctx.d(x, y) for x, y in coupling])
+        return iter((coupling,))
 
     def lift(self, fn, elem) -> Fraction:
-        return power_lift(fn, elem, self.norm)
+        """max of fn over coordinates, or the exact sum of its p-th powers."""
+        values = list(map(fn, elem))
+        if min(values, default=0) < 0:
+            # Named by coordinate: fn may be a table scaled to integers.
+            c = next(c for c, v in zip(elem, values) if v < 0)
+            raise ValueError(f"power lifts require nonnegative values, negative at {c!r}")
+        if self.norm.is_max:
+            return max(values)
+        return sum((v**self.norm.p for v in values), Fraction(0))
 
     def enumerate_elements(self, ctx, cap: int = 0) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(ctx.n), repeat=self.n)
 
     def distance(self, ctx, table, a, b):
-        """The closed form :func:`power_distance`.  Its witness, the one
-        coupling, gets no :meth:`~Functor.check_witness`: the value is that
-        coupling's lift, so the check would compare a number with itself,
-        and for a large p it would take every p-th power twice."""
-        self._check_renderable([table(pair) for pair in zip(a, b)])
-        value = power_distance(table, a, b, self.norm)
-        return ExtensionResult(value, tuple(zip(a, b)), 1)
+        """The closed form: the lift of the one coupling, coordinatewise
+        distances combined by the norm.  That witness gets no
+        :meth:`~Functor.check_witness`: the value is its lift, so the check
+        would compare a number with itself, and for a large p it would take
+        every p-th power twice."""
+        coupling = _coordinate_pairs(a, b)
+        self._check_renderable([table(pair) for pair in coupling])
+        return ExtensionResult(self.lift(table, coupling), coupling, 1)
 
     def ground_form(self, value: Fraction) -> Fraction:
         if self.norm.is_max:

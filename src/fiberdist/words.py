@@ -1,14 +1,14 @@
 """Group words over a pointed space: Graev and Swierczkowski distances.
 
-Elements are reduced words whose letters are points of the space; the
-basepoint acts as the group identity, so basepoint letters vanish and
-adjacent inverse pairs cancel (free case), or net exponents are taken per
-point (free-abelian case).
+Elements are the :func:`reduce_letters` images of letter strings over the
+space's points; the basepoint is the group identity, so its letters vanish
+and adjacent inverse pairs cancel (free case), or net exponents are taken
+per point (free-abelian case).
 
 The distance between two reduced words is the minimum, over pairs of
-equal-length equal-signature letter strings reducing to them, of the sum of
-letterwise base distances: over every position for the "graev" variant,
-over distinct letter pairs only for the "swierczkowski" variant.  Every
+equal-length equal-signature letter strings reducing to them, of the
+letter-sum lift (:meth:`WordsFunctor.lift`) of the base distances: over
+every row for "graev", over distinct letter pairs for "swierczkowski".  Every
 distance is taken within a cap on the string length (default: combined
 reduced length plus two).
 
@@ -124,15 +124,9 @@ def reduce_letters(letters: Sequence[tuple[int, int]], commutative: bool, pointe
         if s not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {s}")
     if commutative:
-        net: dict[int, int] = {}
-        for x, s in letters:
-            if x == e:
-                continue
-            net[x] = net.get(x, 0) + s
         out = []
-        for x in sorted(net):
-            s = 1 if net[x] > 0 else -1
-            out.extend((x, s) for _ in range(abs(net[x])))
+        for x, v in _net_of([letter for letter in letters if letter[0] != e]):
+            out.extend([(x, 1 if v > 0 else -1)] * abs(v))
         return GroupWord(tuple(out), True)
     stack: list[tuple[int, int]] = []
     for x, s in letters:
@@ -177,16 +171,6 @@ class ProperRepresentationPair(Value):
 
     def right_letters(self) -> tuple[tuple[int, int], ...]:
         return tuple((b, s) for _a, b, s in self.rows)
-
-
-def letter_sum_lift(fn, keys: Iterable, variant: str) -> Fraction:
-    """Sum fn over all positions (graev) or over distinct keys only
-    (swierczkowski); keys are points for words, pairs for representations."""
-    if variant == GRAEV:
-        return sum(map(fn, keys))
-    if variant == SWIERCZKOWSKI:
-        return sum(map(fn, dict.fromkeys(keys)))
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 # Equal rows, witnesses and values of word answers are one shared object
@@ -1067,9 +1051,10 @@ def naive_word_distance(
                 for ys in rights:
                     count += 1
                     pairs = list(zip(xs, ys))
-                    for variant, low in best.items():
-                        cost = letter_sum_lift(lambda p: dist[p[0]][p[1]], pairs, variant)
-                        if low is None or cost < low:
+                    # Graev sums every row, Swierczkowski each distinct pair once.
+                    for variant, keys in ((GRAEV, pairs), (SWIERCZKOWSKI, dict.fromkeys(pairs))):
+                        cost = sum(dist[x][y] for x, y in keys)
+                        if best[variant] is None or cost < best[variant]:
                             best[variant] = cost
     return best, count
 
@@ -1119,8 +1104,8 @@ class WordsFunctor(Functor):
         right = reduce_letters(coupling.right_letters(), self.commutative, ctx)
         return left, right
 
-    def fiber(self, a, b, ctx, cap: int | None = None) -> Iterator[ProperRepresentationPair]:
-        return enumerate_proper_representations(a, b, ctx, cap if cap is not None else self.cap)
+    def fiber(self, a, b, ctx) -> Iterator[ProperRepresentationPair]:
+        return enumerate_proper_representations(a, b, ctx, self.cap)
 
     def fiber_minimum(self, a, b, ctx, rank, stop_at_zero):
         """Folds :func:`_live_rows` instead of walking its stream: the first
@@ -1142,38 +1127,11 @@ class WordsFunctor(Functor):
         return sum(map(fn, dict.fromkeys(keys) if self.variant == SWIERCZKOWSKI else keys))
 
     def enumerate_elements(self, ctx: PointedSpace, cap: int) -> Iterator[GroupWord]:
-        if self.commutative:
-            points = [x for x in range(ctx.n) if x != ctx.basepoint]
-
-            def nets(idx: int, budget: int, acc: list):
-                if idx == len(points):
-                    letters = []
-                    for x, v in acc:
-                        s = 1 if v > 0 else -1
-                        letters.extend((x, s) for _ in range(abs(v)))
-                    yield GroupWord(tuple(letters), True)
-                    return
-                x = points[idx]
-                for v in range(-budget, budget + 1):
-                    yield from nets(idx + 1, budget - abs(v), acc + ([(x, v)] if v else []))
-
-            return nets(0, cap, [])
-
-        def walk(prefix: list) -> Iterator[GroupWord]:
-            yield GroupWord(tuple(prefix), False)
-            if len(prefix) == cap:
-                return
-            for x in range(ctx.n):
-                if x == ctx.basepoint:
-                    continue
-                for s in (1, -1):
-                    if prefix and prefix[-1] == (x, -s):
-                        continue
-                    prefix.append((x, s))
-                    yield from walk(prefix)
-                    prefix.pop()
-
-        return walk([])
+        """The reduced words of length at most ``cap``: the distinct
+        reductions of every string of up to ``cap`` non-basepoint letters."""
+        letters = [(x, s) for x in range(ctx.n) if x != ctx.basepoint for s in (1, -1)]
+        strings = itertools.chain.from_iterable(itertools.product(letters, repeat=k) for k in range(cap + 1))
+        return iter(dict.fromkeys(reduce_letters(string, self.commutative, ctx) for string in strings))
 
     def distance(self, ctx, table, a, b, cap: int | None = None):
         """:func:`graev_distance` on the space's own distances; a table of

@@ -14,14 +14,16 @@ from fiberdist.hyperspace import (
     SubsetCoupling,
     fiber_subsets,
     hausdorff,
-    optimal_coupling,
-    sup_lift,
 )
 from fiberdist.sampling import random_metric_space
 
 
 def two_point(d=F(5)):
     return validate_space(["x", "y"], [[F(0), d], [d, F(0)]], "metric")
+
+
+def hausdorff_value(table, a, b):
+    return hausdorff(table, a, b)[0]
 
 
 def all_subsets(n):
@@ -34,18 +36,18 @@ def all_subsets(n):
 class TestSupLift:
     def test_zero_function(self):
         c = SubsetCoupling(((0, 0), (0, 1)))
-        assert sup_lift(lambda p: F(0), c.pairs) == 0
+        assert HyperspaceFunctor().lift(lambda p: F(0), c) == 0
 
     def test_max_over_pair_values(self):
         sp = two_point()
         t = sp.pair_table()
         c = SubsetCoupling(((0, 0), (0, 1)))
-        assert sup_lift(t, c.pairs) == F(5)
+        assert HyperspaceFunctor().lift(t, c) == F(5)
 
     def test_singleton(self):
         sp = two_point(F(7, 2))
         t = sp.pair_table()
-        assert sup_lift(t, (((0, 1)),)) == F(7, 2)
+        assert HyperspaceFunctor().lift(t, SubsetCoupling(((0, 1),))) == F(7, 2)
 
 
 class TestHausdorff:
@@ -53,17 +55,37 @@ class TestHausdorff:
         sp = two_point()
         t = sp.pair_table()
         a = Subset((0, 1))
-        assert hausdorff(t, a, a) == 0
+        assert hausdorff_value(t, a, a) == 0
 
     def test_singleton_vs_pair(self):
         sp = two_point()
         t = sp.pair_table()
-        assert hausdorff(t, Subset((0,)), Subset((0, 1))) == F(5)
+        assert hausdorff_value(t, Subset((0,)), Subset((0, 1))) == F(5)
 
     def test_extends_base_distance(self):
         sp = two_point(F(9, 4))
         t = sp.pair_table()
-        assert hausdorff(t, Subset((0,)), Subset((1,))) == F(9, 4)
+        assert hausdorff_value(t, Subset((0,)), Subset((1,))) == F(9, 4)
+
+    def test_distance_reads_the_table_once_per_cell_and_witness_pair(self):
+        # The value and the nearest-point coupling come from one pass over
+        # A x B, and the witness check reads each of its pairs once more.
+        # Taking the two max-min distances apart from the coupling's nearest
+        # points reads every cell at least five times.
+        rng = random.Random(83)
+        for _ in range(25):
+            sp = random_metric_space(rng, 6, den_max=2)
+            table = sp.pair_table()
+            lookups = []
+
+            def counting(pair):
+                lookups.append(pair)
+                return table(pair)
+
+            a, b = (Subset(tuple(rng.sample(range(6), 4))) for _ in range(2))
+            result = HyperspaceFunctor().distance(sp, counting, a, b)
+            assert result.value == hausdorff_value(table, a, b)
+            assert len(lookups) <= 4 * len(a) * len(b) + len(result.witness.pairs)
 
 
 class TestOptimalCoupling:
@@ -71,16 +93,16 @@ class TestOptimalCoupling:
         sp = two_point()
         t = sp.pair_table()
         a = Subset((0, 1))
-        c = optimal_coupling(t, a, a)
+        _value, c = hausdorff(t, a, a)
         assert (0, 0) in c.pairs and (1, 1) in c.pairs
-        assert sup_lift(t, c.pairs) == 0
+        assert HyperspaceFunctor().lift(t, c) == 0
 
     def test_singleton_against_pair(self):
         sp = two_point()
         t = sp.pair_table()
-        c = optimal_coupling(t, Subset((0,)), Subset((0, 1)))
+        _value, c = hausdorff(t, Subset((0,)), Subset((0, 1)))
         assert c.pairs == ((0, 0), (0, 1))
-        assert sup_lift(t, c.pairs) == F(5)
+        assert HyperspaceFunctor().lift(t, c) == F(5)
 
     def test_matches_fiber_minimum_exhaustively(self):
         rng = random.Random(5)
@@ -89,12 +111,12 @@ class TestOptimalCoupling:
             t = sp.pair_table()
             for a in all_subsets(3):
                 for b in all_subsets(3):
-                    c = optimal_coupling(t, a, b)
+                    value, c = hausdorff(t, a, b)
                     assert {x for x, _ in c.pairs} == set(a.members)
                     assert {y for _, y in c.pairs} == set(b.members)
-                    direct = sup_lift(t, c.pairs)
-                    assert direct == hausdorff(t, a, b)
-                    oracle = min(sup_lift(t, c2.pairs) for c2 in fiber_subsets(a, b))
+                    direct = HyperspaceFunctor().lift(t, c)
+                    assert direct == value
+                    oracle = min(HyperspaceFunctor().lift(t, c2) for c2 in fiber_subsets(a, b))
                     assert direct == oracle
 
     @pytest.mark.parametrize(
@@ -110,12 +132,13 @@ class TestOptimalCoupling:
     )
     def test_a_broken_witness_is_a_named_error(self, monkeypatch, break_coupling, a, b, message):
         sp = two_point()
-        nearest = hyperspace.optimal_coupling
+        nearest = hyperspace.hausdorff
 
         def broken(*args):
-            return SubsetCoupling(tuple(break_coupling(set(nearest(*args).pairs))))
+            value, coupling = nearest(*args)
+            return value, SubsetCoupling(tuple(break_coupling(set(coupling.pairs))))
 
-        monkeypatch.setattr(hyperspace, "optimal_coupling", broken)
+        monkeypatch.setattr(hyperspace, "hausdorff", broken)
         with pytest.raises(WitnessError, match=message):
             HyperspaceFunctor().distance(sp, sp.pair_table(), Subset(a), Subset(b))
         labels = {0: "x", 1: "y"}
@@ -186,7 +209,7 @@ class TestCoincidence:
             for a in all_subsets(3):
                 for b in all_subsets(3):
                     got = extend_generic(functor, sp, t, a, b)
-                    assert got.value == hausdorff(t, a, b)
+                    assert got.value == hausdorff_value(t, a, b)
                     assert functor.lift(t, got.witness) == got.value
 
     def test_metric_axioms_exhaustive(self):
@@ -195,13 +218,14 @@ class TestCoincidence:
         t = sp.pair_table()
         subsets = all_subsets(3)
         for a in subsets:
-            assert hausdorff(t, a, a) == 0
+            assert hausdorff_value(t, a, a) == 0
             for b in subsets:
-                assert hausdorff(t, a, b) == hausdorff(t, b, a)
+                assert hausdorff_value(t, a, b) == hausdorff_value(t, b, a)
                 if a != b:
-                    assert hausdorff(t, a, b) > 0  # metric mode separates subsets
+                    assert hausdorff_value(t, a, b) > 0  # metric mode separates subsets
                 for c in subsets:
-                    assert hausdorff(t, a, c) <= hausdorff(t, a, b) + hausdorff(t, b, c)
+                    ac, ab, bc = (hausdorff_value(t, *pair) for pair in ((a, c), (a, b), (b, c)))
+                    assert ac <= ab + bc
 
 
 class TestOperatorShape:

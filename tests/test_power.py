@@ -10,11 +10,8 @@ from fiberdist.power import (
     PNorm,
     PowerFunctor,
     ValueTooLargeError,
-    fiber_tuples,
     int_nth_root,
     nth_root_interval,
-    power_distance,
-    power_lift,
     root_decimal_str,
     rooted_le,
 )
@@ -36,18 +33,23 @@ class TestPNorm:
             PNorm.parse(bad)
 
 
+def closed_form(table, s, t, norm):
+    """The value PowerFunctor.distance answers for tuples s and t."""
+    return PowerFunctor(len(s), norm).distance(None, table, s, t).value
+
+
 class TestLifts:
     def test_sum_example(self):
         phi = [F(1), F(2)]
-        assert power_lift(lambda i: phi[i], (0, 1), PNorm(1)) == F(3)
-        assert power_lift(lambda i: phi[i], (0, 1), PNorm.max_norm()) == F(2)
+        assert PowerFunctor(2, PNorm(1)).lift(lambda i: phi[i], (0, 1)) == F(3)
+        assert PowerFunctor(2, PNorm.max_norm()).lift(lambda i: phi[i], (0, 1)) == F(2)
 
     def test_zero(self):
-        assert power_lift(lambda i: F(0), (0, 0, 0), PNorm(3)) == 0
+        assert PowerFunctor(3, PNorm(3)).lift(lambda i: F(0), (0, 0, 0)) == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            power_lift(lambda i: F(-1), (0,), PNorm(2))
+        with pytest.raises(ValueError, match="negative at 0"):
+            PowerFunctor(1, PNorm(2)).lift(lambda i: F(-1), (0,))
 
 
 class TestPowerDistance:
@@ -55,30 +57,34 @@ class TestPowerDistance:
         sp = two_point()
         t = sp.pair_table()
         for norm in (PNorm.max_norm(), PNorm(1), PNorm(2)):
-            assert power_distance(t, (0, 1), (0, 1), norm) == 0
+            assert closed_form(t, (0, 1), (0, 1), norm) == 0
 
     def test_p2_power_form(self):
         sp = two_point()
         t = sp.pair_table()
         # 3^2 + 3^2, stored without taking the root
-        assert power_distance(t, (0, 0), (1, 1), PNorm(2)) == F(18)
-        assert power_distance(t, (0, 0), (1, 1), PNorm.max_norm()) == F(3)
+        assert closed_form(t, (0, 0), (1, 1), PNorm(2)) == F(18)
+        assert closed_form(t, (0, 0), (1, 1), PNorm.max_norm()) == F(3)
 
     def test_length_mismatch(self):
+        # zip would pair (0, 0) and drop the second coordinate silently.
         sp = two_point()
-        with pytest.raises(ValueError):
-            power_distance(sp.pair_table(), (0,), (0, 1), PNorm(1))
+        functor = PowerFunctor(1, PNorm(1))
+        with pytest.raises(ValueError, match="tuple length mismatch: 1 vs 2"):
+            functor.distance(sp, sp.pair_table(), (0,), (0, 1))
+        with pytest.raises(ValueError, match="tuple length mismatch: 1 vs 2"):
+            functor.fiber((0,), (0, 1), sp)
 
 
 class TestFiber:
     def test_singleton_stream(self):
-        couplings = list(fiber_tuples((0, 1, 0), (1, 1, 0)))
+        couplings = list(PowerFunctor(3, PNorm(1)).fiber((0, 1, 0), (1, 1, 0), two_point()))
         assert couplings == [((0, 1), (1, 1), (0, 0))]
 
     def test_marginals(self):
         functor = PowerFunctor(3, PNorm(1))
         sp = two_point()
-        (coupling,) = fiber_tuples((0, 1, 0), (1, 1, 0))
+        (coupling,) = functor.fiber((0, 1, 0), (1, 1, 0), sp)
         left, right = functor.marginals(coupling, sp)
         assert left == (0, 1, 0)
         assert right == (1, 1, 0)
@@ -97,7 +103,7 @@ class TestCoincidence:
                     for s in product(range(size), repeat=n):
                         for u in product(range(size), repeat=n):
                             got = extend_generic(functor, sp, t, s, u)
-                            assert got.value == power_distance(t, s, u, norm)
+                            assert got.value == functor.distance(sp, t, s, u).value
                             assert got.fiber_size_enumerated == 1
 
 
@@ -210,7 +216,7 @@ class TestRootedInequality:
             a = tuple(rng.randrange(3) for _ in range(n))
             b = tuple(rng.randrange(3) for _ in range(n))
             c = tuple(rng.randrange(3) for _ in range(n))
-            W, U, V = (power_distance(t, s, u, norm) for s, u in ((a, c), (a, b), (b, c)))
+            W, U, V = (closed_form(t, s, u, norm) for s, u in ((a, c), (a, b), (b, c)))
             assert rooted_le(W, U, V, 2) is True
 
     def test_sum_bound_reads_the_value_form(self):

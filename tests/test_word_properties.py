@@ -19,7 +19,6 @@ from fiberdist.words import (
     WordsFunctor,
     enumerate_proper_representations,
     graev_distance,
-    letter_sum_lift,
     naive_word_distance,
     reduce_letters,
     search_word_distance,
@@ -54,8 +53,7 @@ def test_search_value_equals_naive_minimum(case, variant, slack):
     naive, count = naive_word_distance(a, b, pointed, cap)
     assert count > 0
     assert searched.value == naive[variant]
-    pairs = [(x, y) for x, y, _s in searched.witness.rows]
-    assert letter_sum_lift(lambda p: pointed.space.dist[p[0]][p[1]], pairs, variant) == naive[variant]
+    assert WordsFunctor(variant, a.commutative).lift(pointed.space.pair_table(), searched.witness) == naive[variant]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -82,8 +80,7 @@ def test_exact_graev_equals_the_search(case):
         assert exact.value == search_word_distance(a, b, pointed, "graev", len(a) + len(b) + slack).value
     rows = exact.witness.rows
     assert len(rows) <= len(a) + len(b)
-    pairs = [(x, y) for x, y, _s in rows]
-    assert letter_sum_lift(lambda p: pointed.space.dist[p[0]][p[1]], pairs, "graev") == exact.value
+    assert WordsFunctor(commutative=a.commutative).lift(pointed.space.pair_table(), exact.witness) == exact.value
     assert WordsFunctor(commutative=a.commutative).marginals(exact.witness, pointed) == (a, b)
 
 

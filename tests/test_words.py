@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,7 +20,6 @@ from fiberdist.words import (
     WordsFunctor,
     enumerate_proper_representations,
     graev_distance,
-    letter_sum_lift,
     naive_word_distance,
     parse_word,
     pointed_space,
@@ -109,22 +109,42 @@ class TestWordSyntax:
 
 
 class TestLetterSumLift:
-    def test_empty_word(self):
-        assert letter_sum_lift(lambda k: F(1), [], "graev") == 0
+    def test_empty_word(self, ctx):
+        assert WordsFunctor("graev").lift(lambda k: F(1), word(ctx, [])) == 0
 
     def test_repeated_letter(self, ctx):
         phi = {1: F(3)}
         w = word(ctx, [(1, 1), (1, 1)])
-        keys = [x for x, _ in w.letters]
-        assert letter_sum_lift(lambda k: phi[k], keys, "graev") == F(6)
-        assert letter_sum_lift(lambda k: phi[k], keys, "swierczkowski") == F(3)
+        assert WordsFunctor("graev").lift(lambda k: phi[k], w) == F(6)
+        assert WordsFunctor("swierczkowski").lift(lambda k: phi[k], w) == F(3)
 
     def test_distinct_pair_rule(self, ctx):
         t = ctx.space.pair_table()
         rep = ProperRepresentationPair(((1, 2, 1), (1, 2, 1)))
-        keys = [(a, b) for a, b, _s in rep.rows]
-        assert letter_sum_lift(t, keys, "graev") == F(2)
-        assert letter_sum_lift(t, keys, "swierczkowski") == F(1)
+        assert WordsFunctor("graev").lift(t, rep) == F(2)
+        assert WordsFunctor("swierczkowski").lift(t, rep) == F(1)
+
+
+class TestEnumerateElements:
+    @pytest.mark.parametrize("commutative", [False, True], ids=["free", "abelian"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counts_match_closed_forms(self, n, commutative):
+        # k non-basepoint points: free reduced words of length l number
+        # 2k (2k - 1)^(l - 1) for l >= 1, and abelian words are the points
+        # of Z^k with L1 norm <= cap, sum_i 2^i C(k, i) C(cap, i) of them.
+        pointed = PointedSpace(random_metric_space(random.Random(n), n), n - 1)
+        functor = WordsFunctor(commutative=commutative)
+        k = n - 1
+        for cap in range(5):
+            elements = list(functor.enumerate_elements(pointed, cap))
+            if commutative:
+                expected = sum(2**i * math.comb(k, i) * math.comb(cap, i) for i in range(k + 1))
+            else:
+                expected = 1 + sum(2 * k * (2 * k - 1) ** (length - 1) for length in range(1, cap + 1))
+            assert len(elements) == len(set(elements)) == expected
+            for w in elements:
+                assert len(w) <= cap
+                assert reduce_letters(w.letters, commutative, pointed) == w
 
 
 class TestEnumerateRepresentations:
@@ -315,9 +335,8 @@ class TestDistances:
             b = random_word(rng, ctx, 2)
             for variant in ("graev", "swierczkowski"):
                 r = graev_distance(a, b, ctx, variant)
-                keys = [(x, y) for x, y, _s in r.witness.rows]
-                assert letter_sum_lift(t, keys, variant) == r.value
                 functor = WordsFunctor(variant)
+                assert functor.lift(t, r.witness) == r.value
                 left, right = functor.marginals(r.witness, ctx)
                 assert (left, right) == (a, b)
 
