@@ -6,11 +6,17 @@ Commands:
   batch     -- run a JSON array of requests, responses in input order
   selftest  -- run every verification check at the small scale
 
-Exit codes: 0 success, 1 parse/validation error, 2 computation error (an
-``extension.ComputeError``: enumeration cap exceeded, unbalanced masses, no
-representation within cap, a word, transport or Hausdorff witness or a
-transport dual certificate failing its check, a value too large to print),
-3 specialized/generic mismatch under ``--method both``.
+The `validate` and `dist` flags are the fields of a batch entry: one table,
+``_FIELDS``, names, defaults and checks them, and argparse only splits argv.
+``--a``, ``--b`` and ``--cap`` are JSON text, so ``--cap 03`` is refused as
+the batch field is.
+
+Exit codes: 0 success, 1 usage, parse or validation error, 2 computation
+error (an ``extension.ComputeError``: enumeration cap exceeded, unbalanced
+masses, no representation within cap, a word, transport or Hausdorff witness
+or a transport dual certificate failing its check, a value too large to
+print), 3 specialized/generic mismatch under ``--method both``.  Every
+refused invocation prints one ``{"error": ...}`` line on stdout.
 
 Functors are known only through one table, CLI name -> (module, class);
 a functor's module is imported when a request first names it, and the
@@ -46,19 +52,17 @@ _FUNCTOR_CLASSES = {
     "transport": ("transport", "TransportFunctor"),
     "words": ("words", "WordsFunctor"),
 }
-FUNCTORS = tuple(_FUNCTOR_CLASSES)
-METHODS = ("specialized", "generic", "both")
 
 _ERRORS = (ParseError, SpaceValidationError, ElementDomainError, ComputeError)
 
 _REQUIRED = object()
 # Request fields per command as (key, default, allowed): a tuple of choices,
-# the one type a JSON value must have, or None for any JSON value.  The dist
-# fields are the `dist` flags.
+# the one type a JSON value must have, or None for any JSON value.  They are
+# also the flags of the `validate` and `dist` commands.
 _FIELDS = {
     "validate": (("space", _REQUIRED, str),),
     "dist": (
-        ("functor", _REQUIRED, FUNCTORS),
+        ("functor", _REQUIRED, tuple(_FUNCTOR_CLASSES)),
         ("space", _REQUIRED, str),
         ("a", _REQUIRED, None),
         ("b", _REQUIRED, None),
@@ -66,7 +70,7 @@ _FIELDS = {
         ("variant", "graev", VARIANTS),
         ("abelian", False, bool),
         ("cap", None, int),
-        ("method", "specialized", METHODS),
+        ("method", "specialized", ("specialized", "generic", "both")),
         ("inject_fault", None, FAULTS),
     ),
 }
@@ -193,18 +197,18 @@ def _print_response(request: dict, indent=None) -> int:
     return code
 
 
-def cmd_dist(args) -> int:
-    request = {key: getattr(args, key) for key, _default, _allowed in _FIELDS["dist"]}
-    request["command"] = "dist"
-    for key in ("a", "b"):
-        request[key] = _parse_json(lambda: getattr(args, key), "element")
-    return _print_response(request)
-
-
-def cmd_validate(args) -> int:
-    # With indent 2 the response is the canonical space file: loading and
-    # validating it again prints the same bytes.
-    return _print_response({"command": "validate", "space": args.space}, indent=2)
+def cmd_request(args) -> int:
+    """Run a `dist` or `validate` invocation as the batch entry its flags spell."""
+    request = {"command": args.command}
+    for key, _default, allowed in _FIELDS[args.command]:
+        value = getattr(args, key)
+        if value is None:  # flag not given: the field's default applies
+            continue
+        if allowed is None or allowed is int:  # a JSON value that is not a string
+            value = _parse_json(lambda: value, "element" if allowed is None else f"field {key!r}")
+        request[key] = value
+    # With indent 2 a validate response is the canonical space file: validating it prints the same bytes.
+    return _print_response(request, indent=2 if args.command == "validate" else None)
 
 
 def cmd_selftest(args) -> int:
@@ -236,56 +240,43 @@ def cmd_batch(args) -> int:
     return first_failure
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, which ``main`` prints as JSON (exit 1)."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fiberdist",
-        description="Exact extended distances over coupling fibers",
-    )
+    parser = _ArgumentParser(prog="fiberdist", description="Exact extended distances over coupling fibers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="validate a space file, print canonical form")
-    p_validate.add_argument("--space", required=True, help="path to a space JSON file")
-    p_validate.set_defaults(handler=cmd_validate)
-
-    p_dist = sub.add_parser("dist", help="distance between two elements")
-    p_dist.add_argument("functor", choices=FUNCTORS)
-    p_dist.add_argument("--space", required=True, help="path to a space JSON file")
-    p_dist.add_argument("--a", required=True, help="first element, as JSON")
-    p_dist.add_argument("--b", required=True, help="second element, as JSON")
-    p_dist.add_argument("--norm", default="max", help="power norm: 'max' or 'p:<k>'")
-    p_dist.add_argument("--variant", default="graev", choices=VARIANTS)
-    p_dist.add_argument("--abelian", action="store_true", help="free-abelian words")
-    p_dist.add_argument("--cap", type=int, default=None, help="representation search cap (words)")
-    p_dist.add_argument("--method", default="specialized", choices=METHODS)
-    p_dist.add_argument(
-        "--inject-fault",
-        default=None,
-        choices=list(FAULTS),
-        help="testing hook: deliberately corrupt a solver",
-    )
-    p_dist.set_defaults(handler=cmd_dist)
+    helps = {"validate": "validate a space file, print canonical form", "dist": "distance between two elements"}
+    for command, fields in _FIELDS.items():
+        p_request = sub.add_parser(command, help=helps[command])
+        for key, _default, allowed in fields:
+            if key == "functor":
+                p_request.add_argument(key)
+            elif allowed is bool:
+                p_request.add_argument(f"--{key}", action="store_true")
+            else:
+                p_request.add_argument(f"--{key.replace('_', '-')}")
+        p_request.set_defaults(handler=cmd_request)
 
     p_batch = sub.add_parser("batch", help="run a JSON array of requests")
     p_batch.add_argument("file", help="path to the requests file")
     p_batch.set_defaults(handler=cmd_batch)
 
     p_selftest = sub.add_parser("selftest", help="run every verification check at the small scale")
-    p_selftest.add_argument(
-        "--inject-fault",
-        default=None,
-        choices=list(FAULTS),
-        help="testing hook: deliberately corrupt a solver",
-    )
+    p_selftest.add_argument("--inject-fault", choices=FAULTS, help="testing hook: deliberately corrupt a solver")
     p_selftest.set_defaults(handler=cmd_selftest)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except ParseError as exc:  # a malformed --a/--b or batch file
+    except ParseError as exc:  # a usage error, a malformed flag value or batch file
         response, code = _error_response(exc)
         print(json.dumps(response))
         return code

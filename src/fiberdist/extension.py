@@ -174,10 +174,6 @@ class Functor:
         """How a plain base distance reads in this instance's value form."""
         return value
 
-    def is_extension_instance(self) -> bool:
-        """Whether the lift restricts to the identity on embedded points."""
-        return True
-
     def sum_bound(self, w: Fraction, u: Fraction, v: Fraction) -> bool:
         """Whether w <= u + v, all three read in this instance's value form:
         the triangle inequality on distances and semiadditivity on lifts."""

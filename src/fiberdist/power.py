@@ -50,9 +50,13 @@ class PNorm(Value):
             return cls(None)
         if s.startswith("p:"):
             body = s[2:]
-            if not body.lstrip("+-").isdigit():
+            if not (body[1:] if body[:1] in "+-" else body).isdecimal():
                 raise ParseError(f"bad norm {text!r}: exponent must be an integer")
-            return cls(int(body))
+            try:
+                p = int(body)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError(f"norm exponent of {len(body)} characters has too many digits") from None
+            return cls(p)
         raise ParseError(f"bad norm {text!r}: expected 'max' or 'p:<k>'")
 
     def format(self) -> str:
@@ -232,11 +236,6 @@ class PowerFunctor(Functor):
         if self.norm.is_max:
             return value
         return value**self.norm.p
-
-    def is_extension_instance(self) -> bool:
-        # The p-power lift of a constant tuple is n * phi(x)^p, so for n >= 2
-        # it does not restrict to the identity on embedded points.
-        return self.norm.is_max or self.n == 1
 
     def sum_bound(self, w: Fraction, u: Fraction, v: Fraction) -> bool:
         if self.norm.is_max:

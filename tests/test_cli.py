@@ -417,6 +417,117 @@ class TestBatch:
         assert len(loads) == 1
 
 
+class TestRefusedInvocations:
+    """Every invocation the CLI refuses prints one JSON error line on stdout,
+    nothing on stderr, and exits 1; a flag value is refused with the same
+    message as the batch entry holding that field."""
+
+    ENTRY = {"command": "dist", "functor": "transport", "a": {"x": "1"}, "b": {"y": "1"}}
+    # A space path that is never read: each invocation below that names it is refused first.
+    DIST = ["dist", "transport", "--space", "unread.json", "--a", '{"x":"1"}', "--b", '{"y":"1"}']
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (["--method", "bogus"], {"method": "bogus"}),
+            (["--variant", "foo"], {"variant": "foo"}),
+            (["--inject-fault", "nope"], {"inject_fault": "nope"}),
+            (["--cap", "1.5"], {"cap": 1.5}),
+            (["--cap", '"3"'], {"cap": "3"}),
+        ],
+        ids=["method", "variant", "inject-fault", "cap-float", "cap-string"],
+    )
+    def test_bad_flag_value_matches_its_batch_entry(self, tmp_path, flags, fields):
+        path = write_space(tmp_path, TWO_POINT)
+        args = ["dist", "transport", "--space", path, "--a", '{"x":"1"}', "--b", '{"y":"1"}', *flags]
+        entry = {**self.ENTRY, "space": path, **fields}
+        self.assert_refused_like_batch(tmp_path, args, entry)
+
+    @pytest.mark.parametrize("omit", ["space", "a", "b"])
+    def test_missing_field_matches_its_batch_entry(self, tmp_path, omit):
+        path = write_space(tmp_path, TWO_POINT)
+        flags = {"space": path, "a": '{"x":"1"}', "b": '{"y":"1"}'}
+        args = ["dist", "transport"] + [arg for key, text in flags.items() if key != omit for arg in (f"--{key}", text)]
+        entry = {key: value for key, value in {**self.ENTRY, "space": path}.items() if key != omit}
+        self.assert_refused_like_batch(tmp_path, args, entry)
+
+    def test_unknown_functor_matches_its_batch_entry(self, tmp_path):
+        path = write_space(tmp_path, TWO_POINT)
+        args = ["dist", "nope", "--space", path, "--a", "[]", "--b", "[]"]
+        entry = {**self.ENTRY, "functor": "nope", "space": path, "a": [], "b": []}
+        self.assert_refused_like_batch(tmp_path, args, entry)
+
+    def test_validate_without_space_matches_its_batch_entry(self, tmp_path):
+        self.assert_refused_like_batch(tmp_path, ["validate"], {"command": "validate"})
+
+    def assert_refused_like_batch(self, tmp_path, args, entry):
+        code, out, err = run_cli(*args)
+        assert (code, err) == (1, "")
+        assert out.count("\n") == 1
+        response = json.loads(out)
+        assert set(response) == {"error"}
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps([entry]))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (1, "")
+        assert json.loads(out) == [{**response, "exit_code": 1}]
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (DIST + ["--cap", "x"], r"field 'cap' is not valid JSON: .*"),
+            (DIST + ["--cap", "03"], r"field 'cap' is not valid JSON: .*"),
+            (DIST + ["--cap", "+3"], r"field 'cap' is not valid JSON: .*"),
+            (DIST + ["--bogus", "1"], r"unrecognized arguments: --bogus 1"),
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], r"argument command: invalid choice: 'frobnicate' \(choose from .*\)"),
+            (["dist", "--space", "unread.json"], "the following arguments are required: functor"),
+            (["batch"], "the following arguments are required: file"),
+            (["selftest", "--inject-fault", "nope"],
+             r"argument --inject-fault: invalid choice: 'nope' \(choose from .*\)"),
+        ],
+        ids=["cap-not-json", "cap-leading-zero", "cap-plus-sign", "unknown-flag", "no-command", "unknown-command",
+             "no-functor", "no-batch-file", "selftest-fault"],
+    )
+    def test_usage_errors_and_flags_without_a_batch_form(self, args, error):
+        code, out, err = run_cli(*args)
+        assert (code, err) == (1, "")
+        assert out.count("\n") == 1
+        response = json.loads(out)
+        assert set(response) == {"error"}
+        assert re.fullmatch(error, response["error"])
+
+
+class TestFlagsAreBatchFields:
+    """A `dist` invocation is the batch entry its flags spell: it prints the
+    bytes ``handle_request`` gives that entry, with every field set."""
+
+    ELEMENTS = {
+        "hyperspace": (["x"], ["x", "y"]),
+        "power": (["x", "x"], ["y", "x"]),
+        "transport": ({"x": "1/2", "y": "1/2"}, {"y": "1"}),
+        "words": (["x", "y^-1"], ["y"]),
+    }
+
+    @pytest.mark.parametrize("functor", sorted(ELEMENTS))
+    def test_every_field_set(self, tmp_path, functor):
+        from fiberdist import cli
+
+        path = write_space(tmp_path, WORDS_SPACE)
+        a, b = self.ELEMENTS[functor]
+        entry = {
+            "command": "dist", "functor": functor, "space": path, "a": a, "b": b, "norm": "p:3",
+            "variant": "swierczkowski", "abelian": True, "cap": 4, "method": "both", "inject_fault": "power",
+        }
+        assert [key for key, _default, _allowed in cli._FIELDS["dist"]] == list(entry)[1:]
+        args = ["dist", functor, "--space", path, "--a", json.dumps(a), "--b", json.dumps(b), "--norm", "p:3"]
+        args += ["--variant", "swierczkowski", "--abelian", "--cap", "4", "--method", "both", "--inject-fault", "power"]
+        response, want_code = cli.handle_request(entry, cli._load_space_document)
+        code, out, err = run_cli(*args)
+        assert (code, out, err) == (want_code, json.dumps(response) + "\n", "")
+        assert want_code == (3 if functor == "power" else 0)
+
+
 class TestDeeplyNestedJson:
     """JSON nested past the parser's recursion limit is a clean input error."""
 
@@ -537,6 +648,21 @@ class TestOversizedInput:
         assert [r["exit_code"] for r in payload] == [0, 0, 0, 2, 2, 2]
         assert payload[0]["value"] == "25"
         assert payload[3:] == [{"error": error, "exit_code": 2}] * 3
+
+    def test_long_norm_exponent_is_an_input_error(self, tmp_path):
+        path = write_space(tmp_path, TWO_POINT)
+        norm = "p:" + "9" * 5000
+        error = {"error": "norm exponent of 5000 characters has too many digits"}
+        code, out, err = run_cli("dist", "power", "--space", path, "--norm", norm, "--a", '["x"]', "--b", '["y"]')
+        assert (code, err, json.loads(out)) == (1, "", error)
+        good = {"command": "dist", "functor": "power", "space": path, "a": ["x"], "b": ["y"]}
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps([good, {**good, "norm": norm}, {**good, "norm": "p:2"}]))
+        code, out, err = run_cli("batch", str(batch_path))
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert [r["exit_code"] for r in payload] == [0, 1, 0]
+        assert (payload[0]["value"], payload[1], payload[2]["value"]) == ("5", {**error, "exit_code": 1}, "25")
 
     def test_oversized_value_fails_only_its_batch_entries(self, tmp_path):
         # d and the small mass print in about 3,000 digits each; the

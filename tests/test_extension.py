@@ -24,6 +24,7 @@ from fiberdist.selftest import (
     check_naturality,
     check_operator_axioms,
     check_pseudometric_axioms,
+    extension_instances,
 )
 from fiberdist.transport import Distribution, TransportFunctor, TransportPlan, distribution
 from fiberdist.words import (
@@ -488,18 +489,22 @@ class TestWitness:
 class TestHarnesses:
     def test_extension_property_all_instances(self):
         rng = random.Random(50)
-        for functor in functor_instances():
+        for functor in extension_instances():
             space = random_metric_space(rng, 3)
             ctx = make_ctx(functor, space)
             method = "specialized" if isinstance(functor, WordsFunctor) else "generic"
             report = check_extension_property(functor, ctx, method=method)
             assert report.ok, (functor.name, report.failures)
 
-    def test_extension_property_skips_non_extension_instance(self):
+    def test_extension_property_fails_non_extension_instance(self):
+        # The 2-power lift of a constant pair is 2 d^2, not d^2: each pair of
+        # distinct points fails, and no pair is skipped.
         sp = random_metric_space(random.Random(51), 2)
         report = check_extension_property(PowerFunctor(2, PNorm(2)), sp)
-        assert report.checked == 0
-        assert report.notes
+        assert report.checked == 4
+        assert len(report.failures) == 2
+        d = sp.d(0, 1)
+        assert report.failures[0] == f"embed({sp.points[0]}), embed({sp.points[1]}): got {2 * d**2}, want {d**2}"
 
     def test_pseudometric_axioms_for_exact_instances(self):
         rng = random.Random(52)

@@ -16,6 +16,7 @@ from fiberdist.power import (
     rooted_le,
 )
 from fiberdist.sampling import random_metric_space
+from fiberdist.selftest import check_extension_property
 
 
 def two_point(d=F(3)):
@@ -231,7 +232,8 @@ class TestExtensionBehavior:
         t = sp.pair_table()
         for n in (1, 2, 3):
             functor = PowerFunctor(n, PNorm.max_norm())
-            assert functor.is_extension_instance()
+            report = check_extension_property(functor, sp)
+            assert (report.checked, report.failures) == (4, [])
             got = extend_generic(functor, sp, t, functor.embed(sp, 0), functor.embed(sp, 1))
             assert got.value == F(3)
 
@@ -239,12 +241,18 @@ class TestExtensionBehavior:
         sp = two_point()
         t = sp.pair_table()
         one = PowerFunctor(1, PNorm(2))
-        assert one.is_extension_instance()
+        report = check_extension_property(one, sp)
+        assert (report.checked, report.failures) == (4, [])
         got = extend_generic(one, sp, t, one.embed(sp, 0), one.embed(sp, 1))
         assert got.value == one.ground_form(F(3)) == F(9)
         # With two coordinates the lifted diagonal distance doubles the
-        # p-th power, so the instance must not claim the extension property.
+        # p-th power, so the extension property fails on distinct points.
         two = PowerFunctor(2, PNorm(2))
-        assert not two.is_extension_instance()
+        report = check_extension_property(two, sp)
+        assert report.checked == 4
+        assert report.failures == [
+            "embed(x), embed(y): got 18, want 9",
+            "embed(y), embed(x): got 18, want 9",
+        ]
         got = extend_generic(two, sp, t, two.embed(sp, 0), two.embed(sp, 1))
         assert got.value == 2 * F(3) ** 2
