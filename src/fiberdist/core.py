@@ -5,8 +5,10 @@ Every distance and mass this package takes or returns is a
 bit-for-bit comparisons, never tolerance checks.  Space validation and the
 generic oracles compute on the integers :func:`scale_to_integers` gives:
 the entries times their common denominator, which compare and add exactly
-as the rationals do.  Floating point shows up only in the CLI's courtesy
-decimal renderings.
+as the rationals do.  A space keeps its own integer view
+(:attr:`FiniteMetricSpace.integer_dist`), so the word solvers, which read
+it on every call, scale its distances once.  Floating point shows up only
+in the CLI's courtesy decimal renderings.
 """
 
 from __future__ import annotations
@@ -111,7 +113,12 @@ def decimal_str(x: Fraction, digits: int = 10) -> str:
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
-class FiniteMetricSpace(Value):
+class _IntegerDistSlot(Value):
+    # A slot outside FiniteMetricSpace's own __slots__, so not one of its fields.
+    __slots__ = ("_integer_dist",)
+
+
+class FiniteMetricSpace(_IntegerDistSlot):
     """Labeled points with an exact symmetric distance matrix.
 
     Instances are built through :func:`validate_space` (or the JSON loader),
@@ -136,6 +143,19 @@ class FiniteMetricSpace(Value):
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
+    @property
+    def integer_dist(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, rows)``: :func:`scale_to_integers` of the distances.
+        :func:`validate_space` keeps the view it checked; a space built
+        directly computes it on first use.  Either way it is computed once
+        per space, and it is no field: equality, hash and repr ignore it."""
+        try:
+            return self._integer_dist
+        except AttributeError:
+            view = scale_to_integers(self.dist)
+            set_field(self, "_integer_dist", view)
+            return view
+
     def pair_table(self) -> "PairTable":
         return PairTable(self.dist)
 
@@ -147,15 +167,16 @@ class FiniteMetricSpace(Value):
         }
 
 
-def scale_to_integers(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(den, rows)``: the common denominator of the entries and ``den * matrix``.
+def scale_to_integers(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)``: the common denominator of the entries and ``den * matrix``,
+    as read-only rows.
 
     Comparisons and sums of the integer rows are exactly those of the
     rational entries scaled by ``den > 0``, so exact checks and searches can
     run on ints.
     """
     den = math.lcm(*{v.denominator for row in matrix for v in row})
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+    return den, tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in matrix])
 
 
 def validate_space(
@@ -170,7 +191,8 @@ def validate_space(
     metric mode, triangle inequality) so the reported violation is
     deterministic.  After the entry types, every check runs exactly on the
     matrix scaled to integers by its common denominator; the returned space
-    keeps the caller's entries.
+    keeps the caller's entries, and that integer view as its
+    :attr:`~FiniteMetricSpace.integer_dist`.
     """
     if mode not in MODES:
         raise SpaceValidationError("mode", (mode,), f"unknown mode {mode!r}")
@@ -196,7 +218,7 @@ def validate_space(
                 raise SpaceValidationError(
                     "rational_entry", (i, j), f"d({points[i]},{points[j]}) is not an int or Fraction: {v!r}"
                 )
-    _den, m = scale_to_integers(matrix)
+    den, m = scale_to_integers(matrix)
     for i, row in enumerate(m):
         if min(row) < 0:
             j = next(j for j, v in enumerate(row) if v < 0)
@@ -210,7 +232,7 @@ def validate_space(
             )
     # Row i against column i: an earlier row already compared every j < i.
     for i, (row, col) in enumerate(zip(m, zip(*m))):
-        if row != list(col):
+        if row != col:
             j = next(j for j in range(i + 1, n) if row[j] != col[j])
             raise SpaceValidationError(
                 "asymmetric", (i, j), f"d({points[i]},{points[j]}) != d({points[j]},{points[i]})"
@@ -236,8 +258,9 @@ def validate_space(
                     (i, j, k),
                     f"d({points[i]},{points[k]}) > d({points[i]},{points[j]}) + d({points[j]},{points[k]})",
                 )
-    rows = tuple(tuple(row) for row in matrix)
-    return FiniteMetricSpace(tuple(points), rows, mode)
+    space = FiniteMetricSpace(tuple(points), tuple(tuple(row) for row in matrix), mode)
+    set_field(space, "_integer_dist", (den, m))
+    return space
 
 
 def space_from_obj(obj: dict) -> FiniteMetricSpace:

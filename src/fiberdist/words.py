@@ -46,7 +46,12 @@ provably lossless pruning (prefix feasibility and state dominance) and
 returns the minimum over that stream.  All three read one prefix model: per
 side, the reduced prefix (free) or net exponents (free-abelian), with a
 lazily built per-prefix transition table that gives, per letter, the next
-prefix and how many ``+`` and ``-`` letters it still needs.  A row puts one
+prefix and how many ``+`` and ``-`` letters it still needs.  The tables
+depend only on the side's word and the space's size and basepoint, so each
+word's tables are built once and kept for every later call, in one cache
+bounded by its prefix entries (:data:`_TABLES_LIMIT`); the integer costs are
+the space's own :attr:`~fiberdist.core.FiniteMetricSpace.integer_dist`, also
+computed once.  A row puts one
 sign on both sides, so a prefix pair needs at least the larger side's count
 of each sign in rows; the DAG and both searches cut every pair that cannot
 finish within the cap, as no representation passes through it.  The DAG,
@@ -64,7 +69,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import transport  # by module, so a tracer that patches kantorovich sees these calls
-from .core import FiniteMetricSpace, ParseError, Value, scale_to_integers, set_field
+from .core import FiniteMetricSpace, ParseError, Value, set_field
 from .extension import (
     GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult,
     FiberCapExceeded, Functor, WitnessError, extend_generic,
@@ -173,6 +178,13 @@ class ProperRepresentationPair(Value):
         return tuple((b, s) for _a, b, s in self.rows)
 
 
+def _clear_at_limit(cache: dict, size: int, limit: int) -> None:
+    """Empty ``cache`` once ``size``, what it holds, has reached ``limit``:
+    the one rule that bounds this module's shared tables."""
+    if size >= limit:
+        cache.clear()
+
+
 # Equal rows, witnesses and values of word answers are one shared object
 # each, so a caller that keeps many answers holds each of them once.  The
 # table is emptied when it reaches _SHARED_LIMIT entries, which bounds it.
@@ -181,8 +193,7 @@ _SHARED_LIMIT = 1 << 15
 
 
 def _shared(item):
-    if len(_SHARED) >= _SHARED_LIMIT:
-        _SHARED.clear()
+    _clear_at_limit(_SHARED, len(_SHARED), _SHARED_LIMIT)
     return _SHARED.setdefault(item, item)
 
 
@@ -291,7 +302,10 @@ class _PrefixTables(dict):
     computed from scratch; each letter changes one of its counts by one, so
     its entry follows in O(1).  Every row puts one sign on both sides, so a
     pair of prefixes needs at least max(p_L, p_R) + max(q_L, q_R) more rows.
-    Tables live for one stream or one search.
+    The tables are a pure function of the target word and the pointed
+    space's size and basepoint, so :func:`_prefix_tables` keeps one per word
+    for every call, and each entry counts towards :data:`_TABLES_LIMIT`.
+    Readers never change an entry.
     """
 
     __slots__ = ("target", "_table", "_letters", "_e")
@@ -303,19 +317,51 @@ class _PrefixTables(dict):
         self._e = e
 
     def __missing__(self, prefix: tuple) -> list[tuple[tuple, int, int]]:
+        cache = _TABLES
+        _clear_at_limit(cache, cache.entries, _TABLES_LIMIT)
+        cache.entries += 1
         table = self[prefix] = self._table(prefix, self.target, self._letters, self._e)
         return table
 
 
-def _prefix_tables(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> tuple[_PrefixTables, _PrefixTables]:
-    """Left and right prefix tables for representations of ``(a, b)``."""
-    table, target = (_net_table, _net_of) if a.commutative else (_free_table, tuple)
-    letters = [(x, s) for x in range(pointed.n) for s in (1, -1)]  # in letter-code order
-    e = pointed.basepoint
-    return (
-        _PrefixTables(target(a.letters), table, letters, e),
-        _PrefixTables(target(b.letters), table, letters, e),
-    )
+class _TableCache(dict):
+    """Each word's :class:`_PrefixTables`, by (letters, commutative, n,
+    basepoint).  One word's tables grow with every prefix a call reaches, so
+    the cache is bounded by prefix entries, not by words: ``entries`` counts
+    those added since it was last emptied, including any added to tables
+    that a running call still holds after that."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.entries = 0
+
+
+# Emptied when its entries reach _TABLES_LIMIT, which bounds it; an entry
+# takes about 1 kB on three points.
+_TABLES = _TableCache()
+_TABLES_LIMIT = 1 << 12
+
+
+def _prefix_tables(a: GroupWord, b: GroupWord, pointed: PointedSpace) -> list[_PrefixTables]:
+    """Left and right prefix tables for representations of ``(a, b)``: each
+    word's own, shared by every call on that word over a space of the same
+    size and basepoint."""
+    n, e = pointed.n, pointed.basepoint
+    sides = []
+    for word in (a, b):
+        key = (word.letters, word.commutative, n, e)
+        tables = _TABLES.get(key)
+        if tables is None:
+            table, target = (_net_table, _net_of) if word.commutative else (_free_table, tuple)
+            letters = [(x, s) for x in range(n) for s in (1, -1)]  # in letter-code order
+            tables = _TABLES[key] = _PrefixTables(target(word.letters), table, letters, e)
+        sides.append(tables)
+    return sides
 
 
 # Above this many states, a representation DAG, a generic fold over it, or a
@@ -534,7 +580,7 @@ def graev_distance(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    denom, idist = scale_to_integers(pointed.space.dist)
+    denom, idist = pointed.space.integer_dist
     swier = variant == SWIERCZKOWSKI
     bound = 0
     if swier:
@@ -553,7 +599,9 @@ def graev_distance(
     return _search(a, b, pointed, swier, cap, denom, idist, bound)
 
 
-def _free_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: list[list[int]]) -> tuple[int, list]:
+def _free_graev(
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: Sequence[Sequence[int]]
+) -> tuple[int, list]:
     """Least integer cost of a representation of free words, and its rows.
 
     With the common prefix p stripped (a = p a', b = p b'), the Graev norm
@@ -633,7 +681,7 @@ def _free_graev(a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: list[l
 
 
 def _abelian_graev(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, denom: int, idist: list[list[int]]
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, denom: int, idist: Sequence[Sequence[int]]
 ) -> tuple[int | Fraction, list]:
     """Least cost of a representation of free-abelian words on the integer
     costs ``idist`` (the distances times ``denom``), and its rows.
@@ -943,7 +991,7 @@ def search_word_distance(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    denom, idist = scale_to_integers(pointed.space.dist)
+    denom, idist = pointed.space.integer_dist
     return _search(a, b, pointed, variant == SWIERCZKOWSKI, cap, denom, idist)
 
 

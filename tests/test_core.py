@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fiberdist import core
 from fiberdist.core import (
     FiniteMetricSpace,
     PairTable,
@@ -139,6 +140,27 @@ class TestValidateSpace:
         sp = two_point()
         again = validate_space(sp.points, sp.dist, sp.mode)
         assert again == sp
+
+    def test_integer_view_is_kept_once(self, monkeypatch):
+        scalings = []
+        original = core.scale_to_integers
+        monkeypatch.setattr(core, "scale_to_integers", lambda matrix: scalings.append(matrix) or original(matrix))
+        mat = [[F(0), F(1, 2), F(2, 3)], [F(1, 2), F(0), F(1, 3)], [F(2, 3), F(1, 3), F(0)]]
+        sp = validate_space(["a", "b", "c"], mat, "metric")
+        want = (6, ((0, 3, 4), (3, 0, 2), (4, 2, 0)))
+        assert original(sp.dist) == want
+        assert sp.integer_dist == want and sp.integer_dist is sp.integer_dist
+        assert len(scalings) == 1  # validation's own, kept
+        built = FiniteMetricSpace(sp.points, sp.dist, sp.mode)
+        assert built.integer_dist == want and built.integer_dist is built.integer_dist
+        assert len(scalings) == 2  # on first use, once
+        # The view is no field: a space that has not computed it is equal,
+        # with the same hash and repr.
+        bare = FiniteMetricSpace(sp.points, sp.dist, sp.mode)
+        assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+        assert len(scalings) == 2
+        with pytest.raises(TypeError):
+            built.integer_dist[1][0][1] = 5
 
     def test_relabeling_invariance(self):
         rng = random.Random(9)

@@ -31,7 +31,10 @@ def _assert_words_suite_fails() -> None:
 
 
 def test_words_suite_catches_an_over_pruning_search(monkeypatch):
-    # Every side's need over-counts both signs.
+    # Every side's need over-counts both signs.  The mutant builds its own
+    # prefix tables: it must not read tables built before it, nor leave its
+    # own to later tests.
+    monkeypatch.setattr(words, "_TABLES", words._TableCache())
     free_need, net_need = words._free_need, words._net_need
     double = lambda need: lambda prefix, target: tuple(2 * k for k in need(prefix, target))
     monkeypatch.setattr(words, "_free_need", double(free_need))

@@ -428,6 +428,74 @@ class TestDistances:
             graev_distance(a, b, ctx)
 
 
+def counting_table_builds(monkeypatch) -> list:
+    """Start from an empty table cache and record the (prefix, target) of
+    every prefix table built from then on."""
+    builds = []
+    monkeypatch.setattr(words, "_TABLES", words._TableCache())
+    for name in ("_free_table", "_net_table"):
+        build = getattr(words, name)
+        counted = lambda prefix, target, *rest, build=build: (
+            builds.append((prefix, target)) or build(prefix, target, *rest)
+        )
+        monkeypatch.setattr(words, name, counted)
+    return builds
+
+
+def table_users(a, b, pointed):
+    """A call of each solver that reads prefix tables: the search, the
+    forest A* behind an exact Swierczkowski answer, and the DAG fold."""
+    functor = WordsFunctor("swierczkowski", a.commutative)
+    return [
+        lambda: search_word_distance(a, b, pointed, "graev"),
+        lambda: search_word_distance(a, b, pointed, "swierczkowski"),
+        lambda: graev_distance(a, b, pointed, "swierczkowski"),
+        lambda: functor.fiber_minimum(a, b, pointed, pointed.space.pair_table(), False),
+    ]
+
+
+class TestSharedPrefixTables:
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_calls_that_share_a_word_build_its_tables_once(self, ctx, monkeypatch, commutative):
+        builds = counting_table_builds(monkeypatch)
+        a, b = word(ctx, [(1, 1), (2, -1)], commutative), word(ctx, [(2, 1)], commutative)
+        calls = table_users(a, b, ctx)
+        first = [call() for call in calls]
+        assert builds and len(set(builds)) == len(builds)
+        built = len(builds)
+        assert [call() for call in calls] == first
+        # b again, against another word: its tables are not built again.
+        other = word(ctx, [(1, -1)], commutative)
+        assert search_word_distance(b, other, ctx).value == graev_distance(b, other, ctx).value
+        assert len(set(builds)) == len(builds) > built
+        assert [call() for call in calls] == first
+
+    def test_the_cache_holds_at_most_its_limit_of_prefixes(self, monkeypatch):
+        rng = random.Random(12)
+        pointed = PointedSpace(random_metric_space(rng, 4), 0)
+        cases = [
+            (random_word(rng, pointed, 3, commutative), random_word(rng, pointed, 3, commutative))
+            for commutative in (False, True)
+            for _ in range(6)
+        ]
+        builds = counting_table_builds(monkeypatch)
+        unbounded = [[call() for call in table_users(a, b, pointed)] for a, b in cases]
+        limit = 20
+        assert len(set(builds)) > 4 * limit
+        monkeypatch.setattr(words, "_TABLES", words._TableCache())
+        monkeypatch.setattr(words, "_TABLES_LIMIT", limit)
+        held = []  # the prefixes the cache holds as each table is built
+        for name in ("_free_table", "_net_table"):
+            build = getattr(words, name)
+            watched = lambda *args, build=build: held.append(sum(map(len, words._TABLES.values()))) or build(*args)
+            monkeypatch.setattr(words, name, watched)
+        builds_before = len(builds)
+        assert [[call() for call in table_users(a, b, pointed)] for a, b in cases] == unbounded
+        assert held and max(held) < limit  # and the new entry makes at most the limit
+        assert sum(map(len, words._TABLES.values())) <= limit
+        assert len(builds) - builds_before > len(set(builds))  # the bound made it build again
+
+
 def padded_abelian_graev(a, b, pointed):
     """Value and rows of the padded ``kantorovich`` plan of free-abelian
     words: residual units (side, x, sign) per point, basepoint mass padding
