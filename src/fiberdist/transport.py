@@ -1,22 +1,27 @@
 """Finitely supported probability measures and exact optimal transport.
 
-The Kantorovich distance is solved by successive shortest paths on a small
-bipartite network with exact rational arithmetic: no scaling, no epsilons,
-no degeneracy pivot rules.  Each augmentation pushes the bottleneck
-residual of a shortest path, and that bottleneck may be the reverse of a
-middle arc (flow sent earlier and now withdrawn), so the number of rounds
-is not bounded by the support size m + n, and some instances take more.
-The loop ends because every residual stays a multiple of 1/D, where D is
-the common denominator of the masses: each round pushes at least 1/D of
-the unit total, so there are at most D rounds.  Shortest paths are found
-by Bellman-Ford over a fixed arc order, which keeps witnesses
-deterministic.
-The last round's shortest distances are the dual potentials: every node is
-reachable in that round, and pushing along a shortest path keeps every
-residual reduced cost nonnegative, so they certify the final plan.
-``Functor.check_witness`` checks the plan (its marginals and its value) and
-``dual_certificate`` the potentials, in O(mn); both raise ``WitnessError``
-when they fail, as every broken solver invariant does.
+One exact flow kernel, :func:`min_cost_flow`, solves every transport
+problem by successive shortest paths on a small bipartite network: no
+scaling, no epsilons, no degeneracy pivot rules.  It reads index arrays (a
+grid of costs, a supply list, a demand list) in whatever exact numbers it
+is given.  :func:`kantorovich` passes ``Fraction`` masses and costs; the
+free-abelian Graev norm in :mod:`fiberdist.words` passes integer unit
+counts and the space's integer costs.  Each augmentation pushes the
+bottleneck residual of a shortest path, which may be the reverse of a
+middle arc (flow sent earlier and now withdrawn), so the rounds are not
+bounded by m + n.  The loop ends because every residual stays a multiple
+of 1/D, D the common denominator of the supplies (1 for integers): each
+round pushes at least 1/D.  Shortest paths are found by Bellman-Ford over a
+fixed arc order, which keeps witnesses deterministic; as the kernel only
+adds, compares and takes minima, data scaled by positive constants takes
+the same paths to the same flow, scaled.  The last round's shortest
+distances are the dual potentials: every node is reachable in that round,
+and pushing along a shortest path keeps every residual reduced cost
+nonnegative, so they certify the final flow.  ``dual_certificate`` checks
+them in O(mn) for both callers, and each caller checks its own witness
+(the plan, or the word representation) with ``Functor.check_witness``;
+both raise ``WitnessError`` when they fail, as every broken solver
+invariant does.
 
 The independent oracle lists the vertices of the transportation polytope,
 which is exhaustive for minimizing any linear lift.  They are the
@@ -31,7 +36,8 @@ minimum orders only the vertices tied at it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import PairTable, ParseError, Value, format_scalar, parse_scalar, scale_to_integers, set_field
 from .extension import (
@@ -131,78 +137,49 @@ class KantorovichResult(Value):
         self._set(value, plan, dual_row, dual_col)
 
 
-def dual_certificate(
-    table: PairTable,
-    mu: Distribution,
-    nu: Distribution,
-    plan: TransportPlan,
-    value: Fraction,
-    dual_row: dict[int, Fraction],
-    dual_col: dict[int, Fraction],
-) -> None:
-    """Check that the potentials certify ``plan`` as optimal with ``value``.
-
-    The potentials must be feasible (v_j - u_i <= d(i, j) on every support
-    pair) and tight on the plan's support, and the dual value
-    sum v_j nu_j - sum u_i mu_i must equal ``value``; by weak duality no plan
-    then costs less.  That the plan lies over (mu, nu) and costs ``value``
-    is :meth:`Functor.check_witness`'s part.  Raises ``WitnessError`` naming
-    the first check that fails.
+def min_cost_flow(costs: Sequence[Sequence], supply: Sequence, demand: Sequence) -> tuple:
+    """Least-cost flow from the positive ``supply`` onto the positive
+    ``demand`` (of equal sums) over the grid ``costs`` (m rows of n), in
+    ints or Fractions: ``(value, flow, row_potentials, col_potentials)``.
+    ``flow`` maps each cell ``(a, b)`` of positive flow to its amount, on a
+    support with no cycle (at most m + n - 1 cells), and the potentials are
+    the last round's shortest distances, for :func:`dual_certificate`.
     """
-    for i in mu.support:
-        for j in nu.support:
-            if dual_col[j] - dual_row[i] > table((i, j)):
-                raise WitnessError(f"dual potentials infeasible at ({i}, {j})")
-    for i, j in plan.support:
-        if dual_col[j] - dual_row[i] != table((i, j)):
-            raise WitnessError(f"complementary slackness fails at ({i}, {j})")
-    dual_value = integrate(dual_col.__getitem__, nu) - integrate(dual_row.__getitem__, mu)
-    if dual_value != value:
-        raise WitnessError(f"dual value {dual_value} differs from the transport value {value}")
-
-
-def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> KantorovichResult:
-    """Exact optimal transport between mu and nu under the given cost table.
-
-    Returns the optimal value, an optimal plan with support at most
-    m + n - 1 (cost-neutral support cycles are cancelled), and feasible dual
-    potentials satisfying exact complementary slackness.
-    """
-    for total in (sum(w for _, w in mu.items()), sum(w for _, w in nu.items())):
-        if total != 1:
-            raise UnbalancedMassError(f"marginal sums to {total}, expected exactly 1")
-    rows = mu.support
-    cols = nu.support
-    m, n = len(rows), len(cols)
+    m, n = len(supply), len(demand)
+    zero = 0 * costs[0][0]  # in the costs' arithmetic, so every potential is too
+    total = sum(supply)
     # Node ids: 0 = source, 1..m supplies, m+1..m+n demands, m+n+1 = sink.
+    # Arc k ^ 1 is arc k's reverse; arcs are relaxed in the order added.
     source, sink = 0, m + n + 1
-    big = 1 + sum(w for _, w in mu.items())
+    big = total + 1
+    tails, heads, residual, cost = [], [], [], []
 
-    arcs: list[list] = []  # [tail, head, residual, cost]; arc k^1 is k's reverse
+    def add_arc(u, v, cap, c):
+        tails.extend((u, v))
+        heads.extend((v, u))
+        residual.extend((cap, 0))
+        cost.extend((c, -c))
 
-    def add_arc(u, v, cap, cost):
-        arcs.append([u, v, cap, cost])
-        arcs.append([v, u, Fraction(0), -cost])
+    for a, w in enumerate(supply):
+        add_arc(source, 1 + a, w, zero)
+    for b, w in enumerate(demand):
+        add_arc(m + 1 + b, sink, w, zero)
+    for a, row in enumerate(costs):
+        for b, c in enumerate(row):
+            add_arc(1 + a, m + 1 + b, big, c)
 
-    for a, (_, w) in enumerate(mu.items()):
-        add_arc(source, 1 + a, w, Fraction(0))
-    for b, (_, w) in enumerate(nu.items()):
-        add_arc(m + 1 + b, sink, w, Fraction(0))
-    for a, (i, _) in enumerate(mu.items()):
-        for b, (j, _) in enumerate(nu.items()):
-            add_arc(1 + a, m + 1 + b, big, table((i, j)))
-
+    arcs = list(enumerate(zip(tails, heads, cost)))
     node_count = m + n + 2
-    remaining = Fraction(1)
+    remaining = total
     while remaining > 0:
         dist = [None] * node_count
         parent_arc = [-1] * node_count
-        dist[source] = Fraction(0)
+        dist[source] = zero
         for _ in range(node_count - 1):
             changed = False
-            for k, (u, v, residual, cost) in enumerate(arcs):
-                if residual > 0 and dist[u] is not None:
-                    cand = dist[u] + cost
+            for k, (u, v, c) in arcs:
+                if residual[k] > 0 and dist[u] is not None:
+                    cand = dist[u] + c
                     if dist[v] is None or cand < dist[v]:
                         dist[v] = cand
                         parent_arc[v] = k
@@ -216,46 +193,85 @@ def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> Kantoro
         while v != source:
             k = parent_arc[v]
             path.append(k)
-            v = arcs[k][0]
-        push = min(min(arcs[k][2] for k in path), remaining)
+            v = tails[k]
+        push = min(min(residual[k] for k in path), remaining)
         for k in path:
-            arcs[k][2] -= push
-            arcs[k ^ 1][2] += push
+            residual[k] -= push
+            residual[k ^ 1] += push
         remaining -= push
 
-    flow: dict[tuple[int, int], Fraction] = {}
-    value = Fraction(0)
-    for a, (i, _) in enumerate(mu.items()):
-        for b, (j, _) in enumerate(nu.items()):
-            k = 2 * (m + n) + 2 * (a * n + b)
-            pushed = arcs[k ^ 1][2]
+    flow = {}
+    value = 0
+    k = 2 * (m + n) + 1  # the reverse of the first grid arc
+    for a, row in enumerate(costs):
+        for b, c in enumerate(row):
+            pushed = residual[k]
             if pushed > 0:
-                flow[(i, j)] = pushed
-                value += pushed * table((i, j))
+                flow[(a, b)] = pushed
+                value += pushed * c
+            k += 2
+    flow = _cancel_support_cycles(flow, costs)
+    return value, flow, dist[1 : m + 1], dist[m + 1 : m + n + 1]
 
-    flow = _cancel_support_cycles(flow, table)
-    plan = transport_plan(flow)
+
+def dual_certificate(costs, supply, demand, flow, value, row_potentials, col_potentials) -> None:
+    """Check that :func:`min_cost_flow`'s potentials certify its ``flow`` as
+    least-cost with ``value``, on the same index arrays.
+
+    The potentials must be feasible (v_b - u_a <= costs[a][b] on every cell)
+    and tight on the flow's support, and the dual value
+    sum v_b demand_b - sum u_a supply_a must equal ``value``; by weak duality
+    no flow then costs less.  That the flow meets the supplies and demands
+    at cost ``value`` is each caller's :meth:`Functor.check_witness`.
+    Raises ``WitnessError`` naming the first check that fails.
+    """
+    for a, (u, row) in enumerate(zip(row_potentials, costs)):
+        for b, (v, c) in enumerate(zip(col_potentials, row)):
+            if v - u > c:
+                raise WitnessError(f"dual potentials infeasible at ({a}, {b})")
+    for a, b in sorted(flow):
+        if col_potentials[b] - row_potentials[a] != costs[a][b]:
+            raise WitnessError(f"complementary slackness fails at ({a}, {b})")
+    dual_value = sum(map(mul, col_potentials, demand)) - sum(map(mul, row_potentials, supply))
+    if dual_value != value:
+        raise WitnessError(f"dual value {dual_value} differs from the transport value {value}")
+
+
+def kantorovich(table: PairTable, mu: Distribution, nu: Distribution) -> KantorovichResult:
+    """Exact optimal transport between mu and nu under the given cost table.
+
+    Returns the optimal value, an optimal plan with support at most
+    m + n - 1 (cost-neutral support cycles are cancelled), and feasible dual
+    potentials satisfying exact complementary slackness: those of
+    :func:`min_cost_flow` on the rational masses and costs, checked.
+    """
+    for total in (sum(w for _, w in mu.items()), sum(w for _, w in nu.items())):
+        if total != 1:
+            raise UnbalancedMassError(f"marginal sums to {total}, expected exactly 1")
+    rows, supply = zip(*mu.items())
+    cols, demand = zip(*nu.items())
+    costs = [[table((i, j)) for j in cols] for i in rows]
+    value, flow, dual_row, dual_col = min_cost_flow(costs, supply, demand)
+    plan = transport_plan({(rows[a], cols[b]): w for (a, b), w in flow.items()})
     TransportFunctor().check_witness(None, table, mu, nu, plan, value)
-    dual_row = {i: dist[1 + a] for a, i in enumerate(rows)}
-    dual_col = {j: dist[m + 1 + b] for b, j in enumerate(cols)}
-    dual_certificate(table, mu, nu, plan, value, dual_row, dual_col)
-    return KantorovichResult(value, plan, dual_row, dual_col)
+    dual_certificate(costs, supply, demand, flow, value, dual_row, dual_col)
+    return KantorovichResult(value, plan, dict(zip(rows, dual_row)), dict(zip(cols, dual_col)))
 
 
-def _cancel_support_cycles(flow: dict[tuple[int, int], Fraction], table: PairTable) -> dict:
-    """Push mass around cost-neutral support cycles until the support is a
+def _cancel_support_cycles(flow: dict[tuple[int, int], object], costs: Sequence[Sequence]) -> dict:
+    """Push flow around cost-neutral support cycles until the support is a
     forest, guaranteeing the basic-solution support bound m + n - 1."""
     while True:
         cycle = _find_support_cycle(flow)
         if cycle is None:
             return flow
         signed = [(cell, 1 if idx % 2 == 0 else -1) for idx, cell in enumerate(cycle)]
-        alt_cost = sum(sign * table(cell) for cell, sign in signed)
+        alt_cost = sum(sign * costs[a][b] for (a, b), sign in signed)
         if alt_cost != 0:
             raise WitnessError("support cycle with nonzero alternating cost in an optimal plan")
         delta = min(flow[cell] for cell, sign in signed if sign < 0)
         for cell, sign in signed:
-            flow[cell] = flow.get(cell, Fraction(0)) + sign * delta
+            flow[cell] = flow.get(cell, 0) + sign * delta
             if flow[cell] == 0:
                 del flow[cell]
 

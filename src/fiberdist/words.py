@@ -15,14 +15,14 @@ reduced length plus two).
 ``graev_distance`` answers both variants exactly whenever a witness
 attaining a cap-free lower bound fits the cap.  For Graev, the bound is the
 value itself: an interval program over non-crossing matchings for free
-words, and the Arens-Eells norm for free-abelian words (a padded
-``kantorovich`` transport, or the forced plan to or from the basepoint when
-the residual exponents share a sign), each with a witness of at most
-|a|+|b| rows.  For
-Swierczkowski, the bound is the least summed Steiner-tree cost over the
-partitions of the words' points that make the two words equal once each
-block is one letter, and the witness is the shortest representation on one
-cheapest forest's edges.  Every such witness is checked by
+words, and the Arens-Eells norm for free-abelian words (a padded transport
+of integer unit counts, solved by ``kantorovich``'s flow kernel on the
+integer costs, or the forced plan to or from the basepoint when the
+residual exponents share a sign), each with a witness of at most |a|+|b|
+rows.  For Swierczkowski, the bound is the least summed Steiner-tree cost
+over the partitions of the words' points that make the two words equal once
+each block is one letter, and the witness is the shortest representation on
+one cheapest forest's edges.  Every such witness is checked by
 :meth:`~fiberdist.extension.Functor.check_witness`: it must lift to the value
 on the integer costs and its two sides must reduce to the two words.  The
 other calls (a witness longer than the cap, or none found) go to
@@ -68,7 +68,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import transport  # by module, so a tracer that patches kantorovich sees these calls
+from . import transport  # by module, so a tracer or test that patches the flow kernel sees these calls
 from .core import FiniteMetricSpace, ParseError, Value, set_field
 from .extension import (
     GRAEV, SWIERCZKOWSKI, VARIANTS, ComputeError, ElementDomainError, EmptyFiberError, ExtensionResult,
@@ -587,7 +587,7 @@ def graev_distance(
         bound, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
         cost = bound
     elif a.commutative:
-        cost, rows = _abelian_graev(a, b, pointed, denom, idist)
+        cost, rows = _abelian_graev(a, b, pointed, idist)
     else:
         cost, rows = _free_graev(a, b, pointed, idist)
     if rows is not None:
@@ -681,20 +681,21 @@ def _free_graev(
 
 
 def _abelian_graev(
-    a: GroupWord, b: GroupWord, pointed: PointedSpace, denom: int, idist: Sequence[Sequence[int]]
-) -> tuple[int | Fraction, list]:
+    a: GroupWord, b: GroupWord, pointed: PointedSpace, idist: Sequence[Sequence[int]]
+) -> tuple[int, list]:
     """Least cost of a representation of free-abelian words on the integer
-    costs ``idist`` (the distances times ``denom``), and its rows.
+    costs ``idist``, and its rows.
 
     Shared exponents pair at no cost.  What is left, c = net(b) - net(a),
     has the Arens-Eells norm: the least cost of moving c+ onto c-, with the
     basepoint able to give or take any amount (Weaver, *Lipschitz
     Algebras*).  When c is one-signed, every unit goes to or from the
     basepoint, and the rows are written directly.  Otherwise, with
-    K = |c+| + |c-|, padding each side with basepoint mass up to K makes that
-    a balanced transport problem, solved by ``kantorovich`` on masses divided
-    by K.  Each unit of the integral plan K*pi spends one residual letter at
-    each end that is not the basepoint.
+    K = |c+| + |c-|, padding each side with basepoint units up to K makes
+    that a balanced transport problem on integer unit counts, solved by
+    :func:`~fiberdist.transport.min_cost_flow` on the ``idist`` rows of the
+    residual points and certified by its potentials.  Each unit of the flow
+    spends one residual letter at each end that is not the basepoint.
     """
     e = pointed.basepoint
     net_a, net_b = dict(_net_of(a.letters)), dict(_net_of(b.letters))
@@ -724,25 +725,25 @@ def _abelian_graev(
                 rows += _unit_rows([units.pop()], e)
                 cost += idist[x][e]
         return cost, rows
-    total = sum(map(len, plus.values())) + sum(map(len, minus.values()))
-    supply = {x: Fraction(len(units), total) for x, units in plus.items()}
-    demand = {x: Fraction(len(units), total) for x, units in minus.items()}
-    supply[e] = 1 - sum(supply.values())
-    demand[e] = 1 - sum(demand.values())
-    solved = transport.kantorovich(
-        pointed.space.pair_table(), transport.distribution(supply), transport.distribution(demand)
-    )
-    for (x, y), mass in solved.plan.items():
+    # The basepoint is no residual point, and each side's padding is the
+    # other side's residual count, so every supply and demand is positive.
+    sources, sinks = sorted([*plus, e]), sorted([*minus, e])
+    supply = [len(plus[x]) if x != e else sum(map(len, minus.values())) for x in sources]
+    demand = [len(minus[y]) if y != e else sum(map(len, plus.values())) for y in sinks]
+    costs = [[idist[x][y] for y in sinks] for x in sources]
+    cost, flow, row_potentials, col_potentials = transport.min_cost_flow(costs, supply, demand)
+    transport.dual_certificate(costs, supply, demand, flow, cost, row_potentials, col_potentials)
+    for (i, j), units in sorted(flow.items()):
+        x, y = sources[i], sinks[j]
         if x == y == e:
             continue
-        units = mass * total
-        if units.denominator != 1:
-            raise WitnessError(f"transport plan moves {units} units from {x} to {y}, not a whole number")
-        for _ in range(units.numerator):
-            ends = [plus[x].pop() for _ in range(x != e)] + [minus[y].pop() for _ in range(y != e)]
+        for _ in range(units):
+            try:
+                ends = [plus[x].pop() for _ in range(x != e)] + [minus[y].pop() for _ in range(y != e)]
+            except IndexError:
+                raise WitnessError(f"transport flow moves more units from {x} to {y} than c holds") from None
             rows += _unit_rows(ends, e)
-    # Whole units (checked above) at integer costs: an integral Fraction.
-    return solved.value * total * denom, rows
+    return cost, rows
 
 
 def _unit_rows(ends: list, e: int) -> list[tuple[int, int, int]]:

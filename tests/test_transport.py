@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fiberdist.core import PairTable, validate_space
+from fiberdist.core import PairTable, scale_to_integers, validate_space
 from fiberdist.extension import WitnessError, extend_generic, first_minimum
 from fiberdist.sampling import random_distribution, random_metric_space, random_pseudometric_table
 from fiberdist.transport import (
@@ -15,9 +15,11 @@ from fiberdist.transport import (
     TransportFunctor,
     UnbalancedMassError,
     distribution,
+    dual_certificate,
     fiber_vertices,
     integrate,
     kantorovich,
+    min_cost_flow,
     point_mass,
     transport_plan,
 )
@@ -50,9 +52,9 @@ def off_by_one_potential(monkeypatch):
 
     certify = transport.dual_certificate
 
-    def shifted(table, mu, nu, plan, value, dual_row, dual_col):
-        first = min(dual_row)
-        certify(table, mu, nu, plan, value, {**dual_row, first: dual_row[first] + 1}, dual_col)
+    def shifted(costs, supply, demand, flow, value, row_potentials, col_potentials):
+        raised = [row_potentials[0] + 1, *row_potentials[1:]]
+        certify(costs, supply, demand, flow, value, raised, col_potentials)
 
     monkeypatch.setattr(transport, "dual_certificate", shifted)
 
@@ -127,7 +129,8 @@ class TestKantorovich:
     def test_plan_value_mismatch_raises(self, monkeypatch):
         from fiberdist import transport
 
-        def shifted(flow, table):
+        # Both supports are {0, 1}, so grid cells are point pairs here.
+        def shifted(flow, costs):
             return {(i, 1 - j): w for (i, j), w in flow.items()}
 
         monkeypatch.setattr(transport, "_cancel_support_cycles", shifted)
@@ -193,10 +196,13 @@ class TestKantorovich:
 
     def test_moved_plan_cell_fails_the_certificate(self, monkeypatch):
         # d(0, 1) = 0, so moving the plan's one cell from (0, 1) to (0, 0)
-        # keeps its cost and breaks only the column marginal.
+        # keeps its cost and breaks only the column marginal.  The solver's
+        # grid has the one cell of the supports {0} x {1}, so the move is
+        # made where its flow becomes a plan on point pairs.
         from fiberdist import transport
 
-        monkeypatch.setattr(transport, "_cancel_support_cycles", lambda flow, table: {(0, 0): flow[(0, 1)]})
+        plan_of = transport.transport_plan
+        monkeypatch.setattr(transport, "transport_plan", lambda flow: plan_of({(0, 0): flow[(0, 1)]}))
         table = PairTable([[F(0), F(0), F(1)], [F(0), F(0), F(1)], [F(1), F(1), F(0)]])
         with pytest.raises(WitnessError, match="marginals"):
             kantorovich(table, point_mass(0), point_mass(1))
@@ -402,6 +408,66 @@ def test_fiber_minimum_matches_the_ranked_stream(m, n):
                 assert functor.fiber_minimum(mu, nu, None, rank, stop_at_zero) == (best, plan, count)
 
 
+class TestFlowKernelScaling:
+    """The kernel on integers: what ``kantorovich`` would run once its masses
+    and costs are scaled to integers.  On costs times den and masses times D
+    it must return exactly the rational run, scaled: value times D * den, flow
+    times D and potentials times den, all ints, and its potentials must pass
+    the certificate on the integer data."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(26)
+        for k in range(300):
+            n = rng.randint(1, 8)
+            kind = k % 3
+            if kind == 0:
+                table = random_metric_space(rng, n, den_max=rng.randint(1, 6)).pair_table()
+            elif kind == 1:
+                table = random_pseudometric_table(rng, n, zero_prob=0.5)
+            else:  # nonnegative, zero diagonal, triangle inequality not required
+                costs = [[F(rng.randint(0, 9), rng.randint(1, 3)) for _j in range(n)] for _i in range(n)]
+                table = PairTable([[F(0) if i == j else c for j, c in enumerate(row)] for i, row in enumerate(costs)])
+            shape = k % 5
+            if shape == 0:  # degenerate: uniform masses on equal-size supports
+                size = rng.randint(1, n)
+                mu, nu = (distribution({i: F(1, size) for i in rng.sample(range(n), size)}) for _ in range(2))
+            elif shape == 1:
+                mu, nu = point_mass(rng.randrange(n)), random_distribution(rng, n, support_max=8)
+            elif shape == 2:
+                mu, nu = random_distribution(rng, n, support_max=8), point_mass(rng.randrange(n))
+            else:
+                mu, nu = (random_distribution(rng, n, support_max=8, den_max=12) for _ in range(2))
+            yield table, mu, nu
+
+    def test_integer_run_is_the_rational_run_scaled(self):
+        seen = set()
+        for table, mu, nu in self.instances():
+            supply = [w for _i, w in mu.items()]
+            demand = [w for _j, w in nu.items()]
+            costs = [[table((i, j)) for j in nu.support] for i in mu.support]
+            mass_den, (int_supply, int_demand) = scale_to_integers([supply, demand])
+            cost_den, int_costs = scale_to_integers(costs)
+            value, flow, rows, cols = min_cost_flow(costs, supply, demand)
+            int_value, int_flow, int_rows, int_cols = min_cost_flow(int_costs, int_supply, int_demand)
+            assert int_value == value * mass_den * cost_den
+            assert int_flow == {cell: w * mass_den for cell, w in flow.items()}
+            assert list(int_flow) == list(flow)
+            assert int_rows == [u * cost_den for u in rows] and int_cols == [v * cost_den for v in cols]
+            numbers = [int_value, *int_flow.values(), *int_rows, *int_cols]
+            assert all(type(x) is int for x in numbers)
+            dual_certificate(int_costs, int_supply, int_demand, int_flow, int_value, int_rows, int_cols)
+            if min(len(mu.support), len(nu.support)) == 1:
+                seen.add("one-point support")
+            if len(set(supply + demand)) == 1 and len(supply) > 1:
+                seen.add("uniform masses")
+            if any(table((i, j)) == 0 for i in mu.support for j in nu.support if i != j):
+                seen.add("zero off-diagonal cost")
+            if any(table((i, k)) > table((i, j)) + table((j, k)) for i, j, k in itertools.permutations(range(table.n), 3)):
+                seen.add("triangle inequality broken")
+        assert len(seen) == 4
+
+
 class TestSolverVsOracle:
     def test_sampled_instances(self):
         rng = random.Random(77)
@@ -482,7 +548,7 @@ class TestSupportCycleCancellation:
             (1, 0): F(1, 4),
             (1, 1): F(1, 4),
         }
-        reduced = _cancel_support_cycles(dict(flow), flat)
+        reduced = _cancel_support_cycles(dict(flow), flat.values)
         assert len(reduced) <= 3
         assert sum(reduced.values()) == 1
         rows = {}
@@ -505,7 +571,7 @@ class TestSupportCycleCancellation:
             (1, 1): F(1, 4),
         }
         with pytest.raises(RuntimeError):
-            _cancel_support_cycles(dict(flow), skew)
+            _cancel_support_cycles(dict(flow), skew.values)
 
     def test_forest_flow_untouched(self):
         from fiberdist.core import PairTable
@@ -513,7 +579,7 @@ class TestSupportCycleCancellation:
 
         table = PairTable([[F(1), F(2)], [F(1), F(1)]])
         flow = {(0, 0): F(1, 2), (1, 0): F(1, 4), (1, 1): F(1, 4)}
-        assert _cancel_support_cycles(dict(flow), table) == flow
+        assert _cancel_support_cycles(dict(flow), table.values) == flow
 
 
 class TestMetricAxiomsSampled:

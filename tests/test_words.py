@@ -421,6 +421,22 @@ class TestDistances:
             response, code = cli.handle_request(request, lambda _path: (ctx.space, "e"))
             assert code == 2 and "witness" in response["error"]
 
+    def test_a_flow_beyond_the_residual_is_a_named_error(self, ctx, monkeypatch):
+        # A flow kernel that moves one unit too many, past a certificate that
+        # does not notice, runs out of residual letters: a WitnessError, not
+        # an IndexError.
+        solve = transport.min_cost_flow
+
+        def one_more(costs, supply, demand):
+            value, flow, rows, cols = solve(costs, supply, demand)
+            return value, {cell: units + 1 for cell, units in flow.items()}, rows, cols
+
+        monkeypatch.setattr(transport, "min_cost_flow", one_more)
+        monkeypatch.setattr(transport, "dual_certificate", lambda *args: None)
+        a, b = word(ctx, [(1, 1)], True), word(ctx, [(2, 1)], True)
+        with pytest.raises(WitnessError, match="more units"):
+            graev_distance(a, b, ctx)
+
     def test_mixed_flag_rejected(self, ctx):
         a = word(ctx, [(1, 1)])
         b = word(ctx, [(1, 1)], commutative=True)
@@ -577,7 +593,7 @@ class TestAbelian:
                 a, b = b, a
             value, rows = padded_abelian_graev(a, b, pointed)
             with monkeypatch.context() as patched:
-                patched.setattr(transport, "kantorovich", None)  # a solve would fail
+                patched.setattr(transport, "min_cost_flow", None)  # a solve would fail
                 result = graev_distance(a, b, pointed)
             assert (result.value, result.witness.rows) == (value, tuple(rows))
 
