@@ -44,14 +44,17 @@ costs the DAG's size rather than the fiber's.
 ``search_word_distance`` expands representation prefixes in cost order with
 provably lossless pruning (prefix feasibility and state dominance) and
 returns the minimum over that stream.  All three read one prefix model: per
-side, the reduced prefix (free) or net exponents (free-abelian), with a
-lazily built per-prefix transition table that gives, per letter, the next
-prefix and how many ``+`` and ``-`` letters it still needs.  The tables
-depend only on the side's word and the space's size and basepoint, so each
-word's tables are built once and kept for every later call, in one cache
-bounded by its prefix entries (:data:`_TABLES_LIMIT`); the integer costs are
-the space's own :attr:`~fiberdist.core.FiniteMetricSpace.integer_dist`, also
-computed once.  A row puts one
+side, the reduced prefix (free) or net exponents (free-abelian), interned
+once per word as a small int id, with a lazily built per-prefix transition
+table that gives, per letter, the next prefix's id and how many ``+`` and
+``-`` letters it still needs.  So the DAG and both searches key their
+states by int pairs or triples and find the targets by comparing ints,
+never letter tuples.  The tables and ids depend only on the side's word and
+the space's size and basepoint, so each word's are built once and kept for
+every later call, in one cache bounded by its prefix tables
+(:data:`_TABLES_LIMIT`); the integer costs are the space's own
+:attr:`~fiberdist.core.FiniteMetricSpace.integer_dist`, also computed
+once.  A row puts one
 sign on both sides, so a prefix pair needs at least the larger side's count
 of each sign in rows; the DAG and both searches cut every pair that cannot
 finish within the cap, as no representation passes through it.  The DAG,
@@ -121,18 +124,22 @@ class GroupWord(Value):
 def reduce_letters(letters: Sequence[tuple[int, int]], commutative: bool, pointed: PointedSpace) -> GroupWord:
     """Canonical reduced form; independent of the order cancellations are
     applied in, which the confluence tests exercise directly."""
-    e = pointed.basepoint
     n = pointed.n
     for x, s in letters:
         if not 0 <= x < n:
             raise ValueError(f"letter index {x} out of range")
         if s not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {s}")
+    return GroupWord(_reduced(letters, commutative, pointed.basepoint), commutative)
+
+
+def _reduced(letters: Sequence[tuple[int, int]], commutative: bool, e: int) -> tuple[tuple[int, int], ...]:
+    """The reduced letters of a valid letter string, with basepoint ``e``."""
     if commutative:
         out = []
         for x, v in _net_of([letter for letter in letters if letter[0] != e]):
             out.extend([(x, 1 if v > 0 else -1)] * abs(v))
-        return GroupWord(tuple(out), True)
+        return tuple(out)
     stack: list[tuple[int, int]] = []
     for x, s in letters:
         if x == e:
@@ -141,7 +148,7 @@ def reduce_letters(letters: Sequence[tuple[int, int]], commutative: bool, pointe
             stack.pop()
         else:
             stack.append((x, s))
-    return GroupWord(tuple(stack), False)
+    return tuple(stack)
 
 
 def parse_word(obj, pointed: PointedSpace, commutative: bool) -> GroupWord:
@@ -295,32 +302,48 @@ class _PrefixTables(dict):
     """Transition tables of one side's prefixes, built on first lookup.
 
     A prefix is the side's reduced letters so far (free words) or its sorted
-    nonzero net exponents (free-abelian words); the empty prefix is ``()``.
-    ``tables[prefix][2*x + (s == -1)]`` is ``(next_prefix, p, q)``: the
+    nonzero net exponents (free-abelian words).  Each prefix is interned as
+    a small int, once per word: ``ids`` maps a prefix to its id and
+    ``prefixes`` an id back to its prefix.  The empty prefix is id 0 and
+    ``target`` is the id of the word's own prefix, so the searches key their
+    states by ints and test ``== target`` on them.
+    ``tables[pid][2*x + (s == -1)]`` is ``(next_pid, p, q)``: the id of the
     prefix after appending letter ``(x, s)``, and the fewest ``+`` and
-    ``-`` letters that take it to ``target``.  Only the prefix's own need is
+    ``-`` letters that take it to the target.  Only the prefix's own need is
     computed from scratch; each letter changes one of its counts by one, so
     its entry follows in O(1).  Every row puts one sign on both sides, so a
     pair of prefixes needs at least max(p_L, p_R) + max(q_L, q_R) more rows.
     The tables are a pure function of the target word and the pointed
     space's size and basepoint, so :func:`_prefix_tables` keeps one per word
-    for every call, and each entry counts towards :data:`_TABLES_LIMIT`.
-    Readers never change an entry.
+    for every call, and each table counts towards :data:`_TABLES_LIMIT`;
+    the ids go with their tables.  Readers never change an entry.
     """
 
-    __slots__ = ("target", "_table", "_letters", "_e")
+    __slots__ = ("ids", "prefixes", "target", "_table", "_letters", "_e")
 
     def __init__(self, target: tuple, table, letters: list[tuple[int, int]], e: int):
-        self.target = target
+        self.ids: dict[tuple, int] = {}
+        self.prefixes: list[tuple] = []
+        self._intern(())
+        self.target = self._intern(target)
         self._table = table
         self._letters = letters
         self._e = e
 
-    def __missing__(self, prefix: tuple) -> list[tuple[tuple, int, int]]:
+    def _intern(self, prefix: tuple) -> int:
+        pid = self.ids.get(prefix)
+        if pid is None:
+            pid = self.ids[prefix] = len(self.prefixes)
+            self.prefixes.append(prefix)
+        return pid
+
+    def __missing__(self, pid: int) -> list[tuple[int, int, int]]:
         cache = _TABLES
         _clear_at_limit(cache, cache.entries, _TABLES_LIMIT)
         cache.entries += 1
-        table = self[prefix] = self._table(prefix, self.target, self._letters, self._e)
+        intern, prefixes = self._intern, self.prefixes
+        built = self._table(prefixes[pid], prefixes[self.target], self._letters, self._e)
+        table = self[pid] = [(intern(nxt), p, q) for nxt, p, q in built]
         return table
 
 
@@ -341,8 +364,8 @@ class _TableCache(dict):
         self.entries = 0
 
 
-# Emptied when its entries reach _TABLES_LIMIT, which bounds it; an entry
-# takes about 1 kB on three points.
+# Emptied when its entries reach _TABLES_LIMIT, which bounds it; an entry,
+# with the prefix ids it interned, takes about 1.2 kB on three points.
 _TABLES = _TableCache()
 _TABLES_LIMIT = 1 << 12
 
@@ -374,12 +397,13 @@ def _over_budget(counter: str, states: int) -> FiberCapExceeded:
     return FiberCapExceeded(f"{counter} reached {states} states, over the budget of {MAX_STATES}")
 
 
-def _letters_within(tables: _PrefixTables, prefix: tuple, remaining: int, scale: int) -> list[list[tuple]]:
+def _letters_within(tables: _PrefixTables, pid: int, remaining: int, scale: int) -> list[list[tuple]]:
     """Per sign (``+`` then ``-``), ``(x * scale, next, p, q, next is the
-    target)`` for each letter x that takes ``prefix`` to a prefix needing at
-    most ``remaining`` more letters, in x order."""
+    target)`` for each letter x that takes prefix id ``pid`` to a prefix
+    needing at most ``remaining`` more letters, in x order; ``next`` is that
+    prefix's id."""
     target = tables.target
-    table = tables[prefix]
+    table = tables[pid]
     return [
         [(x * scale, nxt, p, q, nxt == target) for x, (nxt, p, q) in enumerate(table[neg::2]) if p + q <= remaining]
         for neg in (0, 1)
@@ -414,12 +438,12 @@ def _live_rows(
     n = pointed.n
     cells = [[(x, y, s) for x in range(n) for y in range(n)] for s in (1, -1)]  # per sign, the row of key k
     nodes: list[list[tuple]] = []
-    level: dict = {((), ()): 0}  # the states at one depth -> their ids, in order
+    level: dict = {(0, 0): 0}  # the states (left, right prefix ids) at one depth -> their ids, in order
     remaining = cap - 1  # the rows left after the row at this depth
     while level:
         found = len(nodes) + len(level)  # the id of this depth's first child
         below: dict = {}
-        lsides: dict = {}  # prefix -> _letters_within it, at this depth
+        lsides: dict = {}  # prefix id -> _letters_within it, at this depth
         rsides: dict = {}
         for lkey, rkey in level:
             if lkey not in lsides:
@@ -574,18 +598,16 @@ def graev_distance(
     Such answers are exact, so ``cap_limited`` is false and
     ``fiber_size_enumerated`` is 0.  Every other call (a cap below the
     witness, or no witness found) is answered by
-    :func:`search_word_distance`; a Swierczkowski search value that meets
-    the bound is not ``cap_limited`` either.
+    :func:`search_word_distance`; a search value that meets the bound is
+    exact, so it is not ``cap_limited`` either.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
     denom, idist = pointed.space.integer_dist
     swier = variant == SWIERCZKOWSKI
-    bound = 0
     if swier:
-        bound, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
-        cost = bound
+        cost, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
     elif a.commutative:
         cost, rows = _abelian_graev(a, b, pointed, idist)
     else:
@@ -596,7 +618,7 @@ def graev_distance(
         functor.check_witness(pointed, lambda key: idist[key[0]][key[1]], a, b, witness, cost)
         if len(rows) <= cap:
             return _word_result(Fraction(cost, denom), rows, 0, False)
-    return _search(a, b, pointed, swier, cap, denom, idist, bound)
+    return _search(a, b, pointed, swier, cap, denom, idist, cost)
 
 
 def _free_graev(
@@ -879,8 +901,8 @@ def _cheapest_partitions(a: GroupWord, b: GroupWord, pointed: PointedSpace, term
     found: list = []
     best = None
 
-    def image(word: GroupWord, rep: dict) -> GroupWord:
-        return reduce_letters([(rep[x], s) for x, s in word.letters], word.commutative, pointed)
+    def image(word: GroupWord, rep: dict) -> tuple:
+        return _reduced([(rep[x], s) for x, s in word.letters], word.commutative, e)
 
     stack = [(0, (), 0)]  # (next terminal, blocks so far, their summed cost)
     while stack:
@@ -916,9 +938,9 @@ def _shortest_witness(
     (None when none fits, or when none is found within ``budget`` settled
     states), and how many states were settled.
 
-    A* over (left prefix, right prefix, orientations) with the larger side's
-    need as the heuristic, which no row lowers by more than one; a state
-    whose pair needs more rows than the cap leaves is not pushed.  A
+    A* over (left prefix id, right prefix id, orientations) with the larger
+    side's need as the heuristic, which no row lowers by more than one; a
+    state whose pair needs more rows than the cap leaves is not pushed.  A
     positive-cost edge {u, v} appears as (u, v) or (v, u), never both, so
     the rows pay it once; zero-cost edges and diagonal rows are free.
     Points that no edge touches and neither word uses would only add rows.
@@ -934,12 +956,13 @@ def _shortest_witness(
         bits = (1 << 2 * i, 2 << 2 * i) if idist[u][v] else (0, 0)
         for (p, q), own, other in (((u, v), *bits), ((v, u), *reversed(bits))):
             moves += [(2 * p, 2 * q, (p, q, 1), own, other), (2 * p + 1, 2 * q + 1, (p, q, -1), own, other)]
-    start = ((), (), 0)
+    start = (0, 0, 0)  # the empty prefixes' ids, no edge oriented
     heap = [(max(len(a), len(b)), 0, 0, start, None, None)]  # rows + need, -rows, seq, state, parent, row
     settled: dict = {}
     seq = 0
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        _f, minus_depth, _seq, state, parent, row = heapq.heappop(heap)
+        _f, minus_depth, _seq, state, parent, row = pop(heap)
         if state in settled:
             continue
         if len(settled) == budget:
@@ -953,20 +976,20 @@ def _shortest_witness(
                 parent, row = settled[parent]
             return rows[::-1], len(settled)
         depth = 1 - minus_depth
+        remaining = cap - depth
         ltable, rtable = left[lkey], right[rkey]
         for lcode, rcode, row, own, other in moves:
             if mask & other:
                 continue
             lnext, lp, lq = ltable[lcode]
             rnext, rp, rq = rtable[rcode]
-            if depth + (lp if lp > rp else rp) + (lq if lq > rq else rq) > cap:
+            if (lp if lp > rp else rp) + (lq if lq > rq else rq) > remaining:
                 continue
             lneed, rneed = lp + lq, rp + rq
-            f = depth + (lneed if lneed > rneed else rneed)
             nxt = (lnext, rnext, mask | own)
             if nxt not in settled:
                 seq += 1
-                heapq.heappush(heap, (f, -depth, seq, nxt, state, row))
+                push(heap, (depth + (lneed if lneed > rneed else rneed), minus_depth - 1, seq, nxt, state, row))
     return None, len(settled)
 
 
@@ -1017,20 +1040,33 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
         )
     ]
 
-    # Heap entries: cost, push order, depth, the state's lkey, rkey and mask
-    # (flat, so a push builds one tuple), and the settled state and row it
-    # was pushed from; a state's parent is recorded only when it settles.
-    heap = [(0, 0, 0, (), (), 0, -1, None)]
+    # Heap entries: cost, push order, depth, the state's left and right
+    # prefix ids and mask (flat, so a push builds one tuple), and the settled
+    # state and row it was pushed from; a state's parent is recorded only
+    # when it settles.
+    heap = [(0, 0, 0, 0, 0, 0, -1, None)]
     parents: list[tuple[int, tuple | None]] = []  # settled state -> (its parent, its row)
     seq = 0
-    settled: dict[tuple, list[tuple[int, int]]] = {}  # (l, r) -> [(mask, depth)]
+    settled: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (l, r) -> [(mask, depth)]
+    # (l, rows left) -> the rows, in cost order, whose left letter can still
+    # reach its target within them, each with that letter's entry.
+    lrows: dict[tuple[int, int], list[tuple]] = {}
 
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, _seq, depth, lkey, rkey, mask, parent, row = heapq.heappop(heap)
+        cost, _seq, depth, lkey, rkey, mask, parent, row = pop(heap)
         entries = settled.setdefault((lkey, rkey), [])
-        if any(m & mask == m and d <= depth for m, d in entries):
+        dominated = False
+        for m, d in entries:
+            if m & mask == m and d <= depth:
+                dominated = True
+                break
+        if dominated:
             continue
-        entries[:] = [(m, d) for m, d in entries if not (mask & m == mask and depth <= d)]
+        for m, d in entries:
+            if mask & m == mask and depth <= d:  # the new entry dominates: drop every entry it does
+                entries[:] = [(m, d) for m, d in entries if not (mask & m == mask and depth <= d)]
+                break
         entries.append((mask, depth))
         me = len(parents)
         if me == MAX_STATES:
@@ -1046,18 +1082,17 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
             continue
         remaining = cap - depth - 1
         depth += 1
-        # Successor entries that can still reach their target, else None.
-        lnexts = [entry if entry[1] + entry[2] <= remaining else None for entry in left[lkey]]
-        rnexts = [entry if entry[1] + entry[2] <= remaining else None for entry in right[rkey]]
-        for base, lcode, rcode, row, bit in rows_sorted:
-            lentry = lnexts[lcode]
-            if lentry is None:
-                continue
-            rentry = rnexts[rcode]
-            if rentry is None:
-                continue
-            lnext, lp, lq = lentry
-            rnext, rp, rq = rentry
+        candidates = lrows.get((lkey, remaining))
+        if candidates is None:
+            ltable = left[lkey]
+            candidates = lrows[lkey, remaining] = [
+                (base, rcode, row, bit, *ltable[lcode])
+                for base, lcode, rcode, row, bit in rows_sorted
+                if ltable[lcode][1] + ltable[lcode][2] <= remaining
+            ]
+        rtable = right[rkey]
+        for base, rcode, row, bit, lnext, lp, lq in candidates:
+            rnext, rp, rq = rtable[rcode]
             if (lp if lp > rp else rp) + (lq if lq > rq else rq) > remaining:
                 continue
             if swier:
@@ -1065,11 +1100,15 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
                 nmask = mask | bit
             else:
                 step, nmask = base, 0
-            seen = settled.get((lnext, rnext))
-            if seen and any(m & nmask == m and d <= depth for m, d in seen):
+            dominated = False
+            for m, d in settled.get((lnext, rnext), ()):
+                if m & nmask == m and d <= depth:
+                    dominated = True
+                    break
+            if dominated:
                 continue
             seq += 1
-            heapq.heappush(heap, (cost + step, seq, depth, lnext, rnext, nmask, me, row))
+            push(heap, (cost + step, seq, depth, lnext, rnext, nmask, me, row))
 
     raise EmptyFiberError(f"no proper representation of ({a!r}, {b!r}) within cap {cap}")
 

@@ -26,21 +26,32 @@ from fiberdist.words import (
 
 
 @st.composite
-def pointed_words(draw, max_points=3):
+def pointed_words(draw, max_points=3, star=False):
     """A pointed space on 2..max_points points and two reduced words of total
-    length <= 3."""
-    n = draw(st.integers(2, max_points))
+    length <= 3.  A ``star`` space has at least 3 points, and every other
+    pair's distance runs through the basepoint, so paying each letter to it
+    is a cheapest representation, which a cap below the words' summed
+    length cuts; each of its words is drawn from at least one letter, none
+    of them the basepoint's, which would vanish."""
+    n = draw(st.integers(2 + star, max_points))
     mat = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             # Entries in [1, 2] satisfy the triangle inequality on their own.
             q = draw(st.integers(1, 3))
             mat[i][j] = mat[j][i] = F(draw(st.integers(q, 2 * q)), q)
-    pointed = PointedSpace(validate_space(labels(n), mat, "metric"), draw(st.integers(0, n - 1)))
+    e = draw(st.integers(0, n - 1))
+    if star:
+        for i in range(n):
+            for j in range(n):
+                if i != j and e not in (i, j):
+                    mat[i][j] = mat[i][e] + mat[e][j]
+    pointed = PointedSpace(validate_space(labels(n), mat, "metric"), e)
     commutative = draw(st.booleans())
-    letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
-    a = reduce_letters(draw(st.lists(letter, max_size=2)), commutative, pointed)
-    b = reduce_letters(draw(st.lists(letter, max_size=3 - len(a))), commutative, pointed)
+    points = st.sampled_from([x for x in range(n) if x != e]) if star else st.integers(0, n - 1)
+    letter = st.tuples(points, st.sampled_from((1, -1)))
+    a = reduce_letters(draw(st.lists(letter, min_size=star, max_size=2)), commutative, pointed)
+    b = reduce_letters(draw(st.lists(letter, min_size=star, max_size=3 - len(a))), commutative, pointed)
     return pointed, a, b
 
 
@@ -111,6 +122,34 @@ def test_exact_swierczkowski_equals_the_search(case):
         assert bound <= search_word_distance(a, b, pointed, "swierczkowski", cap).value
 
 
+@pytest.mark.parametrize("star", [False, True])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_graev_search_fallbacks_flag_only_values_above_the_closed_form(star, data):
+    # The closed form is the cap-free minimum, so a search value that meets
+    # it is exact.
+    pointed, a, b = data.draw(pointed_words(max_points=4, star=star))
+    denom, idist = scale_to_integers(pointed.space.dist)
+    closed_form = words._abelian_graev if a.commutative else words._free_graev
+    cost, rows = closed_form(a, b, pointed, idist)
+    for cap in range(max(len(a), len(b)), len(a) + len(b) + 3):
+        try:
+            searched = search_word_distance(a, b, pointed, "graev", cap)
+        except EmptyFiberError:
+            with pytest.raises(EmptyFiberError):
+                graev_distance(a, b, pointed, "graev", cap)
+            continue
+        answered = graev_distance(a, b, pointed, "graev", cap)
+        assert answered.value == searched.value
+        if answered.fiber_size_enumerated == 0:
+            assert not answered.cap_limited and len(rows) <= cap
+            assert answered.value == F(cost, denom) and answered.witness.rows == tuple(rows)
+        else:
+            assert len(rows) > cap and answered.witness == searched.witness
+            assert answered.fiber_size_enumerated == searched.fiber_size_enumerated
+            assert answered.cap_limited == (answered.value > F(cost, denom))
+
+
 def _direct_need(word, target_word, commutative):
     """``(p, q)`` of one side, straight from the need functions."""
     if commutative:
@@ -161,17 +200,19 @@ def test_joint_bound_never_exceeds_the_rows_left(case):
 @given(pointed_words(max_points=5), st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=4))
 def test_incremental_tables_match_the_direct_need(case, walk):
     # At every prefix along a walk of letters, each entry of each side's
-    # table is the successor prefix and that prefix's own need.
+    # table is the successor prefix's id and that prefix's own need; the
+    # tables read and give prefixes through their id maps.
     pointed, a, b = case
     commutative = a.commutative
     tables = words._prefix_tables(a, b, pointed)
     key = (lambda w: words._net_of(w.letters)) if commutative else (lambda w: w.letters)
     for table, target in zip(tables, (a, b)):
+        assert table.prefixes[table.target] == key(target)
         prefix = reduce_letters((), commutative, pointed)
         for letter in [(x % pointed.n, s) for x, s in walk] + [None]:
-            for code, (nxt, p, q) in enumerate(table[key(prefix)]):
+            for code, (nxt, p, q) in enumerate(table[table.ids[key(prefix)]]):
                 successor = reduce_letters(prefix.letters + ((code // 2, -1 if code % 2 else 1),), commutative, pointed)
-                assert nxt == key(successor)
+                assert table.prefixes[nxt] == key(successor)
                 assert (p, q) == _direct_need(successor, target, commutative)
             if letter is not None:
                 prefix = reduce_letters(prefix.letters + (letter,), commutative, pointed)

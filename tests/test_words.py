@@ -379,8 +379,13 @@ class TestDistances:
         exact = graev_distance(a, b, near)
         assert (exact.value, len(exact.witness.rows), exact.fiber_size_enumerated) == (F(4), 4, 0)
         capped = graev_distance(a, b, near, cap=2)
-        assert capped == search_word_distance(a, b, near, cap=2)
-        assert capped.fiber_size_enumerated > 0 and capped.cap_limited
+        searched = search_word_distance(a, b, near, cap=2)
+        assert (capped.value, capped.witness, capped.fiber_size_enumerated) == (
+            searched.value, searched.witness, searched.fiber_size_enumerated
+        )
+        # The search meets the closed form, the cap-free minimum, so its
+        # value is exact: only the plain search, which has no bound, flags it.
+        assert capped.fiber_size_enumerated > 0 and not capped.cap_limited and searched.cap_limited
         assert capped.value == F(4)
 
     @pytest.mark.parametrize("commutative", [False, True])
@@ -500,15 +505,26 @@ class TestSharedPrefixTables:
         assert len(set(builds)) > 4 * limit
         monkeypatch.setattr(words, "_TABLES", words._TableCache())
         monkeypatch.setattr(words, "_TABLES_LIMIT", limit)
-        held = []  # the prefixes the cache holds as each table is built
+
+        def census():
+            """The prefix tables the cache holds, and the prefix ids they interned."""
+            tables = list(words._TABLES.values())
+            # A table interns at most its 2n successors, a word its empty prefix and target.
+            assert all(len(t.prefixes) <= 2 + 2 * pointed.n * len(t) for t in tables)
+            return sum(map(len, tables)), sum(len(t.prefixes) for t in tables)
+
+        held = []  # the census as each table is built
         for name in ("_free_table", "_net_table"):
             build = getattr(words, name)
-            watched = lambda *args, build=build: held.append(sum(map(len, words._TABLES.values()))) or build(*args)
+            watched = lambda *args, build=build: held.append(census()) or build(*args)
             monkeypatch.setattr(words, name, watched)
         builds_before = len(builds)
         assert [[call() for call in table_users(a, b, pointed)] for a, b in cases] == unbounded
-        assert held and max(held) < limit  # and the new entry makes at most the limit
-        assert sum(map(len, words._TABLES.values())) <= limit
+        assert held and max(tables for tables, _ids in held) < limit  # and the new entry makes at most the limit
+        assert census()[0] <= limit
+        # The ids go with their tables: bounded by the limit, and dropped when the cache empties.
+        assert max(ids for _tables, ids in held + [census()]) <= (2 * pointed.n + 2) * limit
+        assert any(after[1] < before[1] for before, after in zip(held, held[1:]))
         assert len(builds) - builds_before > len(set(builds))  # the bound made it build again
 
 
@@ -822,6 +838,72 @@ class TestSearchGolden:
             assert a.letters == la and b.letters == lb
             result = search_word_distance(a, b, pointed, "swierczkowski" if kind == "swierczkowski" else "graev")
             assert (str(result.value), result.witness.rows, result.fiber_size_enumerated) == (value, rows, states)
+
+
+# Forest-witness golden data on GOLDEN_SPACES, for pairs whose Steiner-forest
+# bound has two cheapest partitions, at the tight and the default cap:
+# (space, commutative, a letters, b letters, cap, bound on the integer costs,
+# forest rows, and (rows, settled states) of each _shortest_witness call).
+GOLDEN_FORESTS = [
+    (2, False, ((2, 1), (1, 1)), ((5, -1), (4, 1)), 2, 58, None, ((None, 1), (None, 1))),
+    (2, False, ((2, 1), (1, 1)), ((5, -1), (4, 1)), 6, 58, ((2, 0, 1), (0, 5, -1), (1, 4, 1)), ((((0, 5, -1), (2, 4, 1), (0, 5, -1), (1, 5, 1)), 7), (((2, 0, 1), (0, 5, -1), (1, 4, 1)), 4))),
+    (2, False, (), ((1, 1), (4, 1), (3, -1)), 3, 36, ((0, 1, 1), (4, 4, 1), (4, 3, -1)), ((((0, 1, 1), (4, 4, 1), (4, 3, -1)), 5), (None, 1))),
+    (2, False, (), ((1, 1), (4, 1), (3, -1)), 5, 36, ((0, 1, 1), (4, 4, 1), (4, 3, -1)), ((((0, 1, 1), (4, 4, 1), (4, 3, -1)), 5), (None, 1))),
+    (2, True, ((1, -1), (3, -1)), ((2, 1), (3, -1), (4, -1)), 3, 42, ((0, 2, 1), (1, 3, -1), (3, 4, -1)), ((((0, 2, 1), (1, 3, -1), (3, 4, -1)), 6), (None, 1))),
+    (2, True, ((1, -1), (3, -1)), ((2, 1), (3, -1), (4, -1)), 7, 42, ((0, 2, 1), (1, 3, -1), (3, 4, -1)), ((((0, 2, 1), (1, 3, -1), (3, 4, -1)), 6), (None, 1))),
+    (2, True, ((3, -1),), ((1, -1), (3, -1), (4, -1)), 3, 42, None, ((None, 7), (None, 7))),
+    (2, True, ((3, -1),), ((1, -1), (3, -1), (4, -1)), 6, 42, ((1, 1, -1), (3, 4, -1), (0, 3, -1), (0, 3, -1), (1, 3, 1)), ((((1, 1, -1), (3, 4, -1), (0, 3, -1), (0, 3, -1), (1, 3, 1)), 43), (None, 33))),
+    (2, False, ((3, -1), (1, -1), (4, 1)), ((3, -1),), 3, 24, ((3, 3, -1), (1, 3, -1), (4, 3, 1)), ((((3, 3, -1), (1, 3, -1), (4, 3, 1)), 5), (None, 1))),
+    (2, False, ((3, -1), (1, -1), (4, 1)), ((3, -1),), 6, 24, ((3, 3, -1), (1, 3, -1), (4, 3, 1)), ((((3, 3, -1), (1, 3, -1), (4, 3, 1)), 5), (None, 1))),
+]
+# The same records for every free and abelian pair of GOLDEN_SEARCHES at its
+# tight and default cap: (count, sha256 of their repr, first 16 digits).
+GOLDEN_FOREST_DIGEST = (140, '182a327bf337a3c1')
+
+
+class TestForestGolden:
+    """The forest-witness A* breaks ties in its estimate by depth, then by
+    push order, and later partitions search under the rows of the best
+    witness so far, so a change to the order in which it settles states
+    shows in its rows and settled counts.  These were recorded before its
+    states were keyed by interned prefix ids."""
+
+    def forests(self, monkeypatch, cases):
+        spaces = [
+            PointedSpace(validate_space(labels(len(mat)), [[F(v) for v in row] for row in mat], "metric"), 0)
+            for mat in GOLDEN_SPACES
+        ]
+        calls = []
+        search = words._shortest_witness
+
+        def recorded(*args):
+            rows, states = search(*args)
+            calls.append((None if rows is None else tuple(rows), states))
+            return rows, states
+
+        monkeypatch.setattr(words, "_shortest_witness", recorded)
+        records = []
+        for sidx, commutative, la, lb, cap in cases:
+            pointed = spaces[sidx]
+            a, b = reduce_letters(la, commutative, pointed), reduce_letters(lb, commutative, pointed)
+            assert a.letters == la and b.letters == lb
+            calls.clear()
+            bound, rows = words._swierczkowski_forest(a, b, pointed, pointed.space.integer_dist[1], cap)
+            records.append((sidx, commutative, la, lb, cap, bound, None if rows is None else tuple(rows), tuple(calls)))
+        return records
+
+    def test_pairs_with_two_cheapest_forests(self, monkeypatch):
+        assert self.forests(monkeypatch, [record[:5] for record in GOLDEN_FORESTS]) == GOLDEN_FORESTS
+
+    def test_golden_search_pairs_by_digest(self, monkeypatch):
+        cases = [
+            (sidx, kind == "abelian", la, lb, cap)
+            for sidx, kind, la, lb, *_ in GOLDEN_SEARCHES
+            if kind != "graev"
+            for cap in sorted({max(len(la), len(lb)), len(la) + len(lb) + 2})
+        ]
+        records = self.forests(monkeypatch, cases)
+        assert (len(records), hashlib.sha256(repr(records).encode()).hexdigest()[:16]) == GOLDEN_FOREST_DIGEST
 
 
 # Stream-order golden data on one 3-point space (basepoint 0), recorded from
