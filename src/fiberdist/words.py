@@ -22,7 +22,12 @@ residual exponents share a sign), each with a witness of at most |a|+|b|
 rows.  For Swierczkowski, the bound is the least summed Steiner-tree cost
 over the partitions of the words' points that make the two words equal once
 each block is one letter, and the witness is the shortest representation on
-one cheapest forest's edges.  Every such witness is checked by
+one cheapest forest's edges.  The Steiner trees and the partitions, ranked by
+cost, depend only on the integer costs, the basepoint and the words' points,
+so each such key's are built once and kept, in one cache bounded by the
+partitions it holds (:data:`_FORESTS_LIMIT`); a call tests the partitions in
+rank order, up to the first dearer than a feasible one.  Every such witness
+is checked by
 :meth:`~fiberdist.extension.Functor.check_witness`: it must lift to the value
 on the integer costs and its two sides must reduce to the two words.  The
 other calls (a witness longer than the cap, or none found) go to
@@ -338,9 +343,8 @@ class _PrefixTables(dict):
         return pid
 
     def __missing__(self, pid: int) -> list[tuple[int, int, int]]:
-        cache = _TABLES
-        _clear_at_limit(cache, cache.entries, _TABLES_LIMIT)
-        cache.entries += 1
+        _clear_at_limit(_TABLES, _TABLES.entries, _TABLES_LIMIT)
+        _TABLES.entries += 1
         intern, prefixes = self._intern, self.prefixes
         built = self._table(prefixes[pid], prefixes[self.target], self._letters, self._e)
         table = self[pid] = [(intern(nxt), p, q) for nxt, p, q in built]
@@ -348,11 +352,13 @@ class _PrefixTables(dict):
 
 
 class _TableCache(dict):
-    """Each word's :class:`_PrefixTables`, by (letters, commutative, n,
-    basepoint).  One word's tables grow with every prefix a call reaches, so
-    the cache is bounded by prefix entries, not by words: ``entries`` counts
-    those added since it was last emptied, including any added to tables
-    that a running call still holds after that."""
+    """A cache bounded by what its tables hold, not by its keys: ``entries``
+    counts what was added since it was last emptied, including any added to
+    tables that a running call still holds after that.  :data:`_TABLES`
+    keeps each word's :class:`_PrefixTables`, by (letters, commutative, n,
+    basepoint), and counts prefix tables, since one word's grow with every
+    prefix a call reaches; :data:`_FORESTS` keeps each
+    :class:`_ForestTable` and counts the partitions they rank."""
 
     __slots__ = ("entries",)
 
@@ -786,8 +792,9 @@ def _unit_rows(ends: list, e: int) -> list[tuple[int, int, int]]:
 
 
 # Above this many terminals (the words' points and the basepoint), the
-# Steiner-forest bound costs 3^t subset splits and Bell(t) partitions, and
-# Swierczkowski calls go to the search.
+# Steiner-forest bound costs 3^t subset splits and Bell(t) partitions (4,140
+# at 8), ranked once per forest table, and Swierczkowski calls go to the
+# search.
 MAX_FOREST_TERMINALS = 8
 
 
@@ -807,18 +814,21 @@ def _swierczkowski_forest(
     its part of T.  The bound is the least summed Steiner cost over
     feasible partitions.  Rows on one cheapest forest's edges, each paid
     edge used in one orientation, cost at most the bound, so any such
-    witness attains it.
+    witness attains it.  The Steiner trees and the ranked partitions depend
+    only on ``idist``, the basepoint and T, so they come from
+    :func:`_forest_table`, built once per such key; each call only tests
+    the partitions' feasibility on its words and searches for the witness.
     """
     e = pointed.basepoint
-    terminals = sorted({e, *(x for x, _s in a.letters), *(x for x, _s in b.letters)})
+    terminals = tuple(sorted({e, *(x for x, _s in a.letters), *(x for x, _s in b.letters)}))
     if len(terminals) > MAX_FOREST_TERMINALS:
         return 0, None
-    cost, tree_edges = _steiner_trees(terminals, idist)
-    bound, partitions = _cheapest_partitions(a, b, pointed, terminals, cost)
+    forest = _forest_table(idist, e, terminals)
+    bound, partitions = _cheapest_partitions(a, b, pointed, forest)
     best = None
     budget = MAX_STATES  # shared by the partitions' searches
     for blocks in partitions:
-        edges = sorted({edge for block in blocks for edge in tree_edges(block)})
+        edges = forest.edges(blocks)
         rows, states = _shortest_witness(a, b, pointed, edges, idist, cap if best is None else len(best) - 1, budget)
         if rows is not None:
             best = rows
@@ -828,7 +838,64 @@ def _swierczkowski_forest(
     return bound, best
 
 
-def _steiner_trees(terminals: list[int], idist) -> tuple[list[int], Callable]:
+class _ForestTable:
+    """The Steiner forests of one (integer costs, basepoint, terminals).
+
+    ``partitions`` lists every partition of the terminals as ``(cost,
+    blocks, rep)``: its summed Steiner cost, its blocks as terminal masks,
+    and ``rep[j]``, the point that terminal j's block stands for (the
+    basepoint, or the block's first terminal).  They are ranked by cost
+    and, at equal cost, in the order of a depth-first walk in which
+    terminal i joins each earlier block in turn, then opens its own.
+    :meth:`edges` joins one Steiner tree per block, each computed when
+    first asked for.  The partitions never change once ranked.
+    """
+
+    __slots__ = ("terminals", "partitions", "_tree_edges", "_block_edges")
+
+    def __init__(self, idist, e: int, terminals: tuple[int, ...]):
+        cost, self._tree_edges = _steiner_trees(terminals, idist)
+        self.terminals = terminals
+        self.partitions = _ranked_partitions(terminals, cost, e)
+        self._block_edges: dict[int, list[tuple[int, int]]] = {}
+
+    def edges(self, blocks: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The sorted edges of one cheapest forest of the partition ``blocks``."""
+        memo = self._block_edges
+        out: set = set()
+        for block in blocks:
+            edges = memo.get(block)
+            if edges is None:
+                edges = memo[block] = self._tree_edges(block)
+            out.update(edges)
+        return sorted(out)
+
+
+# Emptied when the partitions it would hold with a new table reach
+# _FORESTS_LIMIT, which is above any one table's Bell(8) = 4,140.  An
+# 8-terminal table takes about 0.5 MB on 8 points and 1.4 MB on 64, where
+# its Steiner rows grow with the points.
+_FORESTS = _TableCache()
+_FORESTS_LIMIT = 1 << 14
+
+
+def _forest_table(idist, e: int, terminals: tuple[int, ...]) -> _ForestTable:
+    """The forest table of ``terminals`` on the integer costs ``idist`` with
+    basepoint ``e``, shared by every call with that key.  The basepoint is
+    part of the key as each block's representative depends on it; the
+    space's denominator is not, as the bound is on the integer costs."""
+    key = (idist, e, terminals)
+    forest = _FORESTS.get(key)
+    if forest is None:
+        forest = _ForestTable(idist, e, terminals)
+        size = len(forest.partitions)
+        _clear_at_limit(_FORESTS, _FORESTS.entries + size, _FORESTS_LIMIT)
+        _FORESTS.entries += size
+        _FORESTS[key] = forest
+    return forest
+
+
+def _steiner_trees(terminals: Sequence[int], idist) -> tuple[list[int], Callable]:
     """Dreyfus-Wagner over the subsets of ``terminals`` (Networks 1 (1971)).
 
     The costs are a pseudometric, so they are their own shortest-path
@@ -886,47 +953,58 @@ def _steiner_trees(terminals: list[int], idist) -> tuple[list[int], Callable]:
     return cost, tree_edges
 
 
-def _cheapest_partitions(a: GroupWord, b: GroupWord, pointed: PointedSpace, terminals: list[int], cost: list[int]):
-    """``(bound, partitions)``: the least summed Steiner cost over the
-    feasible partitions of the terminals, and each partition (a tuple of
-    terminal masks) that attains it, in a fixed order.
-
-    A partition is feasible when mapping each letter to its block and
-    reducing, with the basepoint's block as the identity, takes a and b to
-    one word; a block stands for its first terminal, or for the basepoint.
-    Adding a terminal to a block never makes it cheaper, so a partial
-    partition dearer than the best one found is cut.
-    """
-    e = pointed.basepoint
-    found: list = []
-    best = None
-
-    def image(word: GroupWord, rep: dict) -> tuple:
-        return _reduced([(rep[x], s) for x, s in word.letters], word.commutative, e)
-
+def _ranked_partitions(terminals: tuple[int, ...], cost: list[int], e: int) -> list[tuple[int, tuple, tuple]]:
+    """Every partition of ``terminals`` as ``(summed Steiner cost, blocks,
+    rep)``, in :class:`_ForestTable`'s rank order."""
+    t = len(terminals)
+    home = terminals.index(e)
+    found = []
     stack = [(0, (), 0)]  # (next terminal, blocks so far, their summed cost)
     while stack:
         i, blocks, total = stack.pop()
-        if best is not None and total > best:
-            continue
-        if i == len(terminals):
-            rep = {}
+        if i == t:
+            rep = [0] * t
             for mask in blocks:
-                members = [x for j, x in enumerate(terminals) if mask >> j & 1]
-                rep.update(dict.fromkeys(members, e if e in members else members[0]))
-            if image(a, rep) == image(b, rep):
-                if best is None or total < best:
-                    best = total
-                    found.clear()
-                found.append(blocks)
+                point = e if mask >> home & 1 else terminals[(mask & -mask).bit_length() - 1]
+                for j in range(t):
+                    if mask >> j & 1:
+                        rep[j] = point
+            found.append((total, blocks, tuple(rep)))
             continue
         # Terminal i opens a block of its own or joins one; pushed in reverse
-        # so that joining the first block is tried first.
+        # so that joining the first block comes first.
         bit = 1 << i
         stack.append((i + 1, blocks + (bit,), total))
         for k in reversed(range(len(blocks))):
             joined = blocks[k] | bit
             stack.append((i + 1, blocks[:k] + (joined,) + blocks[k + 1:], total - cost[blocks[k]] + cost[joined]))
+    found.sort(key=itemgetter(0))  # stable, so equal costs keep the walk's order
+    return found
+
+
+def _cheapest_partitions(a: GroupWord, b: GroupWord, pointed: PointedSpace, forest: _ForestTable):
+    """``(bound, partitions)``: the least summed Steiner cost over the
+    feasible partitions of the forest table's terminals, and each partition
+    (a tuple of terminal masks) that attains it, in the table's rank order.
+
+    A partition is feasible when mapping each letter to its block's
+    representative and reducing, with the basepoint's block as the
+    identity, takes a and b to one word.  The partitions are tested in rank
+    order, up to the first that costs more than a feasible one.
+    """
+    e, commutative = pointed.basepoint, a.commutative
+    index = {x: j for j, x in enumerate(forest.terminals)}
+    left = [(index[x], s) for x, s in a.letters]
+    right = [(index[x], s) for x, s in b.letters]
+    best = None
+    found: list = []
+    for total, blocks, rep in forest.partitions:
+        if best is not None and total > best:
+            break
+        image = _reduced([(rep[j], s) for j, s in left], commutative, e)
+        if image == _reduced([(rep[j], s) for j, s in right], commutative, e):
+            best = total
+            found.append(blocks)
     return best, found
 
 

@@ -122,6 +122,73 @@ def test_exact_swierczkowski_equals_the_search(case):
         assert bound <= search_word_distance(a, b, pointed, "swierczkowski", cap).value
 
 
+def reference_cheapest_partitions(a, b, pointed, terminals, cost):
+    """The pruned depth-first walk over the partitions of the terminals that
+    the forest tables' ranked walk replaced: ``(bound, partitions)`` as
+    :func:`words._cheapest_partitions` returns them.  Terminal i joins each
+    earlier block in turn, then opens its own; adding a terminal to a block
+    never makes it cheaper, so a partial partition dearer than the best
+    feasible one found is cut."""
+    e = pointed.basepoint
+    found = []
+    best = None
+
+    def image(word, rep):
+        return reduce_letters([(rep[x], s) for x, s in word.letters], word.commutative, pointed).letters
+
+    stack = [(0, (), 0)]  # (next terminal, blocks so far, their summed cost)
+    while stack:
+        i, blocks, total = stack.pop()
+        if best is not None and total > best:
+            continue
+        if i == len(terminals):
+            rep = {}
+            for mask in blocks:
+                members = [x for j, x in enumerate(terminals) if mask >> j & 1]
+                rep.update(dict.fromkeys(members, e if e in members else members[0]))
+            if image(a, rep) == image(b, rep):
+                if best is None or total < best:
+                    best = total
+                    found.clear()
+                found.append(blocks)
+            continue
+        bit = 1 << i
+        stack.append((i + 1, blocks + (bit,), total))
+        for k in reversed(range(len(blocks))):
+            joined = blocks[k] | bit
+            stack.append((i + 1, blocks[:k] + (joined,) + blocks[k + 1:], total - cost[blocks[k]] + cost[joined]))
+    return best, found
+
+
+@st.composite
+def tied_words(draw):
+    """A pointed space on 3..6 points with distances 1 and 2, where many
+    partitions cost the same, and two words of 2..4 letters each, reduced."""
+    n = draw(st.integers(3, 6))
+    mat = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = F(draw(st.integers(1, 2)))
+    pointed = PointedSpace(validate_space(labels(n), mat, "metric"), draw(st.integers(0, n - 1)))
+    commutative = draw(st.booleans())
+    letter = st.tuples(st.sampled_from(range(n)), st.sampled_from((1, -1)))
+    a, b = (reduce_letters(draw(st.lists(letter, min_size=2, max_size=4)), commutative, pointed) for _ in "ab")
+    return pointed, a, b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(tied_words())
+def test_ranked_partitions_match_the_pruned_walk(case):
+    pointed, a, b = case
+    e, idist = pointed.basepoint, pointed.space.integer_dist[1]
+    terminals = tuple(sorted({e, *(x for x, _s in a.letters + b.letters)}))
+    forest = words._forest_table(idist, e, terminals)
+    cost, _tree_edges = words._steiner_trees(terminals, idist)
+    assert words._cheapest_partitions(a, b, pointed, forest) == reference_cheapest_partitions(
+        a, b, pointed, terminals, cost
+    )
+
+
 @pytest.mark.parametrize("star", [False, True])
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(st.data())

@@ -906,6 +906,119 @@ class TestForestGolden:
         assert (len(records), hashlib.sha256(repr(records).encode()).hexdigest()[:16]) == GOLDEN_FOREST_DIGEST
 
 
+def fresh_forests(monkeypatch, limit=None):
+    """Start from an empty forest cache, with its limit of partitions."""
+    monkeypatch.setattr(words, "_FORESTS", words._TableCache())
+    if limit is not None:
+        monkeypatch.setattr(words, "_FORESTS_LIMIT", limit)
+
+
+def forest_of(a, b, pointed, cap=None):
+    """``_swierczkowski_forest`` on the space's integer costs, at the default cap unless given."""
+    cap = words.default_cap(a, b) if cap is None else cap
+    return words._swierczkowski_forest(a, b, pointed, pointed.space.integer_dist[1], cap)
+
+
+class TestForestCache:
+    def test_the_basepoint_is_part_of_the_key(self, monkeypatch):
+        # Both pairs have terminals {0, 1} on the same integer costs; only the
+        # basepoint, and so each block's representative, differs.
+        cases = []
+        for e, x in ((0, 1), (1, 0)):
+            pointed = PointedSpace(wide_space(), e)
+            cases.append((word(pointed, [(x, 1)]), word(pointed, []), pointed))
+        answers = []
+        for case in cases:
+            fresh_forests(monkeypatch)
+            answers.append((forest_of(*case), graev_distance(*case, "swierczkowski")))
+        fresh_forests(monkeypatch)
+        for (a, b, pointed), (forest, answer) in zip(cases, answers):
+            assert forest_of(a, b, pointed) == forest
+            assert graev_distance(a, b, pointed, "swierczkowski") == answer
+            assert answer.fiber_size_enumerated == 0
+            assert answer.value == search_word_distance(a, b, pointed, "swierczkowski").value == 10
+        assert sorted(key[1:] for key in words._FORESTS) == [(0, (0, 1)), (1, (0, 1))]
+
+    def test_spaces_with_equal_integer_rows_share_one_table(self, monkeypatch):
+        fresh_forests(monkeypatch)
+        mat = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+        spaces = [validate_space(labels(3), [[F(v, den) for v in row] for row in mat], "metric") for den in (1, 3)]
+        assert [space.integer_dist for space in spaces] == [(1, spaces[0].integer_dist[1]), (3, spaces[0].integer_dist[1])]
+        answers = []
+        for space in spaces:
+            pointed = PointedSpace(space, 0)
+            a, b = word(pointed, [(1, 1), (2, 1)]), word(pointed, [(2, -1)])
+            bound, rows = forest_of(a, b, pointed)
+            answer = graev_distance(a, b, pointed, "swierczkowski")
+            assert answer.fiber_size_enumerated == 0
+            assert answer.value == F(bound, space.integer_dist[0])
+            assert answer.witness.rows == tuple(rows)
+            answers.append(answer)
+        assert len(words._FORESTS) == 1
+        assert answers[1].value == answers[0].value / 3 and answers[1].witness == answers[0].witness
+
+    def test_the_cache_holds_at_most_its_limit_of_partitions(self, monkeypatch):
+        rng = random.Random(12)
+        cases = []
+        for e in (0, 1, 0, 1):
+            pointed = PointedSpace(random_metric_space(rng, 4), e)  # up to 4 terminals: Bell(4) = 15 partitions
+            for commutative in (False, True):
+                for _ in range(8):
+                    a, b = random_word(rng, pointed, 3, commutative), random_word(rng, pointed, 3, commutative)
+                    cases += [(a, b, pointed, cap) for cap in (max(len(a), len(b)), None)]
+        fresh_forests(monkeypatch)
+        unbounded = [forest_of(*case) for case in cases]
+        limit = 20
+        assert words._FORESTS.entries > 4 * limit
+        assert max(len(forest.partitions) for forest in words._FORESTS.values()) <= limit
+        fresh_forests(monkeypatch, limit)
+        held = []  # the partitions the cache holds after each call
+        answers = []
+        for case in cases:
+            answers.append(forest_of(*case))
+            held.append(sum(len(forest.partitions) for forest in words._FORESTS.values()))
+            assert held[-1] == words._FORESTS.entries
+        assert answers == unbounded
+        assert max(held) <= limit
+        assert any(after < before for before, after in zip(held, held[1:]))  # it emptied
+
+    def test_golden_forests_do_not_depend_on_what_the_cache_holds(self, monkeypatch):
+        cases = [record[:5] for record in GOLDEN_FORESTS] + [
+            (sidx, kind == "abelian", la, lb, cap)
+            for sidx, kind, la, lb, *_ in GOLDEN_SEARCHES
+            if kind != "graev"
+            for cap in sorted({max(len(la), len(lb)), len(la) + len(lb) + 2})
+        ]
+        golden = TestForestGolden()
+        fresh_forests(monkeypatch)
+        cold = golden.forests(monkeypatch, cases)
+        rest = cold[len(GOLDEN_FORESTS):]
+        assert cold[: len(GOLDEN_FORESTS)] == GOLDEN_FORESTS
+        assert (len(rest), hashlib.sha256(repr(rest).encode()).hexdigest()[:16]) == GOLDEN_FOREST_DIGEST
+        # Warm a fresh cache with each pair's image under swapping the
+        # basepoint 0 with another of its terminals, over that basepoint: the
+        # same costs and terminals, keyed by another basepoint.
+        fresh_forests(monkeypatch)
+        spaces = [validate_space(labels(len(mat)), [[F(v) for v in row] for row in mat], "metric") for mat in GOLDEN_SPACES]
+        for sidx, commutative, la, lb, _cap in cases:
+            for e in sorted({x for x, _s in la + lb}):
+                pointed = PointedSpace(spaces[sidx], e)
+                swap = {0: e, e: 0}
+                a, b = ([(swap.get(x, x), s) for x, s in letters] for letters in (la, lb))
+                forest_of(reduce_letters(a, commutative, pointed), reduce_letters(b, commutative, pointed), pointed)
+        rng = random.Random(5)
+        for n in (3, 5):
+            pointed = PointedSpace(random_metric_space(rng, n), 0)
+            for _ in range(20):
+                forest_of(random_word(rng, pointed, 3), random_word(rng, pointed, 3), pointed)
+        warmed_keys = set(words._FORESTS)
+        assert golden.forests(monkeypatch, cases) == cold
+        # The warm-up built tables for the golden pairs' costs and terminals
+        # over other basepoints, which a key without the basepoint would reuse.
+        golden_keys = set(words._FORESTS) - warmed_keys
+        assert {(idist, t) for idist, e, t in golden_keys} & {(idist, t) for idist, e, t in warmed_keys}
+
+
 # Stream-order golden data on one 3-point space (basepoint 0), recorded from
 # the stream as it was before it shared the search's prefix tables:
 # (commutative, a letters, b letters, cap, every yielded rows tuple in order).
