@@ -12,9 +12,15 @@ middle arc (flow sent earlier and now withdrawn), so the rounds are not
 bounded by m + n.  The loop ends because every residual stays a multiple
 of 1/D, D the common denominator of the supplies (1 for integers): each
 round pushes at least 1/D.  Shortest paths are found by Bellman-Ford over a
-fixed arc order, which keeps witnesses deterministic; as the kernel only
-adds, compares and takes minima, data scaled by positive constants takes
-the same paths to the same flow, scaled.  The last round's shortest
+fixed arc order, which keeps witnesses deterministic.  A pass tries an arc
+only if its tail's label has fallen since the arc was last tried in that
+round (the label-correcting rule of Ahuja, Magnanti & Orlin, *Network
+Flows*, 1993, section 5.4).  The rule is exact: a skipped try would offer
+the same candidate to a head label that can only have fallen since, so it
+could change nothing, and every label falls in the same order to the same
+parent arc as when every open arc is tried on every pass.  As the kernel
+only adds, compares and takes minima, data scaled by positive constants
+takes the same paths to the same flow, scaled.  The last round's shortest
 distances are the dual potentials: every node is reachable in that round,
 and pushing along a shortest path keeps every residual reduced cost
 nonnegative, so they certify the final flow.  ``dual_certificate`` checks
@@ -144,6 +150,9 @@ def min_cost_flow(costs: Sequence[Sequence], supply: Sequence, demand: Sequence)
     ``flow`` maps each cell ``(a, b)`` of positive flow to its amount, on a
     support with no cycle (at most m + n - 1 cells), and the potentials are
     the last round's shortest distances, for :func:`dual_certificate`.
+    Bellman-Ford skips the arcs that cannot relax anything (see the module
+    docstring), so labels, parent arcs and passes are those of trying every
+    open arc on every pass.
     """
     m, n = len(supply), len(demand)
     zero = 0 * costs[0][0]  # in the costs' arithmetic, so every potential is too
@@ -169,20 +178,31 @@ def min_cost_flow(costs: Sequence[Sequence], supply: Sequence, demand: Sequence)
             add_arc(1 + a, m + 1 + b, big, c)
 
     arcs = list(enumerate(zip(tails, heads, cost)))
+    is_open = [r > 0 for r in residual]
     node_count = m + n + 2
     remaining = total
     while remaining > 0:
         dist = [None] * node_count
         parent_arc = [-1] * node_count
         dist[source] = zero
+        # Label updates are counted: fell[x] is the count just after x's
+        # label last fell (0 while it is unset), tried[k] the count when arc
+        # k was last tried.
+        updates = 1
+        fell = [0] * node_count
+        fell[source] = updates
+        tried = [0] * len(arcs)
         for _ in range(node_count - 1):
             changed = False
             for k, (u, v, c) in arcs:
-                if residual[k] > 0 and dist[u] is not None:
+                if is_open[k] and fell[u] > tried[k]:
+                    tried[k] = updates
                     cand = dist[u] + c
                     if dist[v] is None or cand < dist[v]:
                         dist[v] = cand
                         parent_arc[v] = k
+                        updates += 1
+                        fell[v] = updates
                         changed = True
             if not changed:
                 break
@@ -198,6 +218,8 @@ def min_cost_flow(costs: Sequence[Sequence], supply: Sequence, demand: Sequence)
         for k in path:
             residual[k] -= push
             residual[k ^ 1] += push
+            is_open[k] = residual[k] > 0
+            is_open[k ^ 1] = True
         remaining -= push
 
     flow = {}

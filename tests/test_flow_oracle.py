@@ -43,7 +43,9 @@ def spread(rng: random.Random, points: list[int], den: int) -> dict[int, F]:
     return dict(zip(points, (F(k, den) for k in parts)))
 
 
-@pytest.mark.parametrize("n, full", [(16, True), (16, False), (24, True), (24, False)])
+@pytest.mark.parametrize(
+    "n, full", [(16, True), (16, False), (24, True), (24, False), (32, True), (32, False), (48, True)]
+)
 def test_kantorovich_values_match_network_simplex(n, full):
     rng = random.Random(n * 2 + full)
     space = random_metric_space(rng, n, den_max=6)

@@ -468,6 +468,43 @@ class TestFlowKernelScaling:
         assert len(seen) == 4
 
 
+# sha256 prefixes of repr(kantorovich(...)) on bench_scale_pair(n, full):
+# value, plan (cell order included) and both potential maps, as the kernel
+# returned them while every Bellman-Ford pass still tried every open arc.
+KANTOROVICH_ANSWERS = {
+    (8, True): "0da8cbee8c5b5088",
+    (8, False): "97e0e0b98385d4a8",
+    (16, True): "15cb71d8b950b4f1",
+    (16, False): "277788f876812a89",
+    (24, True): "ea1f6b135299ba1e",
+    (24, False): "ee3be75a2af1da54",
+    (32, True): "8e61c8774327c7bf",
+    (32, False): "596849ff38b8df56",
+}
+
+
+def bench_scale_pair(n, full):
+    """A shortest-path-closed space on n points and two measures drawn as
+    the transport benchmark draws them (masses k/q with k, q <= 12,
+    normalized), on all n points or on n // 3 of them."""
+    rng = random.Random(100 * n + full)
+    table = random_metric_space(rng, n, method="closure").pair_table()
+
+    def masses():
+        support = range(n) if full else rng.sample(range(n), n // 3)
+        raw = {i: F(rng.randint(1, 12), rng.randint(1, 12)) for i in support}
+        total = sum(raw.values())
+        return distribution({i: w / total for i, w in raw.items()})
+
+    return table, masses(), masses()
+
+
+@pytest.mark.parametrize("n, full", list(KANTOROVICH_ANSWERS))
+def test_kantorovich_answers_are_pinned(n, full):
+    result = kantorovich(*bench_scale_pair(n, full))
+    assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == KANTOROVICH_ANSWERS[(n, full)]
+
+
 class TestSolverVsOracle:
     def test_sampled_instances(self):
         rng = random.Random(77)
