@@ -5,10 +5,10 @@ Every distance and mass this package takes or returns is a
 bit-for-bit comparisons, never tolerance checks.  Space validation and the
 generic oracles compute on the integers :func:`scale_to_integers` gives:
 the entries times their common denominator, which compare and add exactly
-as the rationals do.  A space keeps its own integer view
-(:attr:`FiniteMetricSpace.integer_dist`), so the word solvers, which read
-it on every call, scale its distances once.  Floating point shows up only
-in the CLI's courtesy decimal renderings.
+as the rationals do.  A table keeps that view (:attr:`PairTable.integer_view`),
+and a space one table, to which :func:`validate_space` hands the integers
+it checked; so the solvers reading it on every call scale a table once.
+Floating point shows up only in the CLI's courtesy decimal renderings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -113,12 +113,16 @@ def decimal_str(x: Fraction, digits: int = 10) -> str:
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
-class _IntegerDistSlot(Value):
-    # A slot outside FiniteMetricSpace's own __slots__, so not one of its fields.
-    __slots__ = ("_integer_dist",)
+class _Kept(Value):
+    # A slot outside a subclass's own __slots__: equality, hash and repr ignore it.
+    __slots__ = ("_kept",)
+
+    def _keep(self, value):
+        set_field(self, "_kept", value)
+        return value
 
 
-class FiniteMetricSpace(_IntegerDistSlot):
+class FiniteMetricSpace(_Kept):
     """Labeled points with an exact symmetric distance matrix.
 
     Instances are built through :func:`validate_space` (or the JSON loader),
@@ -143,21 +147,13 @@ class FiniteMetricSpace(_IntegerDistSlot):
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
-    @property
-    def integer_dist(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(den, rows)``: :func:`scale_to_integers` of the distances.
-        :func:`validate_space` keeps the view it checked; a space built
-        directly computes it on first use.  Either way it is computed once
-        per space, and it is no field: equality, hash and repr ignore it."""
-        try:
-            return self._integer_dist
-        except AttributeError:
-            view = scale_to_integers(self.dist)
-            set_field(self, "_integer_dist", view)
-            return view
-
     def pair_table(self) -> "PairTable":
-        return PairTable(self.dist)
+        """The distances as a table, one per space and no field; a validated
+        space's table starts from the integers its axioms were checked on."""
+        try:
+            return self._kept
+        except AttributeError:
+            return self._keep(PairTable(self.dist))
 
     def to_obj(self) -> dict:
         return {
@@ -191,8 +187,8 @@ def validate_space(
     metric mode, triangle inequality) so the reported violation is
     deterministic.  After the entry types, every check runs exactly on the
     matrix scaled to integers by its common denominator; the returned space
-    keeps the caller's entries, and that integer view as its
-    :attr:`~FiniteMetricSpace.integer_dist`.
+    keeps the caller's entries, and hands those integers to its table's
+    :attr:`~PairTable.integer_view`.
     """
     if mode not in MODES:
         raise SpaceValidationError("mode", (mode,), f"unknown mode {mode!r}")
@@ -259,7 +255,7 @@ def validate_space(
                     f"d({points[i]},{points[k]}) > d({points[i]},{points[j]}) + d({points[j]},{points[k]})",
                 )
     space = FiniteMetricSpace(tuple(points), tuple(tuple(row) for row in matrix), mode)
-    set_field(space, "_integer_dist", (den, m))
+    space._keep(PairTable(space.dist))._keep((den, m))
     return space
 
 
@@ -306,7 +302,7 @@ def canonical_space_obj(space: FiniteMetricSpace, basepoint: str | None = None) 
     return obj
 
 
-class PairTable(Value):
+class PairTable(_Kept):
     """A function on X x X with exact rational values, callable on (i, j)."""
 
     __slots__ = ("values",)
@@ -320,3 +316,19 @@ class PairTable(Value):
 
     def __call__(self, pair: tuple[int, int]) -> Fraction:
         return self.values[pair[0]][pair[1]]
+
+    @property
+    def integer_view(self) -> tuple[int, tuple, Callable[[tuple[int, int]], int], bool]:
+        """``(den, rows, rank, nonnegative)``: :func:`scale_to_integers` of
+        the values, ``rank`` giving an index pair's integer, and whether no
+        entry is negative.  Computed once per table, on first use, from the
+        scaling :func:`validate_space` handed over if it did; no field."""
+        try:
+            view = self._kept
+        except AttributeError:
+            view = scale_to_integers(self.values)
+        if len(view) == 2:  # (den, rows) alone, as validate_space hands them over
+            den, rows = view
+            rank = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+            view = self._keep((den, rows, rank.__getitem__, min(rank.values()) >= 0))
+        return view

@@ -218,18 +218,17 @@ def extend_generic(functor: Functor, ctx, table: PairTable, a, b, *, early_exit:
 
     The fiber stream is finite and deterministic, so the minimum and the
     first witness attaining it are well defined.  Couplings are ranked by
-    :meth:`Functor.fiber_minimum` on the table scaled to integers by its
-    common denominator, which orders them as the table does (see
-    :meth:`Functor.lift`); the value is the witness lifted on the table
+    :meth:`Functor.fiber_minimum` on the table's integer view, scaled by its
+    common denominator once per table, which orders them as the table does
+    (see :meth:`Functor.lift`); the value is the witness lifted on the table
     itself.  When the table is nonnegative the search stops at the first
     zero-valued coupling, since lifted values of nonnegative tables are
     nonnegative.
     """
     functor.validate_element(a, ctx)
     functor.validate_element(b, ctx)
-    (int_table,) = integer_tables(table)
-    stop_at_zero = early_exit and min(int_table.values()) >= 0
-    best, witness, count = functor.fiber_minimum(a, b, ctx, int_table.__getitem__, stop_at_zero)
+    _den, _rows, rank, nonnegative = table.integer_view
+    best, witness, count = functor.fiber_minimum(a, b, ctx, rank, early_exit and nonnegative)
     if not count:
         raise EmptyFiberError(f"{functor.name}: empty fiber for ({a!r}, {b!r})")
     return ExtensionResult(Fraction(functor.lift(table, witness)), witness, count, functor.capped_fiber and best != 0)
@@ -252,7 +251,7 @@ def first_minimum(ranked: Iterable[tuple[Any, Any]], stop_at_zero: bool) -> tupl
 
 def integer_tables(*tables: PairTable) -> list[dict[tuple[int, int], int]]:
     """The tables scaled to integers by one common denominator, as dicts
-    keyed by index pair, so that lifts look entries up in C."""
+    keyed by index pair, for comparing two tables' lifts."""
     rows = iter(scale_to_integers([row for table in tables for row in table.values])[1])
     return [{(i, j): v for i, row in zip(range(table.n), rows) for j, v in enumerate(row)} for table in tables]
 

@@ -57,9 +57,9 @@ states by int pairs or triples and find the targets by comparing ints,
 never letter tuples.  The tables and ids depend only on the side's word and
 the space's size and basepoint, so each word's are built once and kept for
 every later call, in one cache bounded by its prefix tables
-(:data:`_TABLES_LIMIT`); the integer costs are the space's own
-:attr:`~fiberdist.core.FiniteMetricSpace.integer_dist`, also computed
-once.  A row puts one
+(:data:`_TABLES_LIMIT`); the integer costs are the rows of the space's
+table's :attr:`~fiberdist.core.PairTable.integer_view`, which
+:func:`~fiberdist.core.validate_space` computed once.  A row puts one
 sign on both sides, so a prefix pair needs at least the larger side's count
 of each sign in rows; the DAG and both searches cut every pair that cannot
 finish within the cap, as no representation passes through it.  The DAG,
@@ -74,7 +74,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import transport  # by module, so a tracer or test that patches the flow kernel sees these calls
 from .core import FiniteMetricSpace, ParseError, Value, set_field
@@ -610,7 +610,7 @@ def graev_distance(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    denom, idist = pointed.space.integer_dist
+    denom, idist, _rank, _nonnegative = pointed.space.pair_table().integer_view
     swier = variant == SWIERCZKOWSKI
     if swier:
         cost, rows = _swierczkowski_forest(a, b, pointed, idist, cap)
@@ -847,34 +847,25 @@ class _ForestTable:
     basepoint, or the block's first terminal).  They are ranked by cost
     and, at equal cost, in the order of a depth-first walk in which
     terminal i joins each earlier block in turn, then opens its own.
-    :meth:`edges` joins one Steiner tree per block, each computed when
-    first asked for.  The partitions never change once ranked.
+    :meth:`edges` joins one Steiner tree per block, kept per terminal mask;
+    neither changes once built, nor grows with the points of the space.
     """
 
-    __slots__ = ("terminals", "partitions", "_tree_edges", "_block_edges")
+    __slots__ = ("terminals", "partitions", "_tree_edges")
 
     def __init__(self, idist, e: int, terminals: tuple[int, ...]):
         cost, self._tree_edges = _steiner_trees(terminals, idist)
         self.terminals = terminals
         self.partitions = _ranked_partitions(terminals, cost, e)
-        self._block_edges: dict[int, list[tuple[int, int]]] = {}
 
     def edges(self, blocks: tuple[int, ...]) -> list[tuple[int, int]]:
         """The sorted edges of one cheapest forest of the partition ``blocks``."""
-        memo = self._block_edges
-        out: set = set()
-        for block in blocks:
-            edges = memo.get(block)
-            if edges is None:
-                edges = memo[block] = self._tree_edges(block)
-            out.update(edges)
-        return sorted(out)
+        return sorted(set().union(*[self._tree_edges[block] for block in blocks]))
 
 
 # Emptied when the partitions it would hold with a new table reach
 # _FORESTS_LIMIT, which is above any one table's Bell(8) = 4,140.  An
-# 8-terminal table takes about 0.5 MB on 8 points and 1.4 MB on 64, where
-# its Steiner rows grow with the points.
+# 8-terminal table keeps about 1.1 MB, whatever the size of the space.
 _FORESTS = _TableCache()
 _FORESTS_LIMIT = 1 << 14
 
@@ -895,15 +886,15 @@ def _forest_table(idist, e: int, terminals: tuple[int, ...]) -> _ForestTable:
     return forest
 
 
-def _steiner_trees(terminals: Sequence[int], idist) -> tuple[list[int], Callable]:
+def _steiner_trees(terminals: Sequence[int], idist) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """Dreyfus-Wagner over the subsets of ``terminals`` (Networks 1 (1971)).
 
     The costs are a pseudometric, so they are their own shortest-path
     closure and a tree edge is a direct pair.  ``tree[mask][v]`` is the
     least cost of a tree joining the terminals in ``mask`` and point v,
-    reached from the junction and split in ``via[mask][v]``.  Returns the
-    Steiner cost of every mask and a function giving one such tree's edges
-    as sorted point pairs.
+    reached from the junction and split in ``via[mask][v]``.  Returns, per
+    terminal mask, its Steiner cost and one such tree's edges as sorted
+    point pairs; the rows, which grow with the points, are dropped.
     """
     points = range(len(idist))
     tree: list = [None] * (1 << len(terminals))
@@ -936,21 +927,19 @@ def _steiner_trees(terminals: Sequence[int], idist) -> tuple[list[int], Callable
             row.append(c)
             back.append((u, split[u]))
         cost[mask] = row[terminals[low.bit_length() - 1]]
-
-    def tree_edges(mask: int) -> list[tuple[int, int]]:
-        out = []
-        todo = [(mask ^ (mask & -mask), terminals[(mask & -mask).bit_length() - 1])]
-        while todo:
-            mask, v = todo.pop()
-            if not mask:
-                continue
-            u, one = via[mask][v]
+    edges: list = [[]]
+    for mask in range(1, 1 << len(terminals)):
+        low = mask & -mask
+        out = set()
+        todo = [(mask ^ low, terminals[low.bit_length() - 1])] if mask != low else []
+        while todo:  # each split's halves are nonempty
+            sub, v = todo.pop()
+            u, one = via[sub][v]
             if u != v:
-                out.append((min(u, v), max(u, v)))
-            todo += [(one, u), (mask ^ one, u)] if one else []
-        return out
-
-    return cost, tree_edges
+                out.add((min(u, v), max(u, v)))
+            todo += [(one, u), (sub ^ one, u)] if one else []
+        edges.append(sorted(out))
+    return cost, edges
 
 
 def _ranked_partitions(terminals: tuple[int, ...], cost: list[int], e: int) -> list[tuple[int, tuple, tuple]]:
@@ -1093,7 +1082,7 @@ def search_word_distance(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cap = _check_pair(a, b, cap)
-    denom, idist = pointed.space.integer_dist
+    denom, idist, _rank, _nonnegative = pointed.space.pair_table().integer_view
     return _search(a, b, pointed, variant == SWIERCZKOWSKI, cap, denom, idist)
 
 

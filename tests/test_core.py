@@ -141,27 +141,6 @@ class TestValidateSpace:
         again = validate_space(sp.points, sp.dist, sp.mode)
         assert again == sp
 
-    def test_integer_view_is_kept_once(self, monkeypatch):
-        scalings = []
-        original = core.scale_to_integers
-        monkeypatch.setattr(core, "scale_to_integers", lambda matrix: scalings.append(matrix) or original(matrix))
-        mat = [[F(0), F(1, 2), F(2, 3)], [F(1, 2), F(0), F(1, 3)], [F(2, 3), F(1, 3), F(0)]]
-        sp = validate_space(["a", "b", "c"], mat, "metric")
-        want = (6, ((0, 3, 4), (3, 0, 2), (4, 2, 0)))
-        assert original(sp.dist) == want
-        assert sp.integer_dist == want and sp.integer_dist is sp.integer_dist
-        assert len(scalings) == 1  # validation's own, kept
-        built = FiniteMetricSpace(sp.points, sp.dist, sp.mode)
-        assert built.integer_dist == want and built.integer_dist is built.integer_dist
-        assert len(scalings) == 2  # on first use, once
-        # The view is no field: a space that has not computed it is equal,
-        # with the same hash and repr.
-        bare = FiniteMetricSpace(sp.points, sp.dist, sp.mode)
-        assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
-        assert len(scalings) == 2
-        with pytest.raises(TypeError):
-            built.integer_dist[1][0][1] = 5
-
     def test_relabeling_invariance(self):
         rng = random.Random(9)
         mat = [[F(0), F(2), F(3)], [F(2), F(0), F(4)], [F(3), F(4), F(0)]]
@@ -230,3 +209,36 @@ class TestPairTable:
         t = PairTable([[F(0), F(1)], [F(2), F(0)]])
         assert transposed(t)((0, 1)) == F(2)
         assert scale(t, F(3))((1, 0)) == F(6)
+
+    def test_integer_view_is_kept_once(self, monkeypatch):
+        scalings = []
+        original = core.scale_to_integers
+        monkeypatch.setattr(core, "scale_to_integers", lambda matrix: scalings.append(matrix) or original(matrix))
+        mat = [[F(0), F(1, 2), F(2, 3)], [F(1, 2), F(0), F(1, 3)], [F(2, 3), F(1, 3), F(0)]]
+        sp = validate_space(["a", "b", "c"], mat, "metric")
+        want = (6, ((0, 3, 4), (3, 0, 2), (4, 2, 0)))
+        assert original(sp.dist) == want
+        table = sp.pair_table()
+        assert table is sp.pair_table() and table == PairTable(sp.dist)
+        assert table.integer_view[:2] == want and table.integer_view is table.integer_view
+        assert len(scalings) == 1  # validation's own, kept
+        _den, _rows, rank, nonnegative = table.integer_view
+        assert [rank((i, j)) for i in range(3) for j in range(3)] == [v for row in want[1] for v in row]
+        assert nonnegative
+        built = PairTable(sp.dist)
+        assert built.integer_view[:2] == want and built.integer_view is built.integer_view
+        assert len(scalings) == 2  # on first use, once
+        direct = FiniteMetricSpace(sp.points, sp.dist, sp.mode)
+        assert direct.pair_table() is direct.pair_table() and direct.pair_table().integer_view[:2] == want
+        assert len(scalings) == 3  # a space built directly: its table's first use
+        # The view is no field: a table that has not computed it is equal,
+        # with the same hash and repr, and so is a space that has not built
+        # its table.
+        bare = PairTable(sp.dist)
+        assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+        bare_space = FiniteMetricSpace(sp.points, sp.dist, sp.mode)
+        assert sp == direct == bare_space and hash(direct) == hash(bare_space) and repr(direct) == repr(bare_space)
+        assert len(scalings) == 3
+        with pytest.raises(TypeError):
+            built.integer_view[1][0][1] = 5
+        assert not PairTable([[F(0), F(-1, 2)], [F(1), F(0)]]).integer_view[3]

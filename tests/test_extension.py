@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fiberdist import core, extension
 from fiberdist.core import PairTable, scale_to_integers, validate_space
 from fiberdist.extension import ElementDomainError, EmptyFiberError, ExtensionResult, extend_generic
 from fiberdist.hyperspace import HyperspaceFunctor, Subset, SubsetCoupling
@@ -322,6 +323,34 @@ class TestIntegerMinimum:
             assert (got.value, got.witness.rows, got.fiber_size_enumerated) == (0, (), count)
         with pytest.raises(EmptyFiberError, match="empty fiber"):
             extend_generic(WordsFunctor(variant, cap=1), ctx, table, x, y_inv)
+
+    def test_each_table_is_scaled_once(self, monkeypatch):
+        # Ranks come from the table's integer view: a validated space's
+        # table has the view validation checked, and a foreign table scales
+        # its values on its first call only.
+        rng = random.Random(30)
+        space = random_metric_space(rng, 3, den_max=5)
+        foreign = random_pseudometric_table(rng, 3)
+        scalings = []
+        original = core.scale_to_integers
+
+        def counted(matrix):
+            scalings.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(core, "scale_to_integers", counted)
+        monkeypatch.setattr(extension, "scale_to_integers", counted)
+        for table in (space.pair_table(), foreign):
+            for functor in functor_instances():
+                ctx = make_ctx(functor, space)
+                for _ in range(3):
+                    a, b = sample_element(rng, functor, ctx), sample_element(rng, functor, ctx)
+                    for early_exit in (True, False):
+                        try:
+                            extend_generic(functor, ctx, table, a, b, early_exit=early_exit)
+                        except EmptyFiberError:
+                            assert functor.capped_fiber
+            assert scalings == ([] if table is space.pair_table() else [foreign.values])
 
     @pytest.mark.parametrize("k", [F(2), F(7, 3)])
     def test_lift_order_survives_positive_scaling(self, k):

@@ -49,7 +49,7 @@ def spread(rng: random.Random, points: list[int], den: int) -> dict[int, F]:
 def test_kantorovich_values_match_network_simplex(n, full):
     rng = random.Random(n * 2 + full)
     space = random_metric_space(rng, n, den_max=6)
-    cost_den, costs = space.integer_dist
+    cost_den, costs, _rank, _nonnegative = space.pair_table().integer_view
     for _ in range(2):
         sides = [rng.sample(range(n), n if full else rng.randint(2, n // 2)) for _ in range(2)]
         mu, nu = (distribution(spread(rng, points, rng.randint(len(points), 3 * n))) for points in sides)
@@ -88,7 +88,7 @@ def test_abelian_graev_values_match_network_simplex():
         demand = {x: -c for x, c in residual.items() if c < 0}
         two_signed += bool(supply and demand)
         supply[e], demand[e] = sum(demand.values()) + 1, sum(supply.values()) + 1
-        den, costs = pointed.space.integer_dist
+        den, costs, _rank, _nonnegative = pointed.space.pair_table().integer_view
         expected = network_simplex_cost(supply, demand, costs)
         result = graev_distance(a, b, pointed)
         assert not result.cap_limited

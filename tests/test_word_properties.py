@@ -180,7 +180,7 @@ def tied_words(draw):
 @given(tied_words())
 def test_ranked_partitions_match_the_pruned_walk(case):
     pointed, a, b = case
-    e, idist = pointed.basepoint, pointed.space.integer_dist[1]
+    e, idist = pointed.basepoint, pointed.space.pair_table().integer_view[1]
     terminals = tuple(sorted({e, *(x for x, _s in a.letters + b.letters)}))
     forest = words._forest_table(idist, e, terminals)
     cost, _tree_edges = words._steiner_trees(terminals, idist)

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import gc
 import random
+import sys
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -888,7 +891,7 @@ class TestForestGolden:
             a, b = reduce_letters(la, commutative, pointed), reduce_letters(lb, commutative, pointed)
             assert a.letters == la and b.letters == lb
             calls.clear()
-            bound, rows = words._swierczkowski_forest(a, b, pointed, pointed.space.integer_dist[1], cap)
+            bound, rows = words._swierczkowski_forest(a, b, pointed, pointed.space.pair_table().integer_view[1], cap)
             records.append((sidx, commutative, la, lb, cap, bound, None if rows is None else tuple(rows), tuple(calls)))
         return records
 
@@ -916,7 +919,7 @@ def fresh_forests(monkeypatch, limit=None):
 def forest_of(a, b, pointed, cap=None):
     """``_swierczkowski_forest`` on the space's integer costs, at the default cap unless given."""
     cap = words.default_cap(a, b) if cap is None else cap
-    return words._swierczkowski_forest(a, b, pointed, pointed.space.integer_dist[1], cap)
+    return words._swierczkowski_forest(a, b, pointed, pointed.space.pair_table().integer_view[1], cap)
 
 
 class TestForestCache:
@@ -943,7 +946,8 @@ class TestForestCache:
         fresh_forests(monkeypatch)
         mat = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
         spaces = [validate_space(labels(3), [[F(v, den) for v in row] for row in mat], "metric") for den in (1, 3)]
-        assert [space.integer_dist for space in spaces] == [(1, spaces[0].integer_dist[1]), (3, spaces[0].integer_dist[1])]
+        views = [space.pair_table().integer_view[:2] for space in spaces]
+        assert views == [(1, views[0][1]), (3, views[0][1])]
         answers = []
         for space in spaces:
             pointed = PointedSpace(space, 0)
@@ -951,7 +955,7 @@ class TestForestCache:
             bound, rows = forest_of(a, b, pointed)
             answer = graev_distance(a, b, pointed, "swierczkowski")
             assert answer.fiber_size_enumerated == 0
-            assert answer.value == F(bound, space.integer_dist[0])
+            assert answer.value == F(bound, space.pair_table().integer_view[0])
             assert answer.witness.rows == tuple(rows)
             answers.append(answer)
         assert len(words._FORESTS) == 1
@@ -1017,6 +1021,41 @@ class TestForestCache:
         # over other basepoints, which a key without the basepoint would reuse.
         golden_keys = set(words._FORESTS) - warmed_keys
         assert {(idist, t) for idist, e, t in golden_keys} & {(idist, t) for idist, e, t in warmed_keys}
+
+
+def retained_bytes(obj) -> int:
+    """``sys.getsizeof`` summed over every object ``obj`` reaches, each once;
+    a function is followed into its closure only, and classes not at all."""
+    seen, todo, total = set(), [obj], 0
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        total += sys.getsizeof(x)
+        if isinstance(x, types.FunctionType):
+            todo += [cell.cell_contents for cell in x.__closure__ or ()]
+        else:
+            todo += gc.get_referents(x)
+    return total
+
+
+def test_a_forest_table_holds_no_more_on_a_larger_space():
+    # Padding a space with points far from every point keeps each Steiner
+    # tree and partition of the same terminals, so what a table keeps must
+    # not grow with the points: the cache's bound counts only partitions.
+    base = random_metric_space(random.Random(8), 6, den_max=1).pair_table().integer_view[1]
+    terminals = tuple(range(6))
+    sizes, tables = [], []
+    for n in (8, 64):
+        far = 100 * max(map(max, base))
+        rows = [[base[i][j] if i < 6 and j < 6 else far * (i != j) for j in range(n)] for i in range(n)]
+        idist = validate_space(labels(n), rows, "metric").pair_table().integer_view[1]
+        table = words._ForestTable(idist, 0, terminals)
+        tables.append((table.partitions, [table.edges(blocks) for _cost, blocks, _rep in table.partitions]))
+        sizes.append(retained_bytes(table))
+    assert tables[0] == tables[1]
+    assert sizes[0] == sizes[1]
 
 
 # Stream-order golden data on one 3-point space (basepoint 0), recorded from
