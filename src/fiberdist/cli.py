@@ -16,7 +16,9 @@ error (an ``extension.ComputeError``: enumeration cap exceeded, unbalanced
 masses, no representation within cap, a word, transport or Hausdorff witness
 or a transport dual certificate failing its check, a value too large to
 print), 3 specialized/generic mismatch under ``--method both``.  Every
-refused invocation prints one ``{"error": ...}`` line on stdout.
+refused invocation prints one ``{"error": ...}`` line on stdout.  Output
+cut short by a reader that closes stdout early (``| head -n 1``) exits 1,
+with nothing on stderr.
 
 Functors are known only through one table, CLI name -> (module, class);
 a functor's module is imported when a request first names it, and the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
 
@@ -274,12 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
-    except ParseError as exc:  # a usage error, a malformed flag value or batch file
-        response, code = _error_response(exc)
-        print(json.dumps(response))
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.handler(args)
+        except ParseError as exc:  # a usage error, a malformed flag value or batch file
+            response, code = _error_response(exc)
+            print(json.dumps(response))
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Python flushes stdout
+        # again at exit, so it is pointed at devnull, as the signal module's
+        # documentation advises; the response was cut short, so exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -383,6 +383,16 @@ def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple[i
        The simplex method on the perturbed masses ends at a feasible basis
        whose reduced costs, which do not depend on the masses, are
        nonnegative; by step 1 its real flow is optimal, so it is v.
+
+    A basis is a bitmask over the row-major cells, and every set of cells
+    the walk meets is one too: the entering cells, each pivot's cycle (the
+    cells on the tree path between the entering cell's row and column,
+    from :func:`_root_paths`) and the losing cells on it.  The walk reads
+    their bits in place, lowest first, and lists none of them: one pass
+    over the losing bits picks the leaving cell, the first of least flow
+    in ascending cell order, and one pass over the cycle's bits moves
+    theta.  A cell off the basis carries no flow, so a vertex is read off
+    the flow list itself.
     """
     rows = mu.support
     cols = nu.support
@@ -397,30 +407,42 @@ def _vertex_flows(mu: Distribution, nu: Distribution) -> tuple[int, list[tuple[i
     done = {todo[0][0]: 0}  # per basis reached, the cells whose pivot leads back
     vertices = set()
     grid = (1 << m * n) - 1
+    row = (1 << n) - 1
+    column = sum(1 << a * n for a in range(m))
+    lines = [row << a * n for a in range(m)] + [column << b for b in range(n)]
     while todo:
         mask, flow = todo.pop()
-        basis = _cells(mask)
-        vertices.add(tuple([(cell, (flow[cell] + m + 1) // wide) for cell in basis if flow[cell] > m]))
-        path, lose_row = _root_paths(basis, m, n)
-        for enter in _cells(grid & ~(mask | done[mask])):
-            u, v = divmod(enter, n)
+        vertices.add(tuple([(cell, (w + m + 1) // wide) for cell, w in enumerate(flow) if w > m]))
+        path, lose_row = _root_paths(mask, lines, m, n)
+        entering = grid & ~(mask | done[mask])
+        while entering:
+            bit = entering & -entering
+            entering ^= bit
+            u, v = divmod(bit.bit_length() - 1, n)
             v += m
-            # Pushing theta into ``enter`` takes it from the path cells
-            # crossed from a row to a column on the way from u to v.
+            # Pushing theta into the entering cell takes it from the path
+            # cells crossed from a row to a column on the way from u to v;
+            # the first of them with the least flow leaves.
             losing = (lose_row[u] & ~path[v]) | ((path[v] ^ lose_row[v]) & ~path[u])
-            leaving = _cells(losing)
-            leave = min(leaving, key=flow.__getitem__)
-            moved = mask ^ (1 << enter) ^ (1 << leave)
+            rest, theta = losing, None
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = flow[low.bit_length() - 1]
+                if theta is None or w < theta:
+                    leave, theta = low, w
+            moved = mask ^ bit ^ leave
             if moved in done:
-                done[moved] |= 1 << leave
+                done[moved] |= leave
                 continue
-            done[moved] = 1 << leave
+            done[moved] = leave
             nxt = flow[:]
-            nxt[enter] = theta = flow[leave]
-            for cell in leaving:
-                nxt[cell] -= theta
-            for cell in _cells((path[u] ^ path[v]) ^ losing):
-                nxt[cell] += theta
+            nxt[bit.bit_length() - 1] = theta
+            rest = path[u] ^ path[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt[low.bit_length() - 1] += -theta if low & losing else theta
             todo.append((moved, nxt))
     return den, [(i, j) for i in rows for j in cols], vertices
 
@@ -448,36 +470,26 @@ def _north_west_corner(supply: list[int], demand: list[int]) -> tuple[int, list[
             b += 1
 
 
-def _cells(mask: int) -> list[int]:
-    """The row-major cell indices of a bitmask, in increasing order."""
-    cells = []
-    while mask:
-        low = mask & -mask
-        cells.append(low.bit_length() - 1)
-        mask ^= low
-    return cells
-
-
-def _root_paths(basis: list[int], m: int, n: int) -> tuple[list[int], list[int]]:
-    """``(path, lose_row)`` per node of the spanning tree on the ``basis``
-    cells, rooted at row 0, nodes numbered rows then columns: ``path[v]`` is
-    the bitmask of the cells from the root to v, and ``lose_row[v]`` those
-    of them whose lower end is a row."""
-    adjacent = [[] for _ in range(m + n)]
-    for cell in basis:
-        a, b = divmod(cell, n)
-        adjacent[a].append((m + b, cell))
-        adjacent[m + b].append((a, cell))
+def _root_paths(mask: int, lines: list[int], m: int, n: int) -> tuple[list[int], list[int]]:
+    """``(path, lose_row)`` per node of the spanning tree on the cells of
+    the basis ``mask``, rooted at row 0, nodes numbered rows then columns:
+    ``path[v]`` is the bitmask of the cells from the root to v, and
+    ``lose_row[v]`` those of them whose lower end is a row.  ``lines[v]``
+    is the mask of every cell at node v, so a node's tree edges away from
+    the root are the basis cells on its line and not on its path."""
     path = [0] * (m + n)
     lose_row = [0] * (m + n)
     order = [0]
     for v in order:
-        for u, cell in adjacent[v]:
-            if not path[v] >> cell & 1:
-                bit = 1 << cell
-                path[u] = path[v] | bit
-                lose_row[u] = lose_row[v] | (bit if u < m else 0)
-                order.append(u)
+        edges = mask & lines[v] & ~path[v]
+        while edges:
+            bit = edges & -edges
+            edges ^= bit
+            cell = bit.bit_length() - 1
+            u = m + cell % n if v < m else cell // n
+            path[u] = path[v] | bit
+            lose_row[u] = lose_row[v] | (bit if u < m else 0)
+            order.append(u)
     return path, lose_row
 
 

@@ -44,8 +44,9 @@ a time, with one live flag per state set from the deepest depth up.
 ``enumerate_proper_representations`` streams them by a pre-order walk of
 its live states, and the generic minimum
 (:meth:`WordsFunctor.fiber_minimum`) folds the same DAG bottom-up instead,
-once per live state (and per set of paid keys, for Swierczkowski), so it
-costs the DAG's size rather than the fiber's.
+in one sweep by decreasing state id, once per live state (and per set of
+paid keys, for Swierczkowski), so it costs the DAG's size rather than the
+fiber's.
 ``search_word_distance`` expands representation prefixes in cost order with
 provably lossless pruning (prefix feasibility and state dominance) and
 returns the minimum over that stream.  All three read one prefix model: per
@@ -524,15 +525,23 @@ def _fold(
     ``paid[k]`` is 0 for zero weights and for Graev).  ``empty`` puts the
     empty representation first.
 
-    Each (state, paid keys below it) is folded once, bottom-up through one
-    explicit stack, from its rows' four values: a completing row is one
-    representation, and a row into a live state shifts that state's
-    positions by the representations before it.  Rows into dead states add
-    only what they complete, and the paid keys below a state are taken over
-    its live rows only: a key that no representation through the state can
-    pay must not split its memo entries, and the fold, which stops at
-    :data:`MAX_STATES` entries, counts only (state, mask) pairs that some
-    representation reaches.
+    Each (state, mask) pair is folded once; the mask holds the paid keys on
+    the path to the state that some live row below it can pay (``below``),
+    as a key that no representation through the state can pay must not
+    split its entries.  A pair's four values come from the state's rows in
+    stream order: a completing row is one representation, and a row into a
+    live state shifts that state's positions by the representations before
+    it.  Every row leads to a larger state id, so the pairs are folded in
+    decreasing state id, and a child's values are ready before any parent
+    reads them.
+
+    Only the pairs some representation reaches are folded: the start state
+    with the empty mask and, through each row into a live state, that state
+    with the row's paid key added and masked by its ``below``.  When some
+    key is paid, one pass in increasing state id collects them first and
+    raises as soon as they number more than :data:`MAX_STATES`, the start
+    pair included.  When none is, each reached state has the empty mask
+    alone and the pass is skipped; the DAG's own budget bounds the fold.
     """
     size = len(nodes)
     below = [0] * size  # the paid bits of the keys on live rows below each live state
@@ -544,40 +553,47 @@ def _fold(
                     if done or live[child]:
                         bits |= paid[k] | below[child]
                 below[i] = bits
+        masks: list = [set() for _ in range(size)]  # the paid masks that reach each state
+        masks[0].add(0)
+        reached = 1
+        for state in range(size):
+            rows = nodes[state]
+            for mask in masks[state]:
+                for _row, child, _done, k in rows:
+                    if live[child]:
+                        into = masks[child]
+                        cmask = (mask | paid[k]) & below[child]
+                        if cmask not in into:
+                            into.add(cmask)
+                            reached += 1
+                            if reached > MAX_STATES:
+                                raise _over_budget("generic fold", reached)
+    else:
+        masks = [(0,) if alive else () for alive in live]
+        masks[0] = (0,)
     memo: dict[int, tuple] = {}  # mask * size + state -> (count, best, first rows as a linked list, position)
-    root = [0, 0, 0, 1, 0, None, 0] if empty else [0, 0, 0, 0, None, None, 0]
-    stack = [root]  # state, paid mask, next row, count, best, first, position
-    while stack:
-        frame = stack[-1]
-        state, mask, i, count, best, first, pos = frame
+    for state in range(size - 1, -1, -1):
         rows = nodes[state]
-        while i < len(rows):
-            row, child, done, k = rows[i]
-            bit = paid[k]
-            w = 0 if mask & bit else weight[k]
-            sub = None
-            if live[child]:
-                cmask = (mask | bit) & below[child]
-                sub = memo.get(cmask * size + child)
-                if sub is None:
-                    frame[2:] = i, count, best, first, pos
-                    stack.append([child, cmask, 0, 0, None, None, 0])
-                    break
-            if done:
-                if best is None or w < best:
-                    best, first, pos = w, (row, None), count
-                count += 1
-            if sub is not None:
-                scount, sbest, sfirst, spos = sub
-                if best is None or w + sbest < best:
-                    best, first, pos = w + sbest, (row, sfirst), count + spos
-                count += scount
-            i += 1
-        else:
-            stack.pop()
+        for mask in masks[state]:
+            count, best, first, pos = 0, None, None, 0
+            for row, child, done, k in rows:
+                bit = paid[k]
+                w = 0 if mask & bit else weight[k]
+                if done:
+                    if best is None or w < best:
+                        best, first, pos = w, (row, None), count
+                    count += 1
+                if live[child]:
+                    scount, sbest, sfirst, spos = memo[((mask | bit) & below[child]) * size + child]
+                    if best is None or w + sbest < best:
+                        best, first, pos = w + sbest, (row, sfirst), count + spos
+                    count += scount
             memo[mask * size + state] = count, best, first, pos
-            if len(memo) > MAX_STATES:
-                raise _over_budget("generic fold", len(memo))
+    count, best, first, pos = memo[0]
+    if empty:  # the empty representation comes first, so it wins a tie
+        count, pos = count + 1, pos + 1
+        if best is None or best >= 0:
+            best, first, pos = 0, None, 0
     rows = []
     while first is not None:
         row, first = first

@@ -416,6 +416,20 @@ class TestBatch:
         assert [r["exit_code"] for r in json.loads(capsys.readouterr().out)] == [0, 0, 0]
         assert len(loads) == 1
 
+    def test_a_reader_that_closes_the_pipe_early(self, tmp_path):
+        # About 1 MB of responses, far more than a pipe holds, so the write
+        # after the reader closes its end fails; the CLI exits 1 and writes
+        # nothing to stderr, however Python buffers stdout.
+        space_path = write_space(tmp_path, TWO_POINT)
+        batch_path = tmp_path / "requests.json"
+        batch_path.write_text(json.dumps([{"command": "validate", "space": space_path}] * 5000))
+        proc = subprocess.Popen(CMD + ["batch", str(batch_path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
 
 class TestRefusedInvocations:
     """Every invocation the CLI refuses prints one JSON error line on stdout,

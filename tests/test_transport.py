@@ -299,9 +299,9 @@ def test_walk_visits_each_perturbed_basis_once(monkeypatch):
     bases = []
     root_paths = transport._root_paths
 
-    def counted(basis, m, n):
-        bases.append(tuple(basis))
-        return root_paths(basis, m, n)
+    def counted(mask, lines, m, n):
+        bases.append(mask)
+        return root_paths(mask, lines, m, n)
 
     monkeypatch.setattr(transport, "_root_paths", counted)
     assert len(list(fiber_vertices(*vertex_pair(7)))) == 24

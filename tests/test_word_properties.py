@@ -1,7 +1,9 @@
 """Property tests: the word stream and the best-first search, which share one
-prefix model, both match the naive oracle, and the exact Graev and
-Swierczkowski paths match the search."""
+prefix model, both match the naive oracle, the exact Graev and
+Swierczkowski paths match the search, and the generic fold matches the
+rational loop over the stream."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from fiberdist import words
 from fiberdist.core import scale_to_integers, validate_space
-from fiberdist.extension import EmptyFiberError
-from fiberdist.sampling import labels
+from fiberdist.extension import EmptyFiberError, extend_generic
+from fiberdist.sampling import labels, random_metric_space
 from fiberdist.words import (
     VARIANTS,
     PointedSpace,
@@ -23,6 +25,7 @@ from fiberdist.words import (
     reduce_letters,
     search_word_distance,
 )
+from test_extension import reference_extend_generic, sample_tables
 
 
 @st.composite
@@ -120,6 +123,45 @@ def test_exact_swierczkowski_equals_the_search(case):
     bound = F(words._swierczkowski_forest(a, b, pointed, idist, default)[0], denom)
     for cap in (default, default + 1, default + 2):
         assert bound <= search_word_distance(a, b, pointed, "swierczkowski", cap).value
+
+
+@st.composite
+def folded_pairs(draw):
+    """A random 3- or 4-point pointed space, two reduced words from strings of
+    up to 3 letters each, and a cap from their longer length to 4, which
+    keeps each fiber to a few thousand representations for the rational
+    loop."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 4))
+    pointed = PointedSpace(random_metric_space(rng, n, den_max=7), draw(st.integers(0, n - 1)))
+    commutative = draw(st.booleans())
+    letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    a, b = (reduce_letters(draw(st.lists(letter, max_size=3)), commutative, pointed) for _ in range(2))
+    cap = draw(st.integers(max(len(a), len(b)), 4))
+    return rng, pointed, a, b, cap
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(folded_pairs(), st.sampled_from(VARIANTS))
+def test_fold_matches_the_reference_loop(case, variant):
+    # The fold's forward pass over the paid masks and its ``below`` masks
+    # only act for Swierczkowski on a table with nonzero entries; the
+    # sample tables add zeros, negative entries and asymmetry.
+    rng, pointed, a, b, cap = case
+    functor = WordsFunctor(variant, a.commutative, cap)
+    for table in sample_tables(rng, pointed.space):
+        for early_exit in (True, False):
+            try:
+                reference = reference_extend_generic(functor, pointed, table, a, b, early_exit=early_exit)
+            except EmptyFiberError as exc:
+                with pytest.raises(EmptyFiberError) as info:
+                    extend_generic(functor, pointed, table, a, b, early_exit=early_exit)
+                assert str(info.value) == str(exc)
+                continue
+            result = extend_generic(functor, pointed, table, a, b, early_exit=early_exit)
+            assert (result.value, result.witness, result.fiber_size_enumerated, result.cap_limited) == (
+                reference.value, reference.witness, reference.fiber_size_enumerated, reference.cap_limited,
+            )
 
 
 def reference_cheapest_partitions(a, b, pointed, terminals, cost):
