@@ -16,7 +16,9 @@ from typing import Iterator
 from .core import PairTable, ParseError, Value, set_field
 from .extension import ElementDomainError, ExtensionResult, FiberCapExceeded, Functor, first_minimum
 
-# fiber_subsets walks all 2**cells masks of A x B, so it refuses larger grids.
+# fiber_subsets yields up to 2**cells couplings of A x B, so it refuses larger
+# grids.  It visits each of the 2**(cells - |B|) masks of the rows past the
+# first, and lists row 0's 2**|B| masks once per set of columns to cover.
 MAX_CELLS = 16
 
 
@@ -82,30 +84,52 @@ def _full_masks(a: Subset, b: Subset, weights: list) -> Iterator[tuple]:
     every row and column, in ascending order, where ``top`` is the largest
     of ``weights`` (one per cell) over the mask's cells.
 
-    A mask's cover and top are those of ``mask ^ lowbit`` joined with its
-    lowest cell's, one lookup each per mask.
+    A mask is ``hi << nb | lo``: ``lo`` holds row 0's cells and ``hi`` the
+    other rows'.  Every ``lo`` but 0 covers row 0 and its own columns, so a
+    mask covers the grid exactly when ``hi`` covers rows 1 onwards and
+    ``lo`` is nonzero and covers the columns ``hi`` misses.  The covers and
+    tops of the ``lo`` and of the ``hi`` masks are each built once, a mask's
+    from that of ``mask ^ lowbit`` and its lowest cell's; the ascending
+    ``lo`` masks that cover a set of columns are listed once per set.  So
+    the walk visits each ``hi`` and then only the masks it yields.
     """
     na, nb = len(a.members), len(b.members)
-    k = na * nb
-    # Bit r of a cover is row r, bit na + c is column c.
-    cell_cover = [1 << r | 1 << (na + c) for r in range(na) for c in range(nb)]
-    full = (1 << (na + nb)) - 1
-    cover = [0] * (1 << k)
+    columns = (1 << nb) - 1
+    rows = (1 << na) - 2  # rows 1 onwards; bit r of a cover is row r, bit na + c is column c
     # The empty mask's top is the least weight, so that a one-cell mask's
-    # top is its cell's weight.
-    top = [min(weights)] * (1 << k)
-    for mask in range(1, 1 << k):
+    # top is its cell's weight and a whole mask's joins those of its parts.
+    least = min(weights)
+    low_cover, low_top = _covers(weights[:nb], [1 << c for c in range(nb)], least)
+    high_cells = [1 << r | 1 << (na + c) for r in range(1, na) for c in range(nb)]
+    high_cover, high_top = _covers(weights[nb:], high_cells, least)
+    covering: dict[int, list[int]] = {}  # columns -> the nonzero lo masks covering them, ascending
+    for hi, (covered, th) in enumerate(zip(high_cover, high_top)):
+        if covered & rows != rows:
+            continue
+        need = ~covered >> na & columns
+        los = covering.get(need)
+        if los is None:
+            los = covering[need] = [lo for lo in range(1, 1 << nb) if low_cover[lo] & need == need]
+        base = hi << nb
+        for lo in los:
+            tl = low_top[lo]
+            yield (tl if tl > th else th), base | lo
+
+
+def _covers(cell_weights: list, cell_cover: list[int], least) -> tuple[list[int], list]:
+    """The cover and top of every mask over some cells, from each cell's
+    weight and cover bits, with ``least`` the empty mask's top."""
+    size = 1 << len(cell_weights)
+    cover = [0] * size
+    top = [least] * size
+    for mask in range(1, size):
         low = mask & -mask
         rest = mask ^ low
         i = low.bit_length() - 1
-        cover[mask] = covered = cover[rest] | cell_cover[i]
-        w, t = weights[i], top[rest]
-        if w > t:
-            t = top[mask] = w
-        else:
-            top[mask] = t
-        if covered == full:
-            yield t, mask
+        cover[mask] = cover[rest] | cell_cover[i]
+        w, t = cell_weights[i], top[rest]
+        top[mask] = w if w > t else t
+    return cover, top
 
 
 def _coupling(cells: list[tuple[int, int]], mask: int) -> SubsetCoupling:

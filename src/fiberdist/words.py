@@ -55,9 +55,12 @@ once per word as a small int id, with a lazily built per-prefix transition
 table that gives, per letter, the next prefix's id and how many ``+`` and
 ``-`` letters it still needs.  So the DAG and both searches key their
 states by int pairs or triples and find the targets by comparing ints,
-never letter tuples.  The tables and ids depend only on the side's word and
-the space's size and basepoint, so each word's are built once and kept for
-every later call, in one cache bounded by its prefix tables
+never letter tuples.  A letter moves a prefix's need by at most one, so
+the letters the DAG admits at a prefix fall in four classes of the rows
+left, each filtered once and kept with the tables.  The tables, ids and
+classes depend only on the side's word and the space's size and
+basepoint, so each word's are built once and kept for every later call,
+in one cache bounded by its prefix tables
 (:data:`_TABLES_LIMIT`); the integer costs are the rows of the space's
 table's :attr:`~fiberdist.core.PairTable.integer_view`, which
 :func:`~fiberdist.core.validate_space` computed once.  A row puts one
@@ -319,19 +322,32 @@ class _PrefixTables(dict):
     computed from scratch; each letter changes one of its counts by one, so
     its entry follows in O(1).  Every row puts one sign on both sides, so a
     pair of prefixes needs at least max(p_L, p_R) + max(q_L, q_R) more rows.
+
+    The basepoint's letters leave the prefix and its need as they are, and
+    every other letter moves the need ``p + q`` by exactly one (:func:`_step`:
+    a letter the target still needs is one fewer to write, any other one
+    more to undo).  So which letters lead to a prefix needing at most r more
+    letters depends on r only through its slack over the prefix's own need,
+    in four classes: at least 1, every letter; 0, the basepoint's and those
+    that lower the need; -1, those that lower it; -2 or less, none.
+    ``classes`` keeps each class's :func:`_letters_within` lists, by (pid,
+    slack, scale), once a call has asked for it.
+
     The tables are a pure function of the target word and the pointed
     space's size and basepoint, so :func:`_prefix_tables` keeps one per word
     for every call, and each table counts towards :data:`_TABLES_LIMIT`;
-    the ids go with their tables.  Readers never change an entry.
+    the ids and classes go with their tables.  Readers never change an
+    entry.
     """
 
-    __slots__ = ("ids", "prefixes", "target", "_table", "_letters", "_e")
+    __slots__ = ("ids", "prefixes", "target", "classes", "_table", "_letters", "_e")
 
     def __init__(self, target: tuple, table, letters: list[tuple[int, int]], e: int):
         self.ids: dict[tuple, int] = {}
         self.prefixes: list[tuple] = []
         self._intern(())
         self.target = self._intern(target)
+        self.classes: dict[tuple[int, int, int], list[list[tuple]]] = {}
         self._table = table
         self._letters = letters
         self._e = e
@@ -372,7 +388,8 @@ class _TableCache(dict):
 
 
 # Emptied when its entries reach _TABLES_LIMIT, which bounds it; an entry,
-# with the prefix ids it interned, takes about 1.2 kB on three points.
+# with the prefix ids it interned and the letter classes kept with it,
+# takes about 3.3 kB on three points (1.0 kB without the classes).
 _TABLES = _TableCache()
 _TABLES_LIMIT = 1 << 12
 
@@ -408,13 +425,26 @@ def _letters_within(tables: _PrefixTables, pid: int, remaining: int, scale: int)
     """Per sign (``+`` then ``-``), ``(x * scale, next, p, q, next is the
     target)`` for each letter x that takes prefix id ``pid`` to a prefix
     needing at most ``remaining`` more letters, in x order; ``next`` is that
-    prefix's id."""
-    target = tables.target
+    prefix's id.
+
+    Each letter's need is within one of the prefix's own, so the lists
+    depend on ``remaining`` only through its slack over that need, clamped
+    to -2..1 (:class:`_PrefixTables`); each (pid, slack, scale) class is
+    filtered once and kept in ``tables.classes`` for every later call.
+    """
     table = tables[pid]
-    return [
-        [(x * scale, nxt, p, q, nxt == target) for x, (nxt, p, q) in enumerate(table[neg::2]) if p + q <= remaining]
-        for neg in (0, 1)
-    ]
+    _same, own_p, own_q = table[2 * tables._e]  # the basepoint letter leaves the prefix as it is
+    slack = remaining - own_p - own_q
+    slack = 1 if slack > 1 else -2 if slack < -2 else slack
+    key = (pid, slack, scale)
+    found = tables.classes.get(key)
+    if found is None:
+        within, target = own_p + own_q + slack, tables.target
+        found = tables.classes[key] = [
+            [(x * scale, nxt, p, q, nxt == target) for x, (nxt, p, q) in enumerate(table[neg::2]) if p + q <= within]
+            for neg in (0, 1)
+        ]
+    return found
 
 
 def _live_rows(
@@ -434,7 +464,7 @@ def _live_rows(
     of its rows is.  Readers skip the other rows: no representation passes
     through them, as the joint need that admits a row is a bound, not exact,
     for free words.  The states are found one depth at a time, each distinct
-    prefix's letters filtered once per depth, and made live from the
+    prefix's letter class looked up once per depth, and made live from the
     deepest up, so a large cap costs states, not Python recursion.  The
     budget is checked after each state's rows, so the DAG raises once it
     holds more than :data:`MAX_STATES` states, at most ``2 n^2`` (one per
@@ -1130,7 +1160,10 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
     heap = [(0, 0, 0, 0, 0, 0, -1, None)]
     parents: list[tuple[int, tuple | None]] = []  # settled state -> (its parent, its row)
     seq = 0
-    settled: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (l, r) -> [(mask, depth)]
+    # Dominance: (l, r) -> the least settled depth (Graev and abelian, where
+    # every mask is 0, so a state is dominated exactly when one with its
+    # prefixes settled no deeper), or -> [(mask, depth)] (Swierczkowski).
+    settled: dict = {}
     # (l, rows left) -> the rows, in cost order, whose left letter can still
     # reach its target within them, each with that letter's entry.
     lrows: dict[tuple[int, int], list[tuple]] = {}
@@ -1138,19 +1171,24 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         cost, _seq, depth, lkey, rkey, mask, parent, row = pop(heap)
-        entries = settled.setdefault((lkey, rkey), [])
-        dominated = False
-        for m, d in entries:
-            if m & mask == m and d <= depth:
-                dominated = True
-                break
-        if dominated:
+        if swier:
+            entries = settled.setdefault((lkey, rkey), [])
+            dominated = False
+            for m, d in entries:
+                if m & mask == m and d <= depth:
+                    dominated = True
+                    break
+            if dominated:
+                continue
+            for m, d in entries:
+                if mask & m == mask and depth <= d:  # the new entry dominates: drop every entry it does
+                    entries[:] = [(m, d) for m, d in entries if not (mask & m == mask and depth <= d)]
+                    break
+            entries.append((mask, depth))
+        elif settled.get((lkey, rkey), cap + 1) <= depth:
             continue
-        for m, d in entries:
-            if mask & m == mask and depth <= d:  # the new entry dominates: drop every entry it does
-                entries[:] = [(m, d) for m, d in entries if not (mask & m == mask and depth <= d)]
-                break
-        entries.append((mask, depth))
+        else:
+            settled[lkey, rkey] = depth
         me = len(parents)
         if me == MAX_STATES:
             raise _over_budget("word search", me + 1)
@@ -1181,15 +1219,17 @@ def _search(a, b, pointed, swier: bool, cap: int, denom: int, idist, floor: int 
             if swier:
                 step = 0 if mask & bit else base
                 nmask = mask | bit
+                dominated = False
+                for m, d in settled.get((lnext, rnext), ()):
+                    if m & nmask == m and d <= depth:
+                        dominated = True
+                        break
+                if dominated:
+                    continue
+            elif settled.get((lnext, rnext), cap + 1) <= depth:
+                continue
             else:
                 step, nmask = base, 0
-            dominated = False
-            for m, d in settled.get((lnext, rnext), ()):
-                if m & nmask == m and d <= depth:
-                    dominated = True
-                    break
-            if dominated:
-                continue
             seq += 1
             push(heap, (cost + step, seq, depth, lnext, rnext, nmask, me, row))
 

@@ -199,6 +199,42 @@ def test_subset_stream_is_pinned(seed):
     assert (len(couplings), hashlib.sha256(text.encode()).hexdigest()[:16]) == SUBSET_STREAMS[seed]
 
 
+# Every grid of at most 12 cells, and the 16-cell grids of one, two and four rows.
+WALK_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12] + [(1, 16), (2, 8), (4, 4)]
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES, ids=lambda shape: "%dx%d" % shape)
+def test_subset_walk_is_the_filtered_mask_scan(shape):
+    # The walk visits only masks that cover every row and column; the
+    # reference scans every mask of the row-major grid in ascending order
+    # and keeps those whose pairs project onto A and B.  The fiber minimum
+    # ranks the same stream, so with stop_at_zero it reads the couplings up
+    # to the first whose top weight is 0, and without it all of them.
+    m, n = shape
+    a, b = Subset(tuple(range(m))), Subset(tuple(range(n)))
+    cells = [(x, y) for x in a.members for y in b.members]
+    reference = []
+    for mask in range(1 << len(cells)):
+        pairs = tuple(cell for i, cell in enumerate(cells) if mask >> i & 1)
+        if {x for x, _ in pairs} == set(a.members) and {y for _, y in pairs} == set(b.members):
+            reference.append(pairs)
+    assert [c.pairs for c in fiber_subsets(a, b)] == reference
+    rng = random.Random(m * 100 + n)
+    weight = {cell: rng.choice((0, 0, 0, F(1, 2), 1)) for cell in cells}
+    for stop_at_zero in (True, False):
+        best = witness = None
+        count = 0
+        for pairs in reference:
+            value = max(weight[cell] for cell in pairs)
+            count += 1
+            if best is None or value < best:
+                best, witness = value, pairs
+                if stop_at_zero and best == 0:
+                    break
+        top, coupling, read = HyperspaceFunctor().fiber_minimum(a, b, None, weight.__getitem__, stop_at_zero)
+        assert (top, coupling.pairs, read) == (best, witness, count)
+
+
 class TestCoincidence:
     def test_hausdorff_equals_generic_minimum(self):
         functor = HyperspaceFunctor()

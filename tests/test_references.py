@@ -7,6 +7,9 @@ Tests do not count: library code that only tests call should not exist.
 
 Every module-level cache of the package is bounded by the one rule that
 empties it, ``_clear_at_limit``, at its own ``_LIMIT``.
+
+Every hypothesis property draws the same examples on every run and writes
+no example database into the checkout.
 """
 
 import ast
@@ -106,3 +109,23 @@ def test_every_module_level_cache_is_bounded():
                 unbounded.append(f"{path.stem}.{name}")
     assert {"words._SHARED", "words._TABLES", "words._FORESTS"} <= set(caches)
     assert not unbounded, f"module-level caches without a _LIMIT emptied through _clear_at_limit: {unbounded}"
+
+
+def test_every_property_is_reproducible():
+    """Each ``settings(...)`` under ``tests/`` sets ``derandomize=True`` and
+    ``database=None``, so a property's draws do not change between runs and
+    no example database is written."""
+    found = []
+    loose = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "settings":
+                found.append(f"{path.name}:{node.lineno}")
+                given = {kw.arg: kw.value for kw in node.keywords}
+                fixed = [isinstance(given.get(name), ast.Constant) and given[name].value is value
+                         for name, value in (("derandomize", True), ("database", None))]
+                if not all(fixed):
+                    loose.append(found[-1])
+    assert len(found) >= 15
+    assert not loose, f"settings without derandomize=True and database=None: {loose}"

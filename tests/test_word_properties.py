@@ -325,3 +325,39 @@ def test_incremental_tables_match_the_direct_need(case, walk):
                 assert (p, q) == _direct_need(successor, target, commutative)
             if letter is not None:
                 prefix = reduce_letters(prefix.letters + (letter,), commutative, pointed)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(pointed_words(max_points=5), st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=4))
+def test_letter_classes_match_the_direct_filter(case, walk):
+    # At every prefix along a walk of letters, the basepoint's two entries
+    # keep the prefix and its need, every other letter moves the need by
+    # one, and the letters within each number of rows left, kept per class
+    # of its slack over that need, are those the direct filter keeps, with
+    # either side's scale, asked one after the other.
+    pointed, a, b = case
+    e = pointed.basepoint
+    cap = words.default_cap(a, b)
+    for table in words._prefix_tables(a, b, pointed):
+        pid = 0
+        for letter in [(x % pointed.n, s) for x, s in walk] + [None]:
+            entries = table[pid]
+            own = entries[2 * e]
+            assert own[0] == pid and entries[2 * e + 1] == own
+            for code, (_nxt, lp, lq) in enumerate(entries):
+                if code // 2 != e:
+                    assert abs(lp + lq - own[1] - own[2]) == 1
+            for remaining in range(-1, cap + 3):
+                for scale in (pointed.n, 1):
+                    direct = [
+                        [
+                            (x * scale, nxt, lp, lq, nxt == table.target)
+                            for x, (nxt, lp, lq) in enumerate(entries[neg::2])
+                            if lp + lq <= remaining
+                        ]
+                        for neg in (0, 1)
+                    ]
+                    assert words._letters_within(table, pid, remaining, scale) == direct
+            if letter is not None:
+                x, s = letter
+                pid = entries[2 * x + (s == -1)][0]
